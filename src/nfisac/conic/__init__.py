@@ -4,7 +4,6 @@ from .model import (
     ConicProgram,
     LinExpr,
     PsdBlock,
-    dump_program,
     epigraph_trace_inverse,
     matrix_to_params,
     params_to_matrix,
@@ -17,7 +16,7 @@ from .model import (
 from .solver import ConicSolution, assemble, solve
 
 __all__ = [
-    "ConicProgram", "LinExpr", "PsdBlock", "dump_program",
+    "ConicProgram", "LinExpr", "PsdBlock",
     "epigraph_trace_inverse", "matrix_to_params", "params_to_matrix",
     "real_trace", "realify_matrix", "realify_program", "scalar_term",
     "trace_coefficients", "ConicSolution", "assemble", "solve",

@@ -477,42 +477,3 @@ def _copy_real_block(src, dst, block, mapping):
             _, i, j, expr = term
             rb.set_entry(i, j, _map_expr(src, dst, expr, mapping))
     return rb
-
-
-def dump_program(program, path):
-    """Plain-text sparse-triplet dump for cross-checking with external solvers."""
-    n_x, offsets = program.param_layout()
-    lines = [f"vars {n_x}"]
-    for name, var in program.variables.items():
-        if isinstance(var, ScalarVar):
-            lines.append(f"var {name} scalar slice {offsets[name].start} {offsets[name].stop}")
-        else:
-            kind = "hermitian" if var.hermitian else "symmetric"
-            lines.append(f"var {name} {kind} {var.side} slice {offsets[name].start} {offsets[name].stop}")
-    lines.append("objective")
-    g = program.expr_vector(program.objective, n_x, offsets)
-    for p in np.nonzero(g)[0]:
-        lines.append(f"  {p} {g[p]:.17g}")
-    for label, group in (("eq", program.eq_constraints), ("ineq", program.ineq_constraints)):
-        for idx, expr in enumerate(group):
-            lines.append(f"{label} {idx} const {expr.const:.17g}")
-            g = program.expr_vector(expr, n_x, offsets)
-            for p in np.nonzero(g)[0]:
-                lines.append(f"  {p} {g[p]:.17g}")
-    for block in program.psd_blocks:
-        lines.append(f"psd {block.name} side {block.side} complex {int(block.complex_valued)}")
-        ii, jj = np.nonzero(block.const)
-        for i, j in zip(ii, jj):
-            v = block.const[i, j]
-            lines.append(f"  const {i} {j} {np.real(v):.17g} {np.imag(v):.17g}")
-        for term in block.terms:
-            if term[0] == "var":
-                _, name, idx, scale = term
-                lines.append(f"  var {name} scale {scale:.17g} idx {' '.join(map(str, idx))}")
-            else:
-                _, i, j, expr = term
-                g = program.expr_vector(expr, n_x, offsets)
-                entries = " ".join(f"{p}:{g[p]:.17g}" for p in np.nonzero(g)[0])
-                lines.append(f"  entry {i} {j} const {expr.const:.17g} {entries}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -6,6 +6,7 @@ target: linear MMSE estimate of the target response matrix, computed
 through the Kronecker identity so only n_tx-sized solves occur.
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,18 +27,6 @@ class EchoBatch:
     def __post_init__(self):
         if self.Y.shape[1] != self.X.shape[1]:
             raise InvalidArgumentError("echo and probing signal frame lengths differ")
-
-
-@dataclass(frozen=True)
-class EstimationRecord:
-    truth: tuple
-    estimate: tuple
-    squared_error: float
-    trial: int
-
-    def __post_init__(self):
-        if self.squared_error < 0:
-            raise InvalidArgumentError("squared error must be nonnegative")
 
 
 def trial_rng(seed, trial):
@@ -104,25 +93,34 @@ def default_grid(geom):
 
 
 _GRID_CACHE = {}
+_GRID_LOCK = threading.Lock()
 
 
 def _grid_steering(geom, grid, side):
-    """(n, n_r * n_phi) matrix of steering vectors over the flattened grid."""
-    key = (geom.n_tx, geom.n_rx, geom.carrier_freq, grid, side)
-    if key in _GRID_CACHE:
-        return _GRID_CACHE[key]
-    rs = grid.distances()
-    phis = grid.angles()
+    """Steering vectors over the flattened grid and their squared norms.
+
+    Returns the (n, n_r * n_phi) matrix B and the vector ||b||^2 of its
+    columns.  Grids are cached by aperture rather than by side, so equal
+    tx and rx arrays share one grid; the lock keeps concurrent trial
+    workers from building the same grid twice.
+    """
     deltas = geom.tx_offsets if side == "tx" else geom.rx_offsets
-    d = geom.spacing
-    # path-length difference, broadcast over (element, r, phi)
-    rr = rs[None, :, None]
-    pp = phis[None, None, :]
-    dd = deltas[:, None, None] * d
-    path = np.sqrt(rr**2 + dd**2 - 2.0 * rr * dd * np.sin(pp)) - rr
-    B = np.exp(-2j * np.pi / geom.wavelength * path).reshape(len(deltas), -1)
-    _GRID_CACHE[key] = B
-    return B
+    key = (tuple(deltas), geom.spacing, geom.wavelength, grid)
+    with _GRID_LOCK:
+        if key not in _GRID_CACHE:
+            # path-length difference, broadcast over (element, r, phi)
+            rr = grid.distances()[None, :, None]
+            pp = grid.angles()[None, None, :]
+            dd = deltas[:, None, None] * geom.spacing
+            path = np.sqrt(rr**2 + dd**2 - 2.0 * rr * dd * np.sin(pp)) - rr
+            B = np.exp(-2j * np.pi / geom.wavelength * path).reshape(len(deltas), -1)
+            _GRID_CACHE[key] = B, _abs2(B).sum(axis=0)
+        return _GRID_CACHE[key]
+
+
+def _abs2(z):
+    """Elementwise |z|^2, without the square root np.abs takes."""
+    return z.real**2 + z.imag**2
 
 
 def _refine(score, ir, ip, rs, phis):
@@ -157,43 +155,62 @@ def mle_point(echo, geom, grid=None):
     mu(r, phi) = Tr(A^H Y X^H) / ||A X||_F^2 with A = b_r b_t^H, so the
     residual ||Y - mu A X||_F^2 is minimized by maximizing
     |b_r^H Y X^H b_t|^2 / (n_rx b_t^H X X^H b_t).
+
+    Both quadratic forms are contracted through the thin SVD X = U S V^H,
+    keeping the k singular values above numpy's matrix_rank tolerance
+    s_max * max(X.shape) * eps:
+
+        b_t^H X X^H b_t = ||S_k U_k^H b_t||^2,
+        b_r^H Y X^H b_t = (V_k^H Y^H b_r)^H (S_k U_k^H b_t),
+
+    so scoring costs 2 k n multiply-adds per grid point instead of 2 n^2
+    (k = 1 for a single probing beam, k = n_tx for a full-rank probe).
     """
     if grid is None:
         grid = default_grid(geom)
-    Y, X = echo.Y, echo.X
-    M = Y @ X.conj().T
-    G = X @ X.conj().T
-    Bt = _grid_steering(geom, grid, "tx")
-    Br = _grid_steering(geom, grid, "rx")
-    num = np.abs(np.einsum("ig,ig->g", Br.conj(), M @ Bt)) ** 2
-    den = geom.n_rx * np.real(np.einsum("ig,ig->g", Bt.conj(), G @ Bt))
-    score = (num / np.maximum(den, 1e-300)).reshape(grid.n_r, grid.n_phi)
-    rs, phis = grid.distances(), grid.angles()
-    ir, ip = np.unravel_index(np.argmax(score), score.shape)
+    X = echo.X
+    U, s, Vh = np.linalg.svd(X, full_matrices=False)
+    k = int(np.count_nonzero(s > s[0] * max(X.shape) * np.finfo(float).eps))
+    T = s[:k, None] * U[:, :k].conj().T      # S_k U_k^H,   k x n_tx
+    Q = Vh[:k] @ echo.Y.conj().T             # V_k^H Y^H,   k x n_rx
+
+    def likelihood(bt, br):
+        """(b_r^H Y X^H b_t, n_rx b_t^H X X^H b_t) per column of bt and br."""
+        a = T @ bt
+        return np.sum((Q @ br).conj() * a, axis=0), geom.n_rx * _abs2(a).sum(axis=0)
 
     def point_score(r, phi):
-        bt = geometry.steering_vector(geom, r, phi, side="tx")
-        br = geometry.steering_vector(geom, r, phi, side="rx")
-        return np.abs(br.conj() @ M @ bt) ** 2 / max(
-            geom.n_rx * np.real(bt.conj() @ G @ bt), 1e-300)
+        corr, energy = likelihood(geometry.steering_vector(geom, r, phi, side="tx"),
+                                  geometry.steering_vector(geom, r, phi, side="rx"))
+        return _abs2(corr) / max(energy, 1e-300)
 
+    corr, energy = likelihood(_grid_steering(geom, grid, "tx")[0],
+                              _grid_steering(geom, grid, "rx")[0])
+    score = (_abs2(corr) / np.maximum(energy, 1e-300)).reshape(grid.n_r, grid.n_phi)
+    rs, phis = grid.distances(), grid.angles()
+    ir, ip = np.unravel_index(np.argmax(score), score.shape)
     r_hat, phi_hat = _refine(score, ir, ip, rs, phis)
     # keep the refinement only when it actually improves the likelihood,
     # so exact on-grid truths are returned untouched
     if point_score(r_hat, phi_hat) < score[ir, ip]:
         r_hat, phi_hat = float(rs[ir]), float(phis[ip])
-    bt = geometry.steering_vector(geom, r_hat, phi_hat, side="tx")
-    br = geometry.steering_vector(geom, r_hat, phi_hat, side="rx")
-    mu_hat = (br.conj() @ M @ bt) / max(geom.n_rx * np.real(bt.conj() @ G @ bt), 1e-300)
-    return r_hat, phi_hat, complex(mu_hat)
+    corr, energy = likelihood(geometry.steering_vector(geom, r_hat, phi_hat, side="tx"),
+                              geometry.steering_vector(geom, r_hat, phi_hat, side="rx"))
+    return r_hat, phi_hat, complex(corr / max(energy, 1e-300))
 
 
 def music_2d(echo, geom, grid=None):
     """2D MUSIC location estimate from the echo sample covariance.
 
     Single-target variant: the signal subspace is the dominant eigenvector
-    of (1/L) Y Y^H and the pseudo-spectrum is the inverse squared noise
-    subspace projection of the receive steering vector.
+    u_1 of (1/L) Y Y^H and the pseudo-spectrum is the inverse squared noise
+    subspace projection ||E_n^H b_r||^2 of the receive steering vector.
+    The eigenvectors are orthonormal, so over the grid that projection is
+    ||b_r||^2 - |u_1^H b_r|^2, one n_rx-vector product per point with the
+    column norms ||b_r||^2 cached next to the grid.  The difference loses
+    the digits that separate a noiseless peak from its neighbours, so the
+    3x3 cells the refinement reads, and the refined point, are scored with
+    E_n itself.
     """
     if geom.n_rx < 2:
         raise InvalidArgumentError("subspace method needs at least two receive elements")
@@ -205,14 +222,20 @@ def music_2d(echo, geom, grid=None):
     R = echo.Y @ echo.Y.conj().T / L
     _, vecs = np.linalg.eigh(R)
     En = vecs[:, :-1]  # all but the largest-eigenvalue direction
-    Br = _grid_steering(geom, grid, "rx")
-    proj = np.sum(np.abs(En.conj().T @ Br) ** 2, axis=0)
+
+    def spectrum(br):
+        return 1.0 / np.maximum(_abs2(En.conj().T @ br).sum(axis=0), 1e-300)
+
+    Br, Br_sq = _grid_steering(geom, grid, "rx")
+    proj = Br_sq - _abs2(vecs[:, -1].conj() @ Br)
     score = (1.0 / np.maximum(proj, 1e-300)).reshape(grid.n_r, grid.n_phi)
     rs, phis = grid.distances(), grid.angles()
     ir, ip = np.unravel_index(np.argmax(score), score.shape)
+    rows, cols = slice(max(ir - 1, 0), ir + 2), slice(max(ip - 1, 0), ip + 2)
+    cells = Br.reshape(-1, grid.n_r, grid.n_phi)[:, rows, cols]
+    score[rows, cols] = spectrum(cells.reshape(len(Br), -1)).reshape(cells.shape[1:])
     r_hat, phi_hat = _refine(score, ir, ip, rs, phis)
-    br = geometry.steering_vector(geom, r_hat, phi_hat, side="rx")
-    refined = 1.0 / max(np.sum(np.abs(En.conj().T @ br) ** 2), 1e-300)
+    refined = spectrum(geometry.steering_vector(geom, r_hat, phi_hat, side="rx"))
     if refined < score[ir, ip]:
         r_hat, phi_hat = float(rs[ir]), float(phis[ip])
     return r_hat, phi_hat

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,159 @@ def test_music_validation():
                                  X=np.ones((8, 1), dtype=complex), noise_power=1.0)
     with pytest.raises(InvalidArgumentError):
         estimators.music_2d(echo1, GEOM, GRID)
+
+
+# ---------------------------------------------------------------------------
+# rank-k grid scoring against the dense n x n contractions it replaces
+
+
+@functools.cache
+def _steering_grid(side):
+    """Oracle grid: one geometry.steering_vector call per grid point."""
+    return np.stack([geometry.steering_vector(GEOM, r, phi, side=side)
+                     for r in GRID.distances() for phi in GRID.angles()], axis=1)
+
+
+_REFINE = estimators._refine
+
+
+def _oracle_estimate(grid_score, point_score):
+    """Grid argmax, refinement and acceptance check as the estimators do them."""
+    rs, phis = GRID.distances(), GRID.angles()
+    grid_score = grid_score.reshape(GRID.n_r, GRID.n_phi)
+    ir, ip = np.unravel_index(np.argmax(grid_score), grid_score.shape)
+    r, phi = _REFINE(grid_score, ir, ip, rs, phis)
+    if point_score(r, phi) < grid_score[ir, ip]:
+        r, phi = float(rs[ir]), float(phis[ip])
+    return (ir, ip), r, phi
+
+
+def _dense_mle(echo):
+    """Oracle MLE scoring with M = Y X^H and G = X X^H."""
+    M = echo.Y @ echo.X.conj().T
+    G = echo.X @ echo.X.conj().T
+
+    def terms(bt, br):
+        return (np.sum(br.conj() * (M @ bt), axis=0),
+                GEOM.n_rx * np.real(np.sum(bt.conj() * (G @ bt), axis=0)))
+
+    def score(bt, br):
+        num, den = terms(bt, br)
+        return np.abs(num) ** 2 / np.maximum(den, 1e-300)
+
+    def point(r, phi):
+        return (geometry.steering_vector(GEOM, r, phi, side="tx"),
+                geometry.steering_vector(GEOM, r, phi, side="rx"))
+
+    cell, r, phi = _oracle_estimate(score(_steering_grid("tx"), _steering_grid("rx")),
+                                    lambda r, phi: score(*point(r, phi)))
+    num, den = terms(*point(r, phi))
+    return cell, (r, phi, num / max(den, 1e-300))
+
+
+def _dense_music(echo):
+    """Oracle MUSIC scoring with the full (n_rx - 1)-column noise subspace."""
+    _, vecs = np.linalg.eigh(echo.Y @ echo.Y.conj().T / echo.Y.shape[1])
+    En = vecs[:, :-1]
+
+    def score(br):
+        return 1.0 / np.maximum(np.sum(np.abs(En.conj().T @ br) ** 2, axis=0), 1e-300)
+
+    cell, r, phi = _oracle_estimate(
+        score(_steering_grid("rx")),
+        lambda r, phi: score(geometry.steering_vector(GEOM, r, phi, side="rx")))
+    return cell, (r, phi)
+
+
+@pytest.fixture
+def refined_cells(monkeypatch):
+    """Grid argmax cells the estimators hand to the refinement, in call order."""
+    cells = []
+
+    def recording(score, ir, ip, rs, phis):
+        cells.append((ir, ip))
+        return _REFINE(score, ir, ip, rs, phis)
+
+    monkeypatch.setattr(estimators, "_refine", recording)
+    return cells
+
+
+def _probe(kind, target):
+    """Probing beams of rank 1 (matched), 2 (random) and n_tx (random)."""
+    if kind == "matched":
+        return _matched_w(target)
+    rng = np.random.default_rng(12)
+    k = 2 if kind == "random2" else GEOM.n_tx
+    W = rng.standard_normal((GEOM.n_tx, k)) + 1j * rng.standard_normal((GEOM.n_tx, k))
+    return 10.0 * W / np.linalg.norm(W)
+
+
+def _echo(probe, snr_db, target, seed, L=32):
+    """Echo of the target at the given radar SNR |mu|^2 L P / sigma^2 (None: noiseless)."""
+    W = _probe(probe, target)
+    noise = 0.0
+    if snr_db is not None:
+        noise = abs(target.reflection) ** 2 * L * np.linalg.norm(W) ** 2 / 10 ** (snr_db / 10)
+    B = bounds.point_trm(GEOM, target).B
+    return estimators.simulate_echo(B, W, L, noise, np.random.default_rng(seed))
+
+
+PROBES = ("matched", "random2", "full")
+OFF_GRID = geometry.PointTarget(distance=0.3, angle=0.41, reflection=0.05 - 0.02j)
+
+
+@pytest.mark.parametrize("probe", PROBES)
+@pytest.mark.parametrize("snr_db", [None, 30.0])
+@pytest.mark.parametrize("target", [_on_grid_target(), OFF_GRID], ids=["on", "off"])
+def test_mle_rank_k_scoring_matches_dense(refined_cells, probe, snr_db, target):
+    echo = _echo(probe, snr_db, target, seed=13)
+    if probe == "full":
+        assert np.linalg.matrix_rank(echo.X) == GEOM.n_tx
+    r, phi, mu = estimators.mle_point(echo, GEOM, GRID)
+    ref_cell, (r_ref, phi_ref, mu_ref) = _dense_mle(echo)
+    assert refined_cells == [ref_cell]
+    assert r == pytest.approx(r_ref, rel=1e-9)
+    assert phi == pytest.approx(phi_ref, rel=1e-9)
+    assert mu == pytest.approx(mu_ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("probe", PROBES)
+@pytest.mark.parametrize("target", [_on_grid_target(), OFF_GRID], ids=["on", "off"])
+def test_music_rank_one_projection_matches_dense_30db(refined_cells, probe, target):
+    echo = _echo(probe, 30.0, target, seed=14)
+    r, phi = estimators.music_2d(echo, GEOM, GRID)
+    ref_cell, (r_ref, phi_ref) = _dense_music(echo)
+    assert refined_cells == [ref_cell]
+    assert r == pytest.approx(r_ref, rel=1e-9)
+    assert phi == pytest.approx(phi_ref, rel=1e-9)
+
+
+def test_music_rank_one_projection_matches_dense_noiseless_across_grid(refined_cells):
+    for i_r in (0, 14, 30, 47, GRID.n_r - 1):
+        for i_p in (0, 1, 23, 45, 70, GRID.n_phi - 1):
+            target = _on_grid_target(i_r, i_p)
+            echo = _echo("matched", None, target, seed=i_r * GRID.n_phi + i_p)
+            estimate = estimators.music_2d(echo, GEOM, GRID)
+            ref_cell, ref = _dense_music(echo)
+            assert refined_cells.pop() == ref_cell == (i_r, i_p)
+            assert estimate == pytest.approx(ref, rel=1e-9)
+            assert estimate == pytest.approx((target.distance, target.angle), rel=1e-12)
+
+
+def test_grid_steering_shared_between_equal_apertures():
+    Bt, Bt_sq = estimators._grid_steering(GEOM, GRID, "tx")
+    Br, Br_sq = estimators._grid_steering(GEOM, GRID, "rx")
+    assert Br is Bt and Br_sq is Bt_sq
+    np.testing.assert_allclose(Br, _steering_grid("rx"), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(Br_sq, GEOM.n_rx, rtol=1e-12)
+    # a different receive aperture gets its own grid; the transmit one is shared
+    g = geometry.ArrayGeometry(n_tx=8, n_rx=5, n_rf=4, carrier_freq=28e9)
+    assert estimators._grid_steering(g, GRID, "tx")[0] is Bt
+    B5 = estimators._grid_steering(g, GRID, "rx")[0]
+    r, phi = GRID.distances()[7], GRID.angles()[60]
+    np.testing.assert_allclose(B5[:, 7 * GRID.n_phi + 60],
+                               geometry.steering_vector(g, r, phi, side="rx"),
+                               rtol=0, atol=1e-12)
 
 
 def test_lmmse_noiseless_exact():

@@ -169,6 +169,21 @@ def test_run_sweep_is_deterministic_and_complete():
     assert table.select(arch="fully", metric="factorization_residual")[0].value <= 1e-3
 
 
+def test_estimator_trial_rows_independent_of_worker_count(monkeypatch):
+    scn = harness._apply_sweep(config.config_to_scenario(_small_config()),
+                               "target_distance", 0.08)
+    b = geometry.steering_vector(scn.geom, scn.target.distance, scn.target.angle)
+    W = (np.sqrt(scn.power_budget) * b / np.linalg.norm(b))[:, None]
+    rows = {}
+    for workers in (1, 4):
+        monkeypatch.setattr(harness, "MAX_WORKERS", workers)
+        table = harness.ResultTable()
+        harness.estimator_trial_rows(table, scn, "none", 0.0, W, trials=24, seed=5)
+        rows[workers] = table.sorted_rows()
+    assert len(rows[1]) == 4
+    assert rows[1] == rows[4]
+
+
 def test_run_sweep_reports_infeasible_points():
     cfg = _small_config(constraints={"sinr_db": 400.0},
                         sweep={"variable": "power_dbm", "values": [20.0]})
