@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .conic import realify_matrix
 from .errors import (
     DegenerateTargetError,
     InvalidArgumentError,
@@ -148,7 +149,7 @@ def bcrb_extended_trace(R_X, params):
 def extended_fim_prior_free(R_X, noise_power, frame_length, n_rx):
     """Prior-free information matrix of the realified response-matrix entries."""
     M = 2.0 * frame_length / noise_power * np.kron(R_X.T, np.eye(n_rx))
-    return realify_hermitian(M)
+    return realify_matrix(M)
 
 
 def extended_fim_min_eigenvalue(R_X, noise_power, frame_length, n_rx):
@@ -166,9 +167,3 @@ def extended_fim_bayesian(R_X, params):
     J1 = extended_fim_prior_free(R_X, params.noise_power, params.frame_length, params.n_rx)
     n = J1.shape[0]
     return J1 + 2.0 / params.prior_variance * np.eye(n)
-
-
-def realify_hermitian(M):
-    """Real symmetric representation [[Re M, -Im M], [Im M, Re M]] of Hermitian M."""
-    Re, Im = np.real(M), np.imag(M)
-    return np.block([[Re, -Im], [Im, Re]])

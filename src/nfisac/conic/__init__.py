@@ -9,7 +9,6 @@ from .model import (
     params_to_matrix,
     real_trace,
     realify_matrix,
-    realify_program,
     scalar_term,
     trace_coefficients,
 )
@@ -18,6 +17,6 @@ from .solver import ConicSolution, assemble, solve
 __all__ = [
     "ConicProgram", "LinExpr", "PsdBlock",
     "epigraph_trace_inverse", "matrix_to_params", "params_to_matrix",
-    "real_trace", "realify_matrix", "realify_program", "scalar_term",
+    "real_trace", "realify_matrix", "scalar_term",
     "trace_coefficients", "ConicSolution", "assemble", "solve",
 ]

@@ -7,8 +7,9 @@ inequality constraints, and affine-in-the-variables PSD constraint blocks.
 Matrix variables are parameterized by real coordinates in an orthonormal
 basis under the Frobenius inner product Re Tr(A^H B), so every affine
 quantity in the program is a real linear functional of one flat real
-parameter vector.  Complex Hermitian blocks are realified (Lemma-style
-[[Re, -Im], [Im, Re]] doubling) before the numerical solver sees them.
+parameter vector.  Programs stay complex here: solver.assemble is the one
+place that realifies a complex Hermitian block, by the [[Re, -Im], [Im, Re]]
+doubling of realify_matrix, before the numerical solver sees it.
 """
 
 from dataclasses import dataclass, field
@@ -364,116 +365,10 @@ def epigraph_trace_inverse(program, xi_var, name="U"):
 
 
 # ---------------------------------------------------------------------------
-# realification and debug dump
+# realification
 
 
 def realify_matrix(M):
+    """Real symmetric representation [[Re M, -Im M], [Im M, Re M]] of Hermitian M."""
     Re, Im = np.real(M), np.imag(M)
     return np.block([[Re, -Im], [Im, Re]])
-
-
-def realify_program(program):
-    """Equivalent all-real program.
-
-    Hermitian variables become structured symmetric variables of twice the
-    side; trace functionals pick up the compensating 1/2 so objective and
-    constraint values are preserved exactly.
-    """
-    out = ConicProgram()
-    mapping = {}
-    for name, var in program.variables.items():
-        if isinstance(var, ScalarVar):
-            out.add_scalar_var(name)
-        elif var.hermitian:
-            mapping[name] = out.add_matrix_var(name, 2 * var.side, hermitian=False)
-        else:
-            out.add_matrix_var(name, var.side, hermitian=False)
-
-    # structure constraints for realified variables: S = [[A, B], [B^T, A]]
-    # with A symmetric (automatic) and B antisymmetric.
-    for name, svar in mapping.items():
-        n = svar.side // 2
-        for i in range(n):
-            for j in range(i, n):
-                eq = real_trace(_unit(2 * n, i, j), svar) - real_trace(_unit(2 * n, n + i, n + j), svar)
-                out.add_eq(eq)
-        for i in range(n):
-            for j in range(i, n):
-                out.add_eq(real_trace(_unit(2 * n, i, n + j), svar) + real_trace(_unit(2 * n, j, n + i), svar))
-
-    out.set_objective(_map_expr(program, out, program.objective, mapping))
-    for eq in program.eq_constraints:
-        out.add_eq(_map_expr(program, out, eq, mapping))
-    for ineq in program.ineq_constraints:
-        out.add_ineq(_map_expr(program, out, ineq, mapping))
-
-    for block in program.psd_blocks:
-        if not block.complex_valued:
-            out.add_psd_block(_copy_real_block(program, out, block, mapping))
-            continue
-        m = block.side
-        rb = PsdBlock(block.name + ":re", 2 * m, complex_valued=False, const=realify_matrix(block.const))
-        for term in block.terms:
-            if term[0] == "var":
-                _, name, idx, scale = term
-                var = program.variables[name]
-                if var.hermitian:
-                    idx2 = np.concatenate([idx, idx + m])
-                    rb.terms.append(("var", name, idx2, scale))
-                else:
-                    rb.terms.append(("var", name, idx, scale))
-                    rb.terms.append(("var", name, idx + m, scale))
-            else:
-                _, i, j, expr = term
-                mapped = _map_expr(program, out, expr, mapping)
-                rb.set_entry(i, j, mapped)
-                rb.set_entry(m + i, m + j, mapped.copy())
-        out.add_psd_block(rb)
-    return out
-
-
-def _unit(n, i, j):
-    C = np.zeros((n, n))
-    C[j, i] = 1.0  # Tr(E_ji S) = S_ij
-    return C
-
-
-def _map_expr(src, dst, expr, mapping):
-    out = LinExpr(expr.const)
-    for name, coeffs in expr.terms.items():
-        var = src.variables[name]
-        if isinstance(var, ScalarVar) or not var.hermitian:
-            out.add_term(name, coeffs)
-            continue
-        # Re Tr(C V) = Tr((1/2) realify((C + C^H)/2) S)
-        C = _coeffs_to_matrix(var, coeffs)
-        Ch = 0.5 * (C + C.conj().T)
-        out = out + real_trace(0.5 * realify_matrix(Ch), mapping[name])
-    return out
-
-
-def _coeffs_to_matrix(var, coeffs):
-    """Matrix C (Hermitian part) reproducing the functional g . params = Re Tr(C V)."""
-    n = var.side
-    C = np.zeros((n, n), dtype=complex)
-    for coeff, (kind, a, b) in zip(coeffs, basis_descriptors(var)):
-        if kind == "d":
-            C[a, a] += coeff
-        elif kind == "s":
-            C[a, b] += coeff / SQRT2
-            C[b, a] += coeff / SQRT2
-        else:
-            C[a, b] += -1j * coeff / SQRT2
-            C[b, a] += 1j * coeff / SQRT2
-    return C
-
-
-def _copy_real_block(src, dst, block, mapping):
-    rb = PsdBlock(block.name, block.side, complex_valued=False, const=block.const.copy())
-    for term in block.terms:
-        if term[0] == "var":
-            rb.terms.append(term)
-        else:
-            _, i, j, expr = term
-            rb.set_entry(i, j, _map_expr(src, dst, expr, mapping))
-    return rb

@@ -8,10 +8,12 @@ Standard form after assembly:
 solved by ADMM on the splitting (x, s): the x-update is a cached linear
 solve with the regularized normal matrix sigma*I + rho*A^T A, the s-update
 is a Euclidean projection onto K (eigenvalue clipping per PSD block), and
-the scaled multiplier accumulates the residual.  Complex Hermitian blocks
-are realified before assembly; symmetric matrices travel through the cone
-interface in scaled upper-triangular (svec) form so the PSD cone is
-self-dual under the plain dot product.
+the scaled multiplier accumulates the residual.  assemble is the one
+realification path: it doubles each complex Hermitian block into a real
+symmetric one (model.realify_matrix) while it emits the rows.  Symmetric
+matrices travel through the cone interface in scaled upper-triangular (svec)
+form so the PSD cone is self-dual under the plain dot product, and
+project_cone serves K* as well once the zero rows are left free.
 
 Data is Ruiz-equilibrated first with one uniform scale factor per PSD block
 (row scaling must not break cone membership).  Convergence is declared on
@@ -198,24 +200,9 @@ def assemble(program):
 
 
 def project_cone(v, form):
+    """Euclidean projection onto K = {0}^p x R+^q x PSD(m_1) x ..., blocks in svec form."""
     out = v.copy()
     out[: form.n_zero] = 0.0
-    ng = slice(form.n_zero, form.n_zero + form.n_nonneg)
-    out[ng] = np.maximum(out[ng], 0.0)
-    for side, sl, cache in zip(form.psd_sides, form.psd_slices, form.svec_caches):
-        M = smat(out[sl], side, cache)
-        w, V = np.linalg.eigh(M)
-        if w[0] >= 0:
-            continue
-        pos = w > 0
-        P = (V[:, pos] * w[pos]) @ V[:, pos].T
-        out[sl] = svec(0.5 * (P + P.T), cache)
-    return out
-
-
-def project_dual_cone(v, form):
-    """Projection onto K* (zero rows are unconstrained in the dual)."""
-    out = v.copy()
     ng = slice(form.n_zero, form.n_zero + form.n_nonneg)
     out[ng] = np.maximum(out[ng], 0.0)
     for side, sl, cache in zip(form.psd_sides, form.psd_slices, form.svec_caches):
@@ -370,7 +357,10 @@ def solve(program, tol=1e-6, max_iter=50000, rho=1.0, sigma=1e-6, alpha=1.6,
                 status = "optimal"
                 break
             if it >= infeas_after and y_prev_check is not None and pri > 1e3 * tol:
-                dy = project_dual_cone(y_orig - y_prev_check, form)
+                # project onto K* = R^p x R+^q x PSD: the zero rows are free
+                step = y_orig - y_prev_check
+                dy = project_cone(step, form)
+                dy[: form.n_zero] = step[: form.n_zero]
                 ndy = np.linalg.norm(dy)
                 if ndy > 0:
                     if (np.linalg.norm(A0.T @ dy) <= 1e-7 * ndy

@@ -142,8 +142,10 @@ def _refine(score, ir, ip, rs, phis):
     dp = 0.0
     if 0 < ip < n_phi - 1:
         dp = offset(score[ir, ip - 1], score[ir, ip], score[ir, ip + 1])
-    log_step = np.log(rs[1] / rs[0])
-    r_hat = float(np.exp(np.log(rs[ir]) + dr * log_step))
+    r_hat = float(rs[ir])
+    if dr != 0.0:
+        # exp(log(r)) is inexact, so an unrefined distance skips the round trip
+        r_hat = float(np.exp(np.log(rs[ir]) + dr * np.log(rs[1] / rs[0])))
     phi_hat = float(phis[ip] + dp * (phis[1] - phis[0]))
     return r_hat, phi_hat
 

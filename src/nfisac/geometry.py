@@ -115,9 +115,6 @@ class ChannelSet:
         h = self.vectors[k]
         return np.outer(h, h.conj())
 
-    def outers(self):
-        return [self.outer(k) for k in range(self.n_users)]
-
 
 def element_offsets(n):
     """Symmetric element offsets delta_l = (2l - n - 1)/2, l = 1..n."""

@@ -500,65 +500,50 @@ def evaluate_slacks(scenario, channels, W_list):
     return out
 
 
-def _feasibility_polish(scenario, channels, W_list):
-    """Uniformly shrink the covariances until every slack is nonnegative.
+def _polish(scenario, channels, W_list):
+    """Scale the iterate to the largest feasible uniform scale.
 
-    A first-order subproblem solve can leave its binding rows violated at
-    the solver-tolerance level.  Shrinking trades a sliver of objective for
-    strict feasibility: the power and energy-efficiency slacks improve
-    monotonically under shrinking while the SINR slacks are nearly scale
-    invariant, so a bisection on the scale factor repairs the iterate.
-    """
-    def min_slack(c):
-        scaled = [c * W for W in W_list]
-        return min(evaluate_slacks(scenario, channels, scaled).values())
-
-    if min_slack(1.0) >= 0.0:
-        return W_list
-    lo, hi = 0.9, 1.0
-    if min_slack(lo) < 0.0:
-        return W_list  # not repairable by scaling; keep the raw iterate
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if min_slack(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return [lo * W for W in W_list]
-
-
-def _power_polish(scenario, channels, W_list):
-    """Grow the iterate to the largest feasible uniform power scale.
-
-    Both location bounds are monotone improving under a uniform scale-up
+    Both location bounds improve monotonically under a uniform scale-up
     (the information matrices are linear in the covariance), while a
-    first-order subproblem solve can stall well inside the power budget.
-    The feasible scales form an interval containing 1 (the power slack is
-    linear decreasing, the rate term concave), so a bisection finds its
-    upper end.
+    first-order subproblem solve can stall well inside the power budget or
+    leave its binding rows violated at the solver-tolerance level.  The
+    power slack is linear decreasing in the scale, the rate term concave
+    and the SINR slacks increasing (the noise term does not scale), so the
+    feasible scales form an interval and a bisection finds its upper end.
+    An iterate infeasible at scale 1 is first shrunk to the upper end in
+    [0.9, 1], which repairs power and energy-efficiency rows; whether
+    shrunk or not, it is then grown over [1, P / Tr], which repairs SINR
+    rows.  An iterate no scale in either bracket repairs is kept as it is.
     """
+    def feasible(Ws, t):
+        scaled = [t * W for W in Ws]
+        return min(evaluate_slacks(scenario, channels, scaled).values()) >= 0.0
+
+    def upper_edge(Ws, lo, hi):
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if feasible(Ws, mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    ok = feasible(W_list, 1.0)
+    if not ok and feasible(W_list, 0.9):
+        lo = upper_edge(W_list, 0.9, 1.0)
+        W_list = [lo * W for W in W_list]
+        ok = True
     total = float(sum(np.real(np.trace(W)) for W in W_list))
     if total <= 0:
         return W_list
     t_max = scenario.power_budget / total
     if t_max <= 1.0:
         return W_list
-
-    def min_slack(t):
-        scaled = [t * W for W in W_list]
-        return min(evaluate_slacks(scenario, channels, scaled).values())
-
-    if min_slack(t_max) >= 0.0:
+    if feasible(W_list, t_max):
         return [t_max * W for W in W_list]
-    lo, hi = 1.0, t_max
-    if min_slack(lo) < 0.0:
+    if not ok:
         return W_list
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if min_slack(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo = upper_edge(W_list, 1.0, t_max)
     return [lo * W for W in W_list]
 
 
@@ -588,8 +573,7 @@ def _sca_loop(scenario, options, state, build, bound_from_solution):
             break
         warm = (sol.x, sol.s, sol.y)
         W_new = [_psd_cleanup(sol.assignments[f"W{k}"]) for k in range(K)]
-        W_new = _feasibility_polish(scenario, state.channels, W_new)
-        W_new = _power_polish(scenario, state.channels, W_new)
+        W_new = _polish(scenario, state.channels, W_new)
         obj = sol.objective
         trace.objectives.append(obj)
         rr = rank_residual(W_new)

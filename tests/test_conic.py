@@ -10,7 +10,7 @@ from nfisac.conic.model import (
     matrix_to_params,
     params_to_matrix,
     real_trace,
-    realify_program,
+    realify_matrix,
     scalar_term,
     trace_coefficients,
 )
@@ -160,6 +160,20 @@ def test_infeasible_program_detected():
     assert sol.status == "infeasible"
 
 
+def test_infeasible_psd_program_detected():
+    # W >= 0 with Tr W = -1: the certificate pairs the free multiplier of
+    # the equality row with a PSD block, so it must not be clipped on the
+    # zero rows
+    prog = ConicProgram()
+    W = prog.add_matrix_var("W", 3)
+    prog.psd_var(W)
+    prog.add_eq(real_trace(np.eye(3), W) + 1.0)
+    prog.set_objective(real_trace(np.eye(3), W))
+    sol = solve(prog, infeas_after=500)
+    assert sol.status == "infeasible"
+    assert sol.iterations == 500
+
+
 def test_warm_start_resumes():
     rng = np.random.default_rng(2)
     C = _random_hermitian(rng, 5)
@@ -190,23 +204,6 @@ def test_equality_constraints_enforced():
     assert np.real(sol.assignments["W"][1, 1]) == pytest.approx(4.0, abs=1e-4)
 
 
-def test_realified_program_same_optimum():
-    rng = np.random.default_rng(4)
-    C = _random_hermitian(rng, 3)
-    prog = ConicProgram()
-    W = prog.add_matrix_var("W", 3)
-    block = PsdBlock("dom", 3, complex_valued=True, const=-C)
-    block.add_var(W)
-    prog.add_psd_block(block)
-    prog.set_objective(real_trace(np.eye(3), W))
-    sol = solve(prog, tol=1e-9)
-    rsol = solve(realify_program(prog), tol=1e-9)
-    assert rsol.optimal
-    # realified trace counts each complex eigenvalue twice, and the mapped
-    # objective carries the compensating 1/2
-    assert rsol.objective == pytest.approx(sol.objective, rel=1e-4)
-
-
 def test_assemble_dimensions_consistent():
     prog = ConicProgram()
     W = prog.add_matrix_var("W", 3)
@@ -221,3 +218,50 @@ def test_assemble_dimensions_consistent():
     assert form.n_nonneg == 1
     assert form.psd_sides == [6]  # complex 3x3 realified
     assert form.A.shape[0] == 2 + 6 * 7 // 2
+
+
+def test_assemble_matches_dense_evaluation():
+    # s = b - A x must reproduce every row of the program at any parameter
+    # vector: the constraint values, and each PSD block as the realified
+    # (complex) or plain (real) dense matrix PsdBlock.evaluate builds
+    rng = np.random.default_rng(5)
+    prog = ConicProgram()
+    W = prog.add_matrix_var("W", 3)
+    X = prog.add_matrix_var("X", 2, hermitian=False)
+    t = prog.add_scalar_var("t")
+    C = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    eq = real_trace(C, W) + 0.7 * scalar_term(t) - 1.3
+    ineq = LinExpr(2.0) - real_trace(rng.standard_normal((2, 2)), X) + scalar_term(t, -0.4)
+    prog.add_eq(eq)
+    prog.add_ineq(ineq)
+    prog.set_objective(real_trace(np.eye(3), W) + scalar_term(t))
+
+    cblock = PsdBlock("cplx", 4, complex_valued=True, const=_random_hermitian(rng, 4))
+    cblock.add_var(W, indices=np.array([0, 2, 3]), scale=1.5)
+    cblock.set_entry(1, 1, scalar_term(t, 2.0) + 0.5)
+    cblock.set_entry(0, 1, real_trace(C.conj().T, W) - scalar_term(t))
+    prog.add_psd_block(cblock)
+
+    rblock = PsdBlock("real", 3, complex_valued=False)
+    rblock.add_var(X, offset=1, scale=-2.0)
+    rblock.set_entry(0, 0, scalar_term(t) + 3.0)
+    rblock.set_entry(0, 2, real_trace(np.array([[1.0, 0.5], [0.5, -1.0]]), X))
+    rblock.set_entry(1, 2, 0.25)
+    prog.add_psd_block(rblock)
+
+    form = assemble(prog)
+    assert form.psd_sides == [8, 3]
+    for _ in range(5):
+        x = rng.standard_normal(form.n_x)
+        assignments = prog.split_solution(x, form.offsets)
+        s = form.b - form.A @ x
+        assert form.c @ x + prog.objective.const == pytest.approx(
+            prog.objective.evaluate(assignments, prog), rel=1e-12)
+        # zero rows hold -expr (A = g, b = -const), nonnegative rows +expr
+        assert s[0] == pytest.approx(-eq.evaluate(assignments, prog), rel=1e-12)
+        assert s[1] == pytest.approx(ineq.evaluate(assignments, prog), rel=1e-12)
+        expected = [realify_matrix(cblock.evaluate(assignments, prog)),
+                    rblock.evaluate(assignments, prog)]
+        for side, sl, cache, M in zip(form.psd_sides, form.psd_slices,
+                                      form.svec_caches, expected):
+            np.testing.assert_allclose(smat(s[sl], side, cache), M, rtol=0, atol=1e-12)

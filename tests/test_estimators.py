@@ -72,6 +72,19 @@ def test_mle_noiseless_recovers_on_grid_truth():
     assert mu_hat == pytest.approx(complex(target.reflection), rel=1e-8)
 
 
+def test_unrefined_distance_returned_exactly():
+    # at the first grid distance the distance is never refined, and every
+    # angle of the grid must give back rs[0] itself from both estimators
+    rs = GRID.distances()
+    for i_p in range(GRID.n_phi):
+        target = _on_grid_target(i_r=0, i_p=i_p)
+        trm = bounds.point_trm(GEOM, target)
+        rng = np.random.default_rng(3)
+        echo = estimators.simulate_echo(trm.B, _matched_w(target), 32, 0.0, rng)
+        assert estimators.mle_point(echo, GEOM, GRID)[0] == rs[0]
+        assert estimators.music_2d(echo, GEOM, GRID)[0] == rs[0]
+
+
 def test_mle_refinement_beats_grid_off_grid():
     rs = GRID.distances()
     r_true = float(np.sqrt(rs[30] * rs[31]))  # halfway between nodes in log space

@@ -131,6 +131,76 @@ def test_evaluate_slacks_power_formula():
 
 
 # ---------------------------------------------------------------------------
+# polish: largest feasible uniform scale
+
+
+def _polish_case(kind):
+    """(scenario, channels, W_list) for one path of sca._polish."""
+    scn = _small_scenario(**{"ee": dict(ee_threshold=50.0),
+                             "sinr": dict(sinr_threshold=1e30)}.get(kind, {}))
+    channels = scn.channels()
+    h = channels.vectors[0]
+    if kind == "ee":
+        # matched beam of power 10: EE 73 at scale 1, 30 at the budget scale 10
+        W = 10.0 * np.outer(h, h.conj()) / np.linalg.norm(h) ** 2
+    else:
+        W = _random_psd(np.random.default_rng(7), 4, rank=2)
+        W *= {"budget": 40.0, "over": 105.0, "sinr": 40.0, "grow": 40.0}[kind] / np.real(np.trace(W))
+    if kind == "grow":
+        # SINR row violated by 1e-6 at scale 1: shrinking cannot repair it, growing can
+        sinr = metrics.sinr_from_covariances(channels, [W], 0, scn.comm_noise)
+        scn = _small_scenario(sinr_threshold=sinr / (1.0 - 1e-6))
+    return scn, channels, [W]
+
+
+def _polish_scale(W_out, W_in):
+    scale = np.real(np.trace(W_out)) / np.real(np.trace(W_in))
+    np.testing.assert_allclose(W_out, scale * W_in, rtol=1e-14)
+    return scale
+
+
+def test_polish_feasible_at_budget_scales_to_budget():
+    scn, channels, W_list = _polish_case("budget")
+    (W,) = sca._polish(scn, channels, W_list)
+    t_max = scn.power_budget / float(np.real(np.trace(W_list[0])))
+    np.testing.assert_array_equal(W, t_max * W_list[0])
+
+
+def test_polish_ee_binding_returns_bisected_edge():
+    scn, channels, W_list = _polish_case("ee")
+    (W,) = sca._polish(scn, channels, W_list)
+    scale = _polish_scale(W, W_list[0])
+    assert 1.0 < scale < 10.0
+    assert min(sca.evaluate_slacks(scn, channels, [W]).values()) >= 0.0
+    assert sca.evaluate_slacks(scn, channels, [(1.0 + 1e-12) * W])["ee"] < 0.0
+
+
+def test_polish_over_budget_shrinks_into_bracket():
+    scn, channels, W_list = _polish_case("over")
+    (W,) = sca._polish(scn, channels, W_list)
+    scale = _polish_scale(W, W_list[0])
+    assert 0.9 <= scale < 1.0
+    assert scale == pytest.approx(100.0 / 105.0, rel=1e-14)
+    assert sca.evaluate_slacks(scn, channels, [W])["power"] >= 0.0
+
+
+def test_polish_grows_sinr_violated_iterate_to_budget():
+    scn, channels, W_list = _polish_case("grow")
+    slacks = sca.evaluate_slacks(scn, channels, W_list)
+    assert -2e-6 < slacks["sinr0"] < 0.0
+    assert sca.evaluate_slacks(scn, channels, [0.9 * W_list[0]])["sinr0"] < 0.0
+    (W,) = sca._polish(scn, channels, W_list)
+    np.testing.assert_array_equal(W, 2.5 * W_list[0])
+    assert min(sca.evaluate_slacks(scn, channels, [W]).values()) >= 0.0
+
+
+def test_polish_keeps_iterate_not_repairable_by_scaling():
+    scn, channels, W_list = _polish_case("sinr")
+    assert sca.evaluate_slacks(scn, channels, W_list)["sinr0"] < 0.0
+    assert sca._polish(scn, channels, W_list) is W_list
+
+
+# ---------------------------------------------------------------------------
 # beamformer extraction
 
 
