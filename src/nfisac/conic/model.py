@@ -200,10 +200,11 @@ class PsdBlock:
     """Affine Hermitian/symmetric matrix expression constrained PSD.
 
     terms:
-      ("var", name, indices, scale)   -- scale * V added at the sub-block
-                                         selected by the index array
-      ("entry", i, j, LinExpr)        -- real expression added at (i, j) and,
-                                         when i != j, mirrored at (j, i)
+      ("var", name, offset)      -- V added at the diagonal sub-block
+                                    whose first row and column is offset
+      ("entry", i, j, LinExpr)   -- real expression added at (i, j) and,
+                                    when i != j, mirrored at (j, i)
+    Constant entries go into const.
     """
 
     name: str
@@ -219,18 +220,12 @@ class PsdBlock:
         else:
             self.const = np.asarray(self.const, dtype=dtype)
 
-    def add_var(self, var, offset=0, scale=1.0, indices=None):
-        if indices is None:
-            indices = np.arange(offset, offset + var.side)
-        self.terms.append(("var", var.name, np.asarray(indices), float(scale)))
+    def add_var(self, var, offset=0):
+        """Add V at rows and columns offset .. offset + side - 1."""
+        self.terms.append(("var", var.name, offset))
         return self
 
     def set_entry(self, i, j, expr):
-        if isinstance(expr, (int, float)):
-            self.const[i, j] += expr
-            if i != j:
-                self.const[j, i] += expr
-            return self
         self.terms.append(("entry", i, j, expr))
         return self
 
@@ -238,8 +233,10 @@ class PsdBlock:
         M = self.const.astype(complex if self.complex_valued else float).copy()
         for term in self.terms:
             if term[0] == "var":
-                _, name, idx, scale = term
-                M[np.ix_(idx, idx)] += scale * np.asarray(assignments[name])
+                _, name, offset = term
+                V = np.asarray(assignments[name])
+                sl = slice(offset, offset + len(V))
+                M[sl, sl] += V
             else:
                 _, i, j, expr = term
                 v = expr.evaluate(assignments, program)

@@ -31,6 +31,17 @@ import scipy.sparse.linalg
 from ..errors import InvalidArgumentError
 from . import model as mdl
 
+#: initial ADMM penalty rho; doubled or halved to rebalance the residuals
+RHO = 1.0
+#: proximal regularization sigma of the x-update
+SIGMA = 1e-6
+#: over-relaxation factor
+ALPHA = 1.6
+#: iterations between residual checks
+CHECK_EVERY = 25
+#: largest x dimension factored densely (Cholesky); larger ones use splu
+DENSE_LIMIT = 2500
+
 
 # ---------------------------------------------------------------------------
 # svec / smat
@@ -109,26 +120,27 @@ def _psd_block_rows(block, program, offsets, row0, rows, cols, vals, b_parts):
 
     for term in block.terms:
         if term[0] == "var":
-            _, name, idx, scale = term
+            _, name, offset = term
             var = program.variables[name]
             start = offsets[name].start
             for p, (kind, a, bb) in enumerate(mdl.basis_descriptors(var)):
                 gp = start + p
+                i, j = offset + a, offset + bb
                 if kind == "d":
-                    emit(idx[a], idx[a], gp, scale)
+                    emit(i, i, gp, 1.0)
                     if complex_block:
-                        emit(m + idx[a], m + idx[a], gp, scale)
+                        emit(m + i, m + i, gp, 1.0)
                 elif kind == "s":
-                    emit(idx[a], idx[bb], gp, scale / np.sqrt(2.0))
+                    emit(i, j, gp, 1.0 / np.sqrt(2.0))
                     if complex_block:
-                        emit(m + idx[a], m + idx[bb], gp, scale / np.sqrt(2.0))
+                        emit(m + i, m + j, gp, 1.0 / np.sqrt(2.0))
                 else:
                     if not complex_block:
                         raise InvalidArgumentError("Hermitian variable in a real block")
                     # i (E_ab - E_ba)/sqrt(2) realifies into the off-diagonal
                     # quadrants: -Im top-right, +Im bottom-left
-                    emit(idx[a], m + idx[bb], gp, -scale / np.sqrt(2.0))
-                    emit(idx[bb], m + idx[a], gp, scale / np.sqrt(2.0))
+                    emit(i, m + j, gp, -1.0 / np.sqrt(2.0))
+                    emit(j, m + i, gp, 1.0 / np.sqrt(2.0))
         else:
             _, i, j, expr = term
             places = [(i, j)]
@@ -277,10 +289,9 @@ class ConicSolution:
 class _XSolver:
     """Cached solve of (sigma I + rho A^T A) x = rhs; refactors on rho change."""
 
-    def __init__(self, A, sigma, dense_limit=2500):
+    def __init__(self, A):
         self.n = A.shape[1]
-        self.sigma = sigma
-        self.dense = self.n <= dense_limit
+        self.dense = self.n <= DENSE_LIMIT
         ATA = (A.T @ A).tocsc()
         self.ATA = ATA.toarray() if self.dense else ATA
         self.rho = None
@@ -291,10 +302,10 @@ class _XSolver:
             return
         self.rho = rho
         if self.dense:
-            Q = self.rho * self.ATA + self.sigma * np.eye(self.n)
+            Q = self.rho * self.ATA + SIGMA * np.eye(self.n)
             self.factor = scipy.linalg.cho_factor(Q, check_finite=False)
         else:
-            Q = (self.rho * self.ATA + self.sigma * scipy.sparse.eye(self.n)).tocsc()
+            Q = (self.rho * self.ATA + SIGMA * scipy.sparse.eye(self.n)).tocsc()
             self.factor = scipy.sparse.linalg.splu(Q)
 
     def solve(self, rhs):
@@ -303,8 +314,7 @@ class _XSolver:
         return self.factor.solve(rhs)
 
 
-def solve(program, tol=1e-6, max_iter=50000, rho=1.0, sigma=1e-6, alpha=1.6,
-          warm_start=None, check_every=25, infeas_after=5000):
+def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000):
     """Solve a ConicProgram; returns a ConicSolution.
 
     warm_start: optional (x, s, y) triple in original (unscaled) coordinates,
@@ -317,6 +327,7 @@ def solve(program, tol=1e-6, max_iter=50000, rho=1.0, sigma=1e-6, alpha=1.6,
     norm_b = 1.0 + np.linalg.norm(b0)
     norm_c = 1.0 + np.linalg.norm(c0)
 
+    rho = RHO
     x = np.zeros(n)
     s = np.zeros(m)
     u = np.zeros(m)
@@ -327,7 +338,7 @@ def solve(program, tol=1e-6, max_iter=50000, rho=1.0, sigma=1e-6, alpha=1.6,
             s = D * ws
             u = (wy / D) / rho
 
-    xsolver = _XSolver(A, sigma)
+    xsolver = _XSolver(A)
     xsolver.set_rho(rho)
     AT = A.T.tocsr()
 
@@ -336,15 +347,15 @@ def solve(program, tol=1e-6, max_iter=50000, rho=1.0, sigma=1e-6, alpha=1.6,
     pri = dual = gap = np.inf
     y_prev_check = None
     for it in range(1, max_iter + 1):
-        rhs = sigma * x - c + rho * (AT @ (b - s - u))
+        rhs = SIGMA * x - c + rho * (AT @ (b - s - u))
         x_new = xsolver.solve(rhs)
         Ax = A @ x_new
-        zeta = alpha * Ax - (1.0 - alpha) * (s - b)
+        zeta = ALPHA * Ax - (1.0 - ALPHA) * (s - b)
         s = project_cone(b - zeta - u, form)
         u = u + zeta + s - b
         x = x_new
 
-        if it % check_every == 0 or it == max_iter:
+        if it % CHECK_EVERY == 0 or it == max_iter:
             x_orig = E * x
             s_orig = s / D
             y_orig = rho * (D * u)
@@ -369,7 +380,7 @@ def solve(program, tol=1e-6, max_iter=50000, rho=1.0, sigma=1e-6, alpha=1.6,
                         break
             y_prev_check = y_orig
             # adaptive step-size: rebalance the two residuals occasionally
-            if it % (check_every * 8) == 0 and it < max_iter // 2:
+            if it % (CHECK_EVERY * 8) == 0 and it < max_iter // 2:
                 if pri > 10.0 * dual and rho < 1e6:
                     rho *= 2.0
                     u /= 2.0

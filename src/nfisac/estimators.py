@@ -22,7 +22,6 @@ class EchoBatch:
     Y: np.ndarray
     X: np.ndarray
     noise_power: float
-    seed: object = None
 
     def __post_init__(self):
         if self.Y.shape[1] != self.X.shape[1]:
@@ -34,25 +33,19 @@ def trial_rng(seed, trial):
     return np.random.default_rng([int(seed), int(trial)])
 
 
-def simulate_echo(B, beamformers, L, noise_power, rng, symbols="gaussian"):
+def simulate_echo(B, W, L, noise_power, rng):
     """Simulate Y = B X + N over a frame of L symbols.
 
-    beamformers may be a matrix W (n_tx x K) or an object with a
-    full_digital attribute.  Symbols are unit-variance circular Gaussian by
-    default, or unit-modulus random-phase with symbols="psk".
+    The probe is X = W S with W the n_tx x K beamformer matrix and S
+    unit-variance circular Gaussian symbols.
     """
-    W = np.asarray(getattr(beamformers, "full_digital", beamformers), dtype=complex)
+    W = np.asarray(W, dtype=complex)
     K = W.shape[1]
     if L < K:
         raise InvalidArgumentError("frame length must be at least the stream count")
     if noise_power < 0:
         raise InvalidArgumentError("noise power must be nonnegative")
-    if symbols == "gaussian":
-        S = (rng.standard_normal((K, L)) + 1j * rng.standard_normal((K, L))) / np.sqrt(2.0)
-    elif symbols == "psk":
-        S = np.exp(2j * np.pi * rng.random((K, L)))
-    else:
-        raise InvalidArgumentError(f"unknown symbol mode {symbols!r}")
+    S = (rng.standard_normal((K, L)) + 1j * rng.standard_normal((K, L))) / np.sqrt(2.0)
     X = W @ S
     Y = B @ X
     if noise_power > 0:

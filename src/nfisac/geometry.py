@@ -56,15 +56,10 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class UserSpec:
-    """Location of a downlink user and its optional scatter paths.
-
-    nlos_paths holds (distance, angle, gain_scale) triples; gain_scale
-    multiplies the free-space magnitude of that path.
-    """
+    """Location of a downlink user, reached over a single line-of-sight path."""
 
     distance: float
     angle: float
-    nlos_paths: tuple = ()
     id: int = 0
 
     def __post_init__(self):
@@ -168,35 +163,22 @@ def steering_derivatives(geom, r, phi, side="tx"):
     return db_dr, db_dphi
 
 
-def path_gain(r, freq, absorption=0.0, rng=None):
-    """Complex path gain with free-space magnitude and exponential absorption.
-
-    |gain| = (lambda / (4 pi r)) * exp(-absorption * r / 2).  The phase is
-    uniform random when an rng is supplied, otherwise zero (deterministic mode).
-    """
+def path_gain(r, freq):
+    """Free-space path gain lambda / (4 pi r), with zero phase."""
     if r <= 0:
         raise InvalidArgumentError("range must be positive")
-    if absorption < 0:
-        raise InvalidArgumentError("absorption must be nonnegative")
     lam = SPEED_OF_LIGHT / freq
-    mag = lam / (4.0 * np.pi * r) * np.exp(-absorption * r / 2.0)
-    if rng is None:
-        return complex(mag)
-    return mag * np.exp(2j * np.pi * rng.random())
+    return complex(lam / (4.0 * np.pi * r))
 
 
-def channel_vector(geom, user, absorption=0.0, rng=None, mode="exact"):
-    """Spherical-wave channel h_k: LoS term plus scaled NLoS terms."""
-    beta = path_gain(user.distance, geom.carrier_freq, absorption, rng)
-    h = beta * steering_vector(geom, user.distance, user.angle, mode=mode)
-    for (ri, phii, scale) in user.nlos_paths:
-        beta_i = scale * path_gain(ri, geom.carrier_freq, absorption, rng)
-        h = h + beta_i * steering_vector(geom, ri, phii, mode=mode)
-    return h
+def channel_vector(geom, user):
+    """Spherical-wave line-of-sight channel h_k = beta_k b(r_k, phi_k)."""
+    beta = path_gain(user.distance, geom.carrier_freq)
+    return beta * steering_vector(geom, user.distance, user.angle)
 
 
-def build_channels(geom, users, absorption=0.0, rng=None, mode="exact"):
-    return ChannelSet(tuple(channel_vector(geom, u, absorption, rng, mode) for u in users))
+def build_channels(geom, users):
+    return ChannelSet(tuple(channel_vector(geom, u) for u in users))
 
 
 def rayleigh_distance(geom):

@@ -38,10 +38,9 @@ class ResultRow:
 
 @dataclass
 class ResultTable:
-    """Append-only result rows plus the schema version they conform to."""
+    """Append-only result rows; emitted tables carry SCHEMA_VERSION."""
 
     rows: list = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
 
     def append(self, sweep_var, sweep_value, arch, metric, value, trials=0, stderr=0.0):
         self.rows.append(ResultRow(sweep_var=str(sweep_var),
@@ -81,7 +80,7 @@ def results_to_json(table):
              "arch": r.arch, "metric": r.metric, "value": float(_fmt(r.value)),
              "trials": r.trials, "stderr": float(_fmt(r.stderr))}
             for r in table.sorted_rows()]
-    return json.dumps({"rows": rows, "schema_version": table.schema_version},
+    return json.dumps({"rows": rows, "schema_version": SCHEMA_VERSION},
                       indent=2, sort_keys=True) + "\n"
 
 
@@ -98,17 +97,6 @@ def parse_results_csv(text):
                      metric=parts[3], value=float(parts[4]), trials=int(parts[5]),
                      stderr=float(parts[6]))
     return table
-
-
-def emit_results(table, path, format="csv"):
-    if format == "csv":
-        text = results_to_csv(table)
-    elif format == "json":
-        text = results_to_json(table)
-    else:
-        raise InvalidArgumentError(f"unknown result format {format!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +231,6 @@ def optimize_scenario(scn, options=None):
 
 def _evaluate_design(table, scn, channels, var, value, arch, W_cols, extra_rows=()):
     R = W_cols @ W_cols.conj().T
-    bf = metrics.BeamformerSet(full_digital=W_cols)
     if isinstance(scn.target, geometry.PointTarget):
         C = _point_bound(scn, R)
         rows = [("bound_trace", float(np.trace(C))),
@@ -255,9 +242,9 @@ def _evaluate_design(table, scn, channels, var, value, arch, W_cols, extra_rows=
                                    frame_length=scn.frame_length,
                                    n_rx=scn.geom.n_rx)
         rows = [("bound_trace", bounds.bcrb_extended_trace(R, params))]
-    sinrs = [metrics.sinr(channels, bf, k, scn.comm_noise) for k in range(scn.n_users)]
+    sinrs = [metrics.sinr(channels, W_cols, k, scn.comm_noise) for k in range(scn.n_users)]
     rate = metrics.sum_rate(sinrs)
-    power_mw = metrics.total_power(bf, scn.power_model)
+    power_mw = metrics.total_power(W_cols, scn.amplifier_eff, scn.static_power)
     rows += [("sum_rate", rate),
              ("tx_power_mw", float(np.real(np.trace(R)))),
              ("energy_efficiency", metrics.energy_efficiency(rate, power_mw)),

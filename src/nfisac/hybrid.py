@@ -20,6 +20,14 @@ from .errors import InvalidArgumentError, ZeroDirectionError
 
 #: ridge added to the analog Gram matrix when it is numerically singular
 GRAM_RIDGE = 1e-10
+#: change in the relative residual between sweeps that ends a run
+TOL = 1e-6
+#: alternating sweeps per run
+MAX_ITER = 200
+#: majorize-minimize analog updates per fully-connected sweep
+ANALOG_STEPS = 30
+#: random-phase restarts tried when the first run's residual exceeds 1e-4
+RESTARTS = 5
 
 
 @dataclass(frozen=True)
@@ -69,11 +77,9 @@ def _gram_solve(T_A, rhs):
     return np.linalg.solve(G, rhs), regularized
 
 
-def fully_digital_update(T_A, W, power=None):
-    """Least-squares digital stage; rescaled to ||T_A T_D||_F^2 = power if given."""
+def fully_digital_update(T_A, W, power):
+    """Least-squares digital stage, rescaled to ||T_A T_D||_F^2 = power."""
     T_D, _ = _gram_solve(T_A, T_A.conj().T @ W)
-    if power is None:
-        return T_D
     realized = np.linalg.norm(T_A @ T_D)
     if realized == 0:
         raise ZeroDirectionError("digital stage vanished; cannot normalize power")
@@ -164,7 +170,7 @@ def _init_analog(W, n_rf, architecture, rng=None):
     return T_A
 
 
-def _run_fully(W, T_A, power, tol, max_iter, analog_steps):
+def _run_fully(W, T_A, power):
     """Alternating sweeps with the raw least-squares digital stage.
 
     Power normalization is deferred to the exit update: applying the
@@ -176,16 +182,16 @@ def _run_fully(W, T_A, power, tol, max_iter, analog_steps):
     trace = []
     prev = np.inf
     regularized = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         T_D, reg = _gram_solve(T_A, T_A.conj().T @ W)
         regularized = regularized or reg
-        for _ in range(analog_steps):
+        for _ in range(ANALOG_STEPS):
             T_A = fully_analog_update(T_A, T_D, W)
         T_D, reg = _gram_solve(T_A, T_A.conj().T @ W)
         regularized = regularized or reg
         res = float(np.linalg.norm(W - T_A @ T_D) / norm_w)
         trace.append(res)
-        if abs(prev - res) < tol:
+        if abs(prev - res) < TOL:
             break
         prev = res
     T_D = fully_digital_update(T_A, W, power)
@@ -193,30 +199,28 @@ def _run_fully(W, T_A, power, tol, max_iter, analog_steps):
     return T_A, T_D, res, it, trace, regularized
 
 
-def _run_partially(W, T_A, power, tol, max_iter):
+def _run_partially(W, T_A, power):
     norm_w = np.linalg.norm(W)
     trace = []
     prev = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         T_D = partially_digital_update(T_A, W, power)
         T_A = partially_analog_update(T_D, W)
         T_D = partially_digital_update(T_A, W, power)
         res = float(np.linalg.norm(W - T_A @ T_D) / norm_w)
         trace.append(res)
-        if abs(prev - res) < tol:
+        if abs(prev - res) < TOL:
             break
         prev = res
     return T_A, T_D, res, it, trace, False
 
 
-def factorize(W, n_rf, power=None, architecture="fully", tol=1e-6, max_iter=200,
-              analog_steps=30, restarts=5):
-    """Factor W ~ T_A T_D under a realized-power target.
+def factorize(W, n_rf, power=None, architecture="fully"):
+    """Factor W ~ T_A T_D with n_rf RF chains under a realized-power target.
 
-    n_rf may be an integer or any object with an n_rf attribute.  power
-    defaults to ||W||_F^2, so a feasible W keeps its radiated power.  The
-    first run starts from the phases of W; if its residual stays above
-    1e-4, up to `restarts` deterministic random-phase starts are tried and
+    power defaults to ||W||_F^2, so a feasible W keeps its radiated power.
+    The first run starts from the phases of W; if its residual stays above
+    1e-4, up to RESTARTS deterministic random-phase starts are tried and
     the best run is returned.
     """
     W = np.asarray(W, dtype=complex)
@@ -224,7 +228,6 @@ def factorize(W, n_rf, power=None, architecture="fully", tol=1e-6, max_iter=200,
         raise InvalidArgumentError("W must be a nonempty matrix")
     if architecture not in ("fully", "partially"):
         raise InvalidArgumentError(f"unknown architecture {architecture!r}")
-    n_rf = int(getattr(n_rf, "n_rf", n_rf))
     if not 1 <= n_rf <= W.shape[0]:
         raise InvalidArgumentError("need 1 <= n_rf <= n_tx")
     norm_w = np.linalg.norm(W)
@@ -237,13 +240,13 @@ def factorize(W, n_rf, power=None, architecture="fully", tol=1e-6, max_iter=200,
 
     def run(T_A0):
         if architecture == "fully":
-            return _run_fully(W, T_A0, power, tol, max_iter, analog_steps)
-        return _run_partially(W, T_A0, power, tol, max_iter)
+            return _run_fully(W, T_A0, power)
+        return _run_partially(W, T_A0, power)
 
     best = run(_init_analog(W, n_rf, architecture))
     rng = np.random.default_rng(0x5EED)
     tries = 0
-    while best[2] > 1e-4 and tries < restarts:
+    while best[2] > 1e-4 and tries < RESTARTS:
         cand = run(_init_analog(W, n_rf, architecture, rng))
         if cand[2] < best[2]:
             best = cand

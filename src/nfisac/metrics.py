@@ -1,7 +1,7 @@
-"""Communication-side figures of merit: SINR, sum rate, power, energy efficiency."""
+"""Communication-side figures of merit: SINR, sum rate, power, energy efficiency.
 
-from dataclasses import dataclass
-from typing import Optional
+Beamformers are plain n_tx x K matrices W whose column k serves user k.
+"""
 
 import numpy as np
 
@@ -9,55 +9,14 @@ from .errors import InvalidArgumentError
 from .units import mw_to_w
 
 
-@dataclass
-class BeamformerSet:
-    """Beamformers in fully-digital and (optionally) hybrid form.
-
-    full_digital is n_tx x K; analog is n_tx x n_rf and digital n_rf x K
-    when a factorization is attached.  per_user_cov returns the lifted
-    rank-one covariances w_k w_k^H.
-    """
-
-    full_digital: Optional[np.ndarray] = None
-    analog: Optional[np.ndarray] = None
-    digital: Optional[np.ndarray] = None
-    factorization_residual: float = 0.0
-
-    def __post_init__(self):
-        if self.full_digital is None:
-            if self.analog is None or self.digital is None:
-                raise InvalidArgumentError("need full_digital or (analog, digital)")
-            self.full_digital = self.analog @ self.digital
-
-    @property
-    def n_users(self):
-        return self.full_digital.shape[1]
-
-    def column(self, k):
-        return self.full_digital[:, k]
-
-    def per_user_cov(self, k):
-        w = self.column(k)
-        return np.outer(w, w.conj())
-
-
-def tx_covariance(beamformers):
-    """Transmit sample covariance R_X = W W^H (rank at most min(K, n_rf))."""
-    w = beamformers.full_digital
-    if w is None or w.size == 0:
-        raise InvalidArgumentError("empty beamformer set")
-    return w @ w.conj().T
-
-
-def sinr(channels, beamformers, k, noise_power):
+def sinr(channels, W, k, noise_power):
     """Downlink SINR of user k."""
     if noise_power <= 0:
         raise InvalidArgumentError("noise power must be positive")
     h = channels.vectors[k]
-    w = beamformers.full_digital
-    if h.shape[0] != w.shape[0]:
+    if h.shape[0] != W.shape[0]:
         raise InvalidArgumentError("channel/beamformer dimension mismatch")
-    gains = np.abs(h.conj() @ w) ** 2
+    gains = np.abs(h.conj() @ W) ** 2
     signal = gains[k]
     interference = gains.sum() - signal
     return signal / (interference + noise_power)
@@ -81,10 +40,10 @@ def sum_rate(sinrs):
     return float(np.log2(1.0 + sinrs).sum())
 
 
-def total_power(beamformers, power_model):
+def total_power(W, amplifier_eff, static_power):
     """Linear power model: radiated power scaled by amplifier efficiency plus static draw (mW)."""
-    radiated = float(np.sum(np.abs(beamformers.full_digital) ** 2))
-    return radiated / power_model.amplifier_eff + power_model.static_power
+    radiated = float(np.sum(np.abs(W) ** 2))
+    return radiated / amplifier_eff + static_power
 
 
 def energy_efficiency(rate, total_power_mw):
@@ -92,18 +51,3 @@ def energy_efficiency(rate, total_power_mw):
     if total_power_mw <= 0:
         raise InvalidArgumentError("total power must be positive")
     return rate / mw_to_w(total_power_mw)
-
-
-@dataclass(frozen=True)
-class PowerModel:
-    amplifier_eff: float
-    static_power: float
-    budget: float
-
-    def __post_init__(self):
-        if not 0 < self.amplifier_eff <= 1:
-            raise InvalidArgumentError("amplifier efficiency must lie in (0, 1]")
-        if self.static_power < 0:
-            raise InvalidArgumentError("static power must be nonnegative")
-        if self.budget <= 0:
-            raise InvalidArgumentError("power budget must be positive")

@@ -45,22 +45,25 @@ from .errors import (
 )
 
 LOG2E = float(np.log2(np.e))
+#: relative objective change that counts as a stalled iteration
+TOL = 1e-4
+#: smallest rank-penalty weight gamma reached by halving
+GAMMA_FLOOR = 1e-7
+#: chords of the log in the energy-efficiency encoding, per user
+EE_CHORDS = 64
 
 
 @dataclass(frozen=True)
 class ScaOptions:
     gamma: float = 1e-3
-    tol: float = 1e-4
     max_iter: int = 100
     rank_tol: float = 1e-6
     sdp_tol: float = 1e-4
     sdp_max_iter: int = 3000
     gamma_decay: bool = True
-    gamma_floor: float = 1e-7
-    ee_chords: int = 64
 
     def __post_init__(self):
-        if self.gamma <= 0 or not 0 < self.tol < 1 or self.max_iter < 1:
+        if self.gamma <= 0 or self.max_iter < 1:
             raise InvalidArgumentError("invalid optimizer options")
 
 
@@ -70,15 +73,13 @@ class ScaTrace:
 
     Slacks are normalized: power and EE relative to their budgets, SINR as
     achieved/threshold - 1; all should stay above -sdp_tol at accepted
-    iterates.  xi_init records the 0.9-scaled Schur complement used to
-    initialize the epigraph matrix (point-target runs only).
+    iterates.
     """
 
     objectives: list = field(default_factory=list)
     rank_residuals: list = field(default_factory=list)
     slacks: list = field(default_factory=list)
     status: str = "running"
-    xi_init: np.ndarray = None
     wall_time: float = 0.0
 
 
@@ -547,11 +548,11 @@ def _polish(scenario, channels, W_list):
     return [lo * W for W in W_list]
 
 
-def _make_chords(scenario, channels, n_chords):
+def _make_chords(scenario, channels):
     out = []
     for k in range(channels.n_users):
         reach = float(np.linalg.norm(channels.vectors[k]) ** 2) * scenario.power_budget
-        out.append(chord_envelope(scenario.comm_noise, reach, n_chords))
+        out.append(chord_envelope(scenario.comm_noise, reach, EE_CHORDS))
     return out
 
 
@@ -584,17 +585,17 @@ def _sca_loop(scenario, options, state, build, bound_from_solution):
         if options.gamma_decay:
             stall = stall + 1 if (trace.rank_residuals[0] > 0 and it > 0 and
                                   rr > 0.9 * trace.rank_residuals[-2]) else 0
-            if stall >= 5 and state.gamma > options.gamma_floor:
-                state.gamma = max(state.gamma * 0.5, options.gamma_floor)
+            if stall >= 5 and state.gamma > GAMMA_FLOOR:
+                state.gamma = max(state.gamma * 0.5, GAMMA_FLOOR)
                 stall = 0
-        if abs(prev_obj - obj) <= options.tol * max(1.0, abs(obj)):
+        if abs(prev_obj - obj) <= TOL * max(1.0, abs(obj)):
             if rr <= options.rank_tol or not options.gamma_decay:
                 trace.status = "converged"
                 break
-            if state.gamma > options.gamma_floor:
+            if state.gamma > GAMMA_FLOOR:
                 # objective stalled before the iterate went rank one:
                 # tighten the penalty and keep iterating
-                state.gamma = max(state.gamma * 0.5, options.gamma_floor)
+                state.gamma = max(state.gamma * 0.5, GAMMA_FLOOR)
                 prev_obj = np.inf
                 continue
             trace.status = "converged"
@@ -636,7 +637,7 @@ def solve_point_sca(scenario, options=None, channels=None):
 
     state = ScaState(W_prev=W0, channels=channels, fim_coeffs=coeffs,
                      d_scale=d_scale, mu_scale=mu_scale, gamma=options.gamma,
-                     chords=_make_chords(scenario, channels, options.ee_chords))
+                     chords=_make_chords(scenario, channels))
 
     def bound_from_solution(W_list, sol):
         try:
@@ -647,10 +648,7 @@ def solve_point_sca(scenario, options=None, channels=None):
             # the design nulled the target; no finite bound exists
             return float("inf")
 
-    W, W_list, trace, bound = _sca_loop(scenario, options, state,
-                                        build_point_subproblem, bound_from_solution)
-    trace.xi_init = 0.9 * fim0.A
-    return W, W_list, trace, bound
+    return _sca_loop(scenario, options, state, build_point_subproblem, bound_from_solution)
 
 
 def solve_extended_sca(scenario, options=None, channels=None):
@@ -666,7 +664,7 @@ def solve_extended_sca(scenario, options=None, channels=None):
                                n_rx=scenario.geom.n_rx)
 
     state = ScaState(W_prev=W0, channels=channels, gamma=options.gamma,
-                     chords=_make_chords(scenario, channels, options.ee_chords))
+                     chords=_make_chords(scenario, channels))
 
     def bound_from_solution(W_list, sol):
         return bounds.bcrb_extended_trace(sum(W_list), params)

@@ -2,17 +2,15 @@
 
 Powers are carried in linear milliwatts; the SINR threshold is linear; the
 energy-efficiency threshold is in bits/s/Hz per watt and is converted
-exactly once where rate and power meet.
+exactly once where rate and power meet.  The desk and paper scenarios are
+built from their configuration defaults by config.config_to_scenario.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
-from . import geometry, metrics
+from . import geometry
 from .errors import InvalidArgumentError
-from .units import dbm_to_mw
 
 
 @dataclass(frozen=True)
@@ -47,81 +45,5 @@ class Scenario:
     def n_users(self):
         return len(self.users)
 
-    @property
-    def power_model(self):
-        return metrics.PowerModel(amplifier_eff=self.amplifier_eff,
-                                  static_power=self.static_power,
-                                  budget=self.power_budget)
-
     def channels(self):
         return geometry.build_channels(self.geom, self.users)
-
-    def with_target(self, target):
-        return replace(self, target=target)
-
-
-def desk_scenario(target="point", **overrides):
-    """Small deterministic scenario used by the test suite and CI sweeps.
-
-    16-antenna arrays at 28 GHz put the near-field boundary at about 1.37 m,
-    so the point target sits at 1 m where wavefront curvature is resolvable.
-    The communication noise floor is -70 dBm, appropriate for the free-space
-    gains of the ~10 m user links.
-    """
-    geom = geometry.ArrayGeometry(n_tx=16, n_rx=16, n_rf=4, carrier_freq=28e9)
-    if target == "point":
-        tgt = geometry.PointTarget(distance=1.0, angle=np.deg2rad(15.0), reflection=0.05)
-    elif target == "extended":
-        tgt = geometry.ExtendedTarget(prior_variance=1.0)
-    else:
-        raise InvalidArgumentError(f"unknown target kind {target!r}")
-    base = dict(
-        geom=geom,
-        users=(
-            geometry.UserSpec(distance=15.0, angle=np.deg2rad(-60.0), id=0),
-            geometry.UserSpec(distance=10.0, angle=np.deg2rad(-30.0), id=1),
-        ),
-        target=tgt,
-        power_budget=dbm_to_mw(34.0),
-        sinr_threshold=10.0,            # 10 dB
-        ee_threshold=4.0,               # bits/s/Hz per W
-        amplifier_eff=0.5,
-        static_power=dbm_to_mw(15.0),
-        comm_noise=dbm_to_mw(-70.0),
-        sensing_noise=dbm_to_mw(0.0),
-        frame_length=16,
-    )
-    base.update(overrides)
-    return Scenario(**base)
-
-
-def paper_scenario(target="point", **overrides):
-    """Full-size scenario with the published system constants.
-
-    Not exercised by CI; the desk scenario covers the same code paths.
-    """
-    geom = geometry.ArrayGeometry(n_tx=64, n_rx=64, n_rf=8, carrier_freq=28e9)
-    if target == "point":
-        tgt = geometry.PointTarget(distance=10.0, angle=np.deg2rad(15.0), reflection=0.05)
-    else:
-        tgt = geometry.ExtendedTarget(prior_variance=1.0)
-    base = dict(
-        geom=geom,
-        users=(
-            geometry.UserSpec(distance=15.0, angle=np.deg2rad(-60.0), id=0),
-            geometry.UserSpec(distance=10.0, angle=np.deg2rad(-30.0), id=1),
-            geometry.UserSpec(distance=15.0, angle=np.deg2rad(30.0), id=2),
-            geometry.UserSpec(distance=10.0, angle=np.deg2rad(60.0), id=3),
-        ),
-        target=tgt,
-        power_budget=dbm_to_mw(34.0),
-        sinr_threshold=10.0,
-        ee_threshold=4.0,
-        amplifier_eff=0.5,
-        static_power=dbm_to_mw(15.0),
-        comm_noise=dbm_to_mw(-70.0),
-        sensing_noise=dbm_to_mw(0.0),
-        frame_length=64,
-    )
-    base.update(overrides)
-    return Scenario(**base)

@@ -9,12 +9,17 @@ fixed seeds through trial_rng.
 import json
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nfisac import bounds, config, estimators, geometry, harness, hybrid, metrics, sca
-from nfisac.scenario import desk_scenario, paper_scenario
+
+
+def _scenario(scale="desk", **overrides):
+    """The default scenario of a scale, with some fields replaced."""
+    return replace(config.config_to_scenario(config.default_config(scale)), **overrides)
 
 
 def _report(num, name, ok, t, limit, detail=""):
@@ -35,7 +40,7 @@ def _response_matrix(geom, r, phi, mu):
 
 
 def test_criterion_01_rayleigh_distance():
-    geom = paper_scenario().geom
+    geom = _scenario("paper").geom
     t0 = time.perf_counter()
     d = geometry.rayleigh_distance(geom)
     t = time.perf_counter() - t0
@@ -78,7 +83,7 @@ def test_criterion_02_fim_definition_oracle():
 
 def test_criterion_03_derivative_oracle():
     t0 = time.perf_counter()
-    geom = desk_scenario().geom
+    geom = _scenario().geom
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(20):
@@ -134,7 +139,7 @@ def test_criterion_05_rank_deficiency():
 @pytest.mark.slow
 def test_criterion_06_sca_descent_and_feasibility():
     t0 = time.perf_counter()
-    scn = desk_scenario()
+    scn = _scenario()
     opts = sca.ScaOptions(max_iter=12, sdp_max_iter=2500)
     W, W_list, trace, bound = sca.solve_point_sca(scn, opts)
     objs = np.array(trace.objectives)
@@ -149,10 +154,10 @@ def test_criterion_06_sca_descent_and_feasibility():
 
 def test_criterion_07_focusing_heatmap():
     t0 = time.perf_counter()
-    scn = desk_scenario(
+    scn = _scenario(
         users=(geometry.UserSpec(distance=10.0, angle=np.deg2rad(-30.0), id=0),),
         sinr_threshold=0.0, ee_threshold=0.0,
-    ).with_target(geometry.PointTarget(distance=0.5, angle=0.0, reflection=0.05))
+        target=geometry.PointTarget(distance=0.5, angle=0.0, reflection=0.05))
     W, _, _, bound = sca.solve_point_sca(scn, sca.ScaOptions(max_iter=12,
                                                              sdp_max_iter=2500))
     grid = harness.HeatmapGrid(x_min=-1.0, x_max=1.0, y_min=0.0, y_max=2.0,
@@ -185,7 +190,7 @@ def _mle_ratio(scn, W, trials, seed):
 
 def test_criterion_08_bound_achievability():
     t0 = time.perf_counter()
-    base = desk_scenario(sinr_threshold=0.0, ee_threshold=0.0)
+    base = _scenario(sinr_threshold=0.0, ee_threshold=0.0)
     W = _matched_design(base)
     ratios, sigma_top = [], 0.0
     for snr_db in (10.0, 20.0, 30.0):
@@ -246,7 +251,7 @@ def test_criterion_09_orderings_and_tradeoffs():
     ee_ok = bool(np.all(np.diff(ee_vals) >= -1e-6 * np.abs(ee_vals[:-1])))
 
     # distance bound nondecreasing in range with a knee near the boundary
-    d_r = geometry.rayleigh_distance(desk_scenario().geom)
+    d_r = geometry.rayleigh_distance(_scenario().geom)
     vals = [0.5, 0.8 * d_r, 1.2 * d_r, 2.0]
     table_d = harness.run_sweep(_sweep_config("target_distance", vals, ("digital",)))
     bd = dict(table_d.values("bound_distance", arch="digital"))
@@ -280,7 +285,7 @@ def test_criterion_10_hybrid_factorization():
 
 def test_criterion_11_music_ordering():
     t0 = time.perf_counter()
-    base = desk_scenario(sinr_threshold=0.0, ee_threshold=0.0)
+    base = _scenario(sinr_threshold=0.0, ee_threshold=0.0)
     scn = harness._apply_sweep(base, "radar_snr_db", 30.0)
     W = _matched_design(scn)
     trm = bounds.point_trm(scn.geom, scn.target)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from nfisac.conic.model import (
@@ -14,6 +15,7 @@ from nfisac.conic.model import (
     scalar_term,
     trace_coefficients,
 )
+from nfisac.conic import solver
 from nfisac.conic.solver import assemble, smat, solve, svec, svec_indices
 from nfisac.errors import InvalidArgumentError
 
@@ -113,7 +115,7 @@ def test_scalar_lp():
     assert sol.assignments["t"] == pytest.approx(3.0, abs=1e-6)
 
 
-def test_sdp_dominance():
+def _dominance_program():
     # minimize Tr(W) subject to W >= 0 and W >= C (PSD order); the optimum
     # is the positive part of C, so the value clips the negative eigenvalues
     rng = np.random.default_rng(0)
@@ -125,10 +127,32 @@ def test_sdp_dominance():
     block.add_var(W)
     prog.add_psd_block(block)
     prog.set_objective(real_trace(np.eye(4), W))
+    return prog, C
+
+
+def test_sdp_dominance():
+    prog, C = _dominance_program()
     sol = solve(prog, tol=1e-9)
     assert sol.optimal
     evals = np.linalg.eigvalsh(C)
     assert sol.objective == pytest.approx(evals[evals > 0].sum(), abs=1e-5)
+
+
+def test_sparse_x_update_matches_dense(monkeypatch):
+    # every program in the package is small enough for the dense Cholesky
+    # x-update; a zero cutoff sends this one through the sparse LU branch
+    prog, _ = _dominance_program()
+    dense = solve(prog, tol=1e-9)
+    factored = []
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda Q: factored.append(Q.shape) or splu(Q))
+    sparse = solve(prog, tol=1e-9)
+    assert factored
+    assert sparse.status == dense.status == "optimal"
+    assert sparse.objective == pytest.approx(dense.objective, abs=1e-9 * (1 + abs(dense.objective)))
+    np.testing.assert_allclose(sparse.x, dense.x, rtol=0, atol=1e-9 * (1 + np.linalg.norm(dense.x)))
 
 
 def test_epigraph_trace_inverse_value():
@@ -237,16 +261,18 @@ def test_assemble_matches_dense_evaluation():
     prog.set_objective(real_trace(np.eye(3), W) + scalar_term(t))
 
     cblock = PsdBlock("cplx", 4, complex_valued=True, const=_random_hermitian(rng, 4))
-    cblock.add_var(W, indices=np.array([0, 2, 3]), scale=1.5)
-    cblock.set_entry(1, 1, scalar_term(t, 2.0) + 0.5)
+    cblock.add_var(W, offset=1)
+    cblock.set_entry(0, 0, scalar_term(t, 2.0) + 0.5)
     cblock.set_entry(0, 1, real_trace(C.conj().T, W) - scalar_term(t))
+    cblock.set_entry(2, 3, scalar_term(t, 1.5) - 0.3)   # on top of W's entry
     prog.add_psd_block(cblock)
 
-    rblock = PsdBlock("real", 3, complex_valued=False)
-    rblock.add_var(X, offset=1, scale=-2.0)
+    rconst = np.zeros((3, 3))
+    rconst[1, 2] = rconst[2, 1] = 0.25
+    rblock = PsdBlock("real", 3, complex_valued=False, const=rconst)
+    rblock.add_var(X, offset=1)
     rblock.set_entry(0, 0, scalar_term(t) + 3.0)
     rblock.set_entry(0, 2, real_trace(np.array([[1.0, 0.5], [0.5, -1.0]]), X))
-    rblock.set_entry(1, 2, 0.25)
     prog.add_psd_block(rblock)
 
     form = assemble(prog)

@@ -33,24 +33,12 @@ def test_simulate_echo_shapes_and_power():
     assert np.mean(np.abs(echo.X) ** 2) * 8 == pytest.approx(100.0, rel=0.3)
 
 
-def test_simulate_echo_psk_symbols_unit_modulus():
-    rng = np.random.default_rng(1)
-    W = np.eye(4, 2, dtype=complex)
-    echo = estimators.simulate_echo(np.eye(4, dtype=complex), W, 16, 0.0, rng,
-                                    symbols="psk")
-    S = np.linalg.pinv(W) @ echo.X
-    np.testing.assert_allclose(np.abs(S), 1.0, atol=1e-10)
-
-
 def test_simulate_echo_validation():
     rng = np.random.default_rng(2)
     with pytest.raises(InvalidArgumentError):
         estimators.simulate_echo(np.eye(4, dtype=complex), np.ones((4, 8)), 4, 1.0, rng)
     with pytest.raises(InvalidArgumentError):
         estimators.simulate_echo(np.eye(4, dtype=complex), np.ones((4, 2)), 8, -1.0, rng)
-    with pytest.raises(InvalidArgumentError):
-        estimators.simulate_echo(np.eye(4, dtype=complex), np.ones((4, 2)), 8, 1.0, rng,
-                                 symbols="qam")
 
 
 def test_trial_rng_reproducible_and_distinct():

@@ -94,14 +94,6 @@ def test_analog_update_monotone():
         res = new
 
 
-def test_geometry_like_n_rf_argument():
-    class G:
-        n_rf = 4
-    W = _planted(9)
-    fac = hybrid.factorize(W, G(), architecture="fully")
-    assert fac.analog.shape == (16, 4)
-
-
 def test_invalid_inputs():
     W = _planted(1)
     with pytest.raises(InvalidArgumentError):

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfisac import geometry, metrics
+from nfisac import config, geometry, metrics
 from nfisac.errors import InvalidArgumentError
 from nfisac.units import db_to_linear, dbm_to_mw, mw_to_dbm, mw_to_w
 
@@ -10,12 +12,6 @@ GEOM = geometry.ArrayGeometry(n_tx=8, n_rx=8, n_rf=4, carrier_freq=28e9)
 USERS = (geometry.UserSpec(distance=6.0, angle=0.3, id=0),
          geometry.UserSpec(distance=9.0, angle=-0.5, id=1))
 CHANNELS = geometry.build_channels(GEOM, USERS)
-
-
-def _random_beamformers(seed, k=2):
-    rng = np.random.default_rng(seed)
-    W = rng.standard_normal((GEOM.n_tx, k)) + 1j * rng.standard_normal((GEOM.n_tx, k))
-    return metrics.BeamformerSet(full_digital=W)
 
 
 def test_units_round_trip():
@@ -27,40 +23,12 @@ def test_units_round_trip():
     assert mw_to_w(2500.0) == pytest.approx(2.5)
 
 
-def test_beamformer_set_from_factors():
-    rng = np.random.default_rng(0)
-    A = np.exp(1j * rng.uniform(0, 2 * np.pi, (GEOM.n_tx, 4)))
-    D = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    bf = metrics.BeamformerSet(analog=A, digital=D)
-    np.testing.assert_allclose(bf.full_digital, A @ D)
-    assert bf.n_users == 2
-
-
-def test_beamformer_set_needs_some_form():
-    with pytest.raises(InvalidArgumentError):
-        metrics.BeamformerSet()
-
-
-def test_tx_covariance_psd_and_rank():
-    bf = _random_beamformers(1, k=2)
-    R = metrics.tx_covariance(bf)
-    np.testing.assert_allclose(R, R.conj().T)
-    evals = np.linalg.eigvalsh(R)
-    assert evals.min() >= -1e-12
-    assert np.sum(evals > 1e-10 * evals.max()) == 2
-
-
-def test_tx_covariance_trace_is_radiated_power():
-    bf = _random_beamformers(2)
-    R = metrics.tx_covariance(bf)
-    assert np.real(np.trace(R)) == pytest.approx(np.linalg.norm(bf.full_digital) ** 2, rel=1e-12)
-
-
 def test_sinr_matches_covariance_form():
-    bf = _random_beamformers(3)
-    covs = [bf.per_user_cov(k) for k in range(2)]
+    rng = np.random.default_rng(3)
+    W = rng.standard_normal((GEOM.n_tx, 2)) + 1j * rng.standard_normal((GEOM.n_tx, 2))
+    covs = [np.outer(W[:, k], W[:, k].conj()) for k in range(2)]
     for k in range(2):
-        s_direct = metrics.sinr(CHANNELS, bf, k, 1e-9)
+        s_direct = metrics.sinr(CHANNELS, W, k, 1e-9)
         s_lift = metrics.sinr_from_covariances(CHANNELS, covs, k, 1e-9)
         assert s_direct == pytest.approx(s_lift, rel=1e-10)
 
@@ -68,10 +36,9 @@ def test_sinr_matches_covariance_form():
 def test_sinr_interference_free_single_user():
     h = CHANNELS.vectors[0]
     w = h / np.linalg.norm(h) * 4.0
-    bf = metrics.BeamformerSet(full_digital=w[:, None])
     noise = 1e-9
     expected = 16.0 * np.linalg.norm(h) ** 2 / noise
-    assert metrics.sinr(CHANNELS, bf, 0, noise) == pytest.approx(expected, rel=1e-10)
+    assert metrics.sinr(CHANNELS, w[:, None], 0, noise) == pytest.approx(expected, rel=1e-10)
 
 
 def test_sum_rate_shannon():
@@ -84,10 +51,8 @@ def test_sum_rate_shannon():
 @settings(max_examples=25, deadline=None)
 @given(p=st.floats(1e-3, 1e4), rho=st.floats(0.05, 1.0), p0=st.floats(0.0, 100.0))
 def test_total_power_linear_model(p, rho, p0):
-    w = np.sqrt(p) * np.ones(1)
-    bf = metrics.BeamformerSet(full_digital=w[:, None])
-    pm = metrics.PowerModel(amplifier_eff=rho, static_power=p0, budget=1e5)
-    assert metrics.total_power(bf, pm) == pytest.approx(p / rho + p0, rel=1e-10)
+    W = np.sqrt(p) * np.ones((1, 1))
+    assert metrics.total_power(W, rho, p0) == pytest.approx(p / rho + p0, rel=1e-10)
 
 
 def test_energy_efficiency_units():
@@ -98,9 +63,11 @@ def test_energy_efficiency_units():
 
 
 def test_power_model_validation():
-    with pytest.raises(InvalidArgumentError):
-        metrics.PowerModel(amplifier_eff=0.0, static_power=1.0, budget=1.0)
-    with pytest.raises(InvalidArgumentError):
-        metrics.PowerModel(amplifier_eff=0.5, static_power=-1.0, budget=1.0)
-    with pytest.raises(InvalidArgumentError):
-        metrics.PowerModel(amplifier_eff=0.5, static_power=1.0, budget=0.0)
+    """The scenario rejects power-model fields outside their domains."""
+    scn = config.config_to_scenario(config.default_config("desk"))
+    for bad in (dict(amplifier_eff=0.0), dict(amplifier_eff=-0.5), dict(amplifier_eff=1.5),
+                dict(static_power=-1.0), dict(power_budget=0.0), dict(power_budget=-1.0)):
+        with pytest.raises(InvalidArgumentError):
+            replace(scn, **bad)
+    # the edges of the valid domains are accepted
+    replace(scn, amplifier_eff=1.0, static_power=0.0)

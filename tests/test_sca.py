@@ -44,8 +44,6 @@ def test_options_validation():
     with pytest.raises(InvalidArgumentError):
         sca.ScaOptions(gamma=0.0)
     with pytest.raises(InvalidArgumentError):
-        sca.ScaOptions(tol=1.5)
-    with pytest.raises(InvalidArgumentError):
         sca.ScaOptions(max_iter=0)
 
 
