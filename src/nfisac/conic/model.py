@@ -12,6 +12,7 @@ place that realifies a complex Hermitian block, by the [[Re, -Im], [Im, Re]]
 doubling of realify_matrix, before the numerical solver sees it.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,18 +109,26 @@ def matrix_to_params(var, M):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def pair_indices(n):
+    """Row and column indices (a, b), a < b, of the off-diagonal basis elements.
+
+    Their order is the order of the "s" (and "a") descriptors of
+    basis_descriptors.  Cached and shared, so read-only.
+    """
+    a, b = np.triu_indices(n, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
 def trace_coefficients(var, C):
     """Coefficient vector g with Re Tr(C V) = g . params(V)."""
     C = np.asarray(C)
-    g = np.empty(var.n_params)
-    for p, (kind, a, b) in enumerate(basis_descriptors(var)):
-        if kind == "d":
-            g[p] = np.real(C[a, a])
-        elif kind == "s":
-            g[p] = np.real(C[b, a] + C[a, b]) / SQRT2
-        else:
-            g[p] = np.real(1j * C[b, a] - 1j * C[a, b]) / SQRT2
-    return g
+    a, b = pair_indices(var.side)
+    parts = [np.real(np.diagonal(C)), np.real(C[b, a] + C[a, b]) / SQRT2]
+    if var.hermitian:
+        parts.append(np.real(1j * C[b, a] - 1j * C[a, b]) / SQRT2)
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

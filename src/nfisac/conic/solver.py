@@ -5,15 +5,27 @@ Standard form after assembly:
     minimize    c . x
     subject to  A x + s = b,   s in K = {0}^p x R+^q x PSD(m_1) x ... x PSD(m_B)
 
-solved by ADMM on the splitting (x, s): the x-update is a cached linear
-solve with the regularized normal matrix sigma*I + rho*A^T A, the s-update
-is a Euclidean projection onto K (eigenvalue clipping per PSD block), and
-the scaled multiplier accumulates the residual.  assemble is the one
-realification path: it doubles each complex Hermitian block into a real
-symmetric one (model.realify_matrix) while it emits the rows.  Symmetric
-matrices travel through the cone interface in scaled upper-triangular (svec)
-form so the PSD cone is self-dual under the plain dot product, and
-project_cone serves K* as well once the zero rows are left free.
+solved by ADMM on the splitting (x, s): the x-update solves with the
+regularized normal matrix sigma*I + rho*A^T A, the s-update is a Euclidean
+projection onto K (eigenvalue clipping per PSD block), and the scaled
+multiplier accumulates the residual.  assemble is the one realification
+path: it doubles each complex Hermitian block into a real symmetric one
+(model.realify_matrix) while it emits the rows.  Symmetric matrices travel
+through the cone interface in scaled upper-triangular (svec) form so the PSD
+cone is self-dual under the plain dot product, and project_cone serves K* as
+well once the zero rows are left free.
+
+Each iteration is a few dense kernels on data prepared once:
+  - the x-update multiplies by the inverse of sigma*I + rho*A^T A, computed
+    in place (Cholesky, then inversion) once per value of rho; programs with
+    more than DENSE_LIMIT unknowns keep a sparse LU factorization instead;
+  - products with A and A^T hold A's dense rows as one dense array;
+  - project_cone maps each block's svec slice to its matrix through index
+    arrays built once per StandardForm.  A realified block is projected as
+    the n x n complex Hermitian matrix it represents, which costs about
+    half the 2n x 2n real eigendecomposition; ADMM iterates stay realified,
+    so this is the projection onto the real PSD cone.  Blocks of one side and
+    kind share one batched eigendecomposition.
 
 Data is Ruiz-equilibrated first with one uniform scale factor per PSD block
 (row scaling must not break cone membership).  Convergence is declared on
@@ -21,15 +33,17 @@ unscaled KKT residuals; primal infeasibility is detected from an approximate
 ray certificate and is heuristic, not a proof.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.blas
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
-from ..errors import InvalidArgumentError
 from . import model as mdl
+from .model import SQRT2
 
 #: initial ADMM penalty rho; doubled or halved to rebalance the residuals
 RHO = 1.0
@@ -49,7 +63,7 @@ DENSE_LIMIT = 2500
 
 def svec_indices(m):
     iu = np.triu_indices(m)
-    mult = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    mult = np.where(iu[0] == iu[1], 1.0, SQRT2)
     return iu, mult
 
 
@@ -84,20 +98,54 @@ class StandardForm:
     n_nonneg: int
     psd_sides: list
     psd_slices: list
+    psd_complex: list   # per block: True when it realifies a complex Hermitian block
     n_x: int
     offsets: dict
-    svec_caches: list = field(default_factory=list)
+    psd_groups: list = field(init=False)
 
     def __post_init__(self):
-        self.svec_caches = [svec_indices(m) for m in self.psd_sides]
+        self.psd_groups = _psd_groups(self)
 
 
-def _entry_coeff_rows(expr, program, offsets):
-    """Yield (global param index, coefficient) pairs of a LinExpr."""
+def _expr_entries(expr, offsets):
+    """(global param indices, coefficients) of the nonzero terms of a LinExpr."""
+    cols, vals = [], []
     for name, coeffs in expr.terms.items():
-        start = offsets[name].start
-        for p in np.nonzero(coeffs)[0]:
-            yield start + p, coeffs[p]
+        nz = np.nonzero(coeffs)[0]
+        cols.append(offsets[name].start + nz)
+        vals.append(coeffs[nz])
+    if not cols:
+        return np.zeros(0, dtype=int), np.zeros(0)
+    return np.concatenate(cols), np.concatenate(vals)
+
+
+def _var_entries(var, offset, m, complex_block):
+    """Block positions (i, j), i <= j, and coefficients of a variable's basis.
+
+    Row p of each array belongs to basis element p; a complex block holds two
+    entries per element (the realified copies), a real block one.
+    """
+    n = var.side
+    inv = 1.0 / SQRT2
+    d = np.arange(n) + offset
+    a, b = mdl.pair_indices(n)
+    a, b = a + offset, b + offset
+    i = np.concatenate([d, a])
+    j = np.concatenate([d, b])
+    coeff = np.concatenate([np.ones(n), np.full(a.size, inv)])
+    if not complex_block:   # ConicProgram keeps Hermitian variables out of real blocks
+        return i[:, None], j[:, None], coeff[:, None]
+    i2, j2, c2 = m + i, m + j, coeff
+    if var.hermitian:
+        # i (E_ab - E_ba)/sqrt(2) realifies into the off-diagonal
+        # quadrants: -Im top-right, +Im bottom-left
+        i = np.concatenate([i, a])
+        j = np.concatenate([j, m + b])
+        coeff = np.concatenate([coeff, np.full(a.size, -inv)])
+        i2 = np.concatenate([i2, b])
+        j2 = np.concatenate([j2, m + a])
+        c2 = np.concatenate([c2, np.full(a.size, inv)])
+    return np.stack([i, i2], 1), np.stack([j, j2], 1), np.stack([coeff, c2], 1)
 
 
 def _psd_block_rows(block, program, offsets, row0, rows, cols, vals, b_parts):
@@ -109,49 +157,29 @@ def _psd_block_rows(block, program, offsets, row0, rows, cols, vals, b_parts):
     const = mdl.realify_matrix(block.const) if complex_block else block.const.astype(float).copy()
 
     def emit(i, j, param, coeff):
-        if i > j:
-            i, j = j, i
-        pos = row0 + svec_position(side, i, j)
-        scale = 1.0 if i == j else np.sqrt(2.0)
         # s = svec(const) + sum_p x_p svec(M_p) and A x + s = b
-        rows.append(pos)
+        rows.append(row0 + svec_position(side, i, j))
         cols.append(param)
-        vals.append(-coeff * scale)
+        vals.append(-coeff * np.where(i == j, 1.0, SQRT2))
 
     for term in block.terms:
         if term[0] == "var":
             _, name, offset = term
-            var = program.variables[name]
-            start = offsets[name].start
-            for p, (kind, a, bb) in enumerate(mdl.basis_descriptors(var)):
-                gp = start + p
-                i, j = offset + a, offset + bb
-                if kind == "d":
-                    emit(i, i, gp, 1.0)
-                    if complex_block:
-                        emit(m + i, m + i, gp, 1.0)
-                elif kind == "s":
-                    emit(i, j, gp, 1.0 / np.sqrt(2.0))
-                    if complex_block:
-                        emit(m + i, m + j, gp, 1.0 / np.sqrt(2.0))
-                else:
-                    if not complex_block:
-                        raise InvalidArgumentError("Hermitian variable in a real block")
-                    # i (E_ab - E_ba)/sqrt(2) realifies into the off-diagonal
-                    # quadrants: -Im top-right, +Im bottom-left
-                    emit(i, m + j, gp, -1.0 / np.sqrt(2.0))
-                    emit(j, m + i, gp, 1.0 / np.sqrt(2.0))
+            i, j, coeff = _var_entries(program.variables[name], offset, m, complex_block)
+            param = np.broadcast_to(offsets[name].start + np.arange(len(i))[:, None], i.shape)
+            emit(i.ravel(), j.ravel(), param.ravel(), coeff.ravel())
         else:
             _, i, j, expr = term
+            i, j = min(i, j), max(i, j)
             places = [(i, j)]
             if complex_block:
                 places.append((m + i, m + j))
+            gp, coeff = _expr_entries(expr, offsets)
             for (pi, pj) in places:
                 const[pi, pj] += expr.const
                 if pi != pj:
                     const[pj, pi] += expr.const
-                for gp, coeff in _entry_coeff_rows(expr, program, offsets):
-                    emit(pi, pj, gp, coeff)
+                emit(np.full(gp.size, pi), np.full(gp.size, pj), gp, coeff)
 
     cache = svec_indices(side)
     if complex_block:
@@ -166,28 +194,23 @@ def assemble(program):
     c = program.expr_vector(program.objective, n_x, offsets)
 
     rows, cols, vals = [], [], []
-    b_parts = []
-    row = 0
+
+    def emit_rows(exprs, row0, sign):
+        for r, expr in enumerate(exprs):
+            gp, coeff = _expr_entries(expr, offsets)
+            rows.append(np.full(gp.size, row0 + r))
+            cols.append(gp)
+            vals.append(sign * coeff)
 
     # zero cone: expr = 0  ->  A = g, b = -const
-    for expr in program.eq_constraints:
-        for gp, coeff in _entry_coeff_rows(expr, program, offsets):
-            rows.append(row)
-            cols.append(gp)
-            vals.append(coeff)
-        b_parts.append(np.array([-expr.const]))
-        row += 1
-    n_zero = row
-
     # nonneg cone: s = expr >= 0  ->  A = -g, b = const
-    for expr in program.ineq_constraints:
-        for gp, coeff in _entry_coeff_rows(expr, program, offsets):
-            rows.append(row)
-            cols.append(gp)
-            vals.append(-coeff)
-        b_parts.append(np.array([expr.const]))
-        row += 1
-    n_nonneg = row - n_zero
+    n_zero = len(program.eq_constraints)
+    n_nonneg = len(program.ineq_constraints)
+    emit_rows(program.eq_constraints, 0, 1.0)
+    emit_rows(program.ineq_constraints, n_zero, -1.0)
+    b_parts = [np.array([-e.const for e in program.eq_constraints]),
+               np.array([e.const for e in program.ineq_constraints])]
+    row = n_zero + n_nonneg
 
     psd_sides, psd_slices = [], []
     for block in program.psd_blocks:
@@ -197,13 +220,14 @@ def assemble(program):
         psd_slices.append(slice(row, row + n_rows))
         row += n_rows
 
+    def joined(parts, dtype):
+        return np.concatenate(parts).astype(dtype) if parts else np.zeros(0, dtype=dtype)
+
     A = scipy.sparse.csr_matrix(
-        (np.array(vals), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
-        shape=(row, n_x),
-    )
-    b = np.concatenate(b_parts) if b_parts else np.zeros(0)
-    return StandardForm(c=c, A=A, b=b, n_zero=n_zero, n_nonneg=n_nonneg,
-                        psd_sides=psd_sides, psd_slices=psd_slices,
+        (joined(vals, float), (joined(rows, int), joined(cols, int))), shape=(row, n_x))
+    return StandardForm(c=c, A=A, b=joined(b_parts, float), n_zero=n_zero,
+                        n_nonneg=n_nonneg, psd_sides=psd_sides, psd_slices=psd_slices,
+                        psd_complex=[blk.complex_valued for blk in program.psd_blocks],
                         n_x=n_x, offsets=offsets)
 
 
@@ -211,20 +235,99 @@ def assemble(program):
 # cone projections
 
 
+@functools.lru_cache(maxsize=None)
+def _psd_map(side, complex_block):
+    """Index maps between a PSD block's svec slice v and the matrix projected.
+
+    A real block is the side x side symmetric matrix itself.  A complex block
+    is the realification [[Re H, -Im H], [Im H, Re H]] of an n x n Hermitian
+    H, n = side / 2, and is projected as H: each entry of H averages its two
+    realified copies, which is the orthogonal projection onto realified
+    matrices.
+
+    Returns (n, gather, weights, scatter, scatter_weights): the matrix, as
+    floats (real and imaginary parts interleaved for H), is
+    sum_k v[gather[k]] * weights[k], and the svec of a projection P is
+    P.view(float).ravel()[scatter] * scatter_weights.  Cached and shared,
+    so the arrays are read-only.
+    """
+    n = side // 2 if complex_block else side
+    a, b = np.divmod(np.arange(n * n), n)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    mult = np.where(lo == hi, 1.0, SQRT2)
+    (iu, ju), svec_mult = svec_indices(side)
+    if not complex_block:
+        return _read_only(n, svec_position(side, lo, hi)[None, :], (1.0 / mult)[None, :],
+                          iu * n + ju, svec_mult)
+    gather = np.empty((2, 2 * n * n), dtype=int)
+    weights = np.empty((2, 2 * n * n))
+    gather[:, 0::2] = svec_position(side, lo, hi), svec_position(side, n + lo, n + hi)
+    weights[:, 0::2] = 0.5 / mult
+    # Im H[a, b] is +M[n + a, b] (stored at (b, n + a)) and -M[a, n + b]
+    gather[:, 1::2] = svec_position(side, b, n + a), svec_position(side, a, n + b)
+    weights[0, 1::2] = 0.5 / SQRT2
+    weights[1, 1::2] = -0.5 / SQRT2
+
+    # svec entry (i, j): Re P in the diagonal quadrants, -Im P[i, j - n] in
+    # the top-right one
+    mixed = (iu < n) & (ju >= n)
+    scatter = 2 * ((iu % n) * n + ju % n) + mixed
+    scatter_weights = np.where(mixed, -SQRT2, svec_mult)
+    return _read_only(n, gather, weights, scatter, scatter_weights)
+
+
+def _read_only(n, *arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return (n, *arrays)
+
+
+def _psd_groups(form):
+    """Index maps of the PSD blocks, stacked per (side, complex) group.
+
+    Each group is (n, complex, gather, weights, dst, src, src_weights) with
+    the _psd_map arrays shifted to global svec positions (gather, dst) and
+    to the group's stacked matrices (src).
+    """
+    members = {}
+    for sl, side, cplx in zip(form.psd_slices, form.psd_sides, form.psd_complex):
+        members.setdefault((side, cplx), []).append(sl)
+    groups = []
+    for (side, cplx), slices in members.items():
+        n, gather, weights, scatter, scatter_weights = _psd_map(side, cplx)
+        size = 2 * n * n if cplx else n * n
+        groups.append((
+            n, cplx,
+            np.concatenate([gather + sl.start for sl in slices], axis=1),
+            np.tile(weights, len(slices)),
+            np.concatenate([np.arange(sl.start, sl.stop) for sl in slices]),
+            np.concatenate([scatter + g * size for g in range(len(slices))]),
+            np.tile(scatter_weights, len(slices)),
+        ))
+    return groups
+
+
 def project_cone(v, form):
-    """Euclidean projection onto K = {0}^p x R+^q x PSD(m_1) x ..., blocks in svec form."""
+    """Euclidean projection onto K = {0}^p x R+^q x PSD(m_1) x ..., blocks in svec form.
+
+    A complex block is projected onto the realified Hermitian PSD matrices,
+    the part of the real PSD cone where every ADMM iterate lies.  Blocks of
+    one side and kind share one batched eigendecomposition.
+    """
     out = v.copy()
     out[: form.n_zero] = 0.0
     ng = slice(form.n_zero, form.n_zero + form.n_nonneg)
     out[ng] = np.maximum(out[ng], 0.0)
-    for side, sl, cache in zip(form.psd_sides, form.psd_slices, form.svec_caches):
-        M = smat(out[sl], side, cache)
+    for n, cplx, gather, weights, dst, src, src_weights in form.psd_groups:
+        M = v[gather[0]] * weights[0]
+        if cplx:
+            M += v[gather[1]] * weights[1]
+            M = M.view(complex)
+        M = M.reshape(-1, n, n)
         w, V = np.linalg.eigh(M)
-        if w[0] >= 0:
-            continue
-        pos = w > 0
-        P = (V[:, pos] * w[pos]) @ V[:, pos].T
-        out[sl] = svec(0.5 * (P + P.T), cache)
+        if w.min() < 0:
+            M = (V * np.maximum(w, 0.0)[:, None, :]) @ V.conj().swapaxes(1, 2)
+        out[dst] = M.view(float).ravel()[src] * src_weights
     return out
 
 
@@ -243,25 +346,27 @@ def _row_group_scale(norms, form):
 
 
 def ruiz_equilibrate(form, n_iter=10):
-    A = form.A.tocsr().copy()
-    b = form.b.copy()
-    c = form.c.copy()
+    A = form.A.tocsr(copy=True)
     m, n = A.shape
+    rows = np.repeat(np.arange(m), np.diff(A.indptr))
+    cols = A.indices
     D = np.ones(m)
     E = np.ones(n)
     for _ in range(n_iter):
-        Aabs = abs(A)
-        row_norms = np.asarray(Aabs.max(axis=1).todense()).ravel() if m else np.zeros(0)
+        mag = np.abs(A.data)
+        row_norms = np.zeros(m)
+        np.maximum.at(row_norms, rows, mag)
         row_norms = _row_group_scale(row_norms, form)
         dr = 1.0 / np.sqrt(np.clip(row_norms, 1e-10, 1e10))
-        col_norms = np.asarray(Aabs.max(axis=0).todense()).ravel() if n else np.zeros(0)
+        col_norms = np.zeros(n)
+        np.maximum.at(col_norms, cols, mag)
         dc = 1.0 / np.sqrt(np.clip(col_norms, 1e-10, 1e10))
-        A = scipy.sparse.diags(dr) @ A @ scipy.sparse.diags(dc)
+        # A <- diag(dr) A diag(dc), entry by entry
+        A.data *= dr[rows]
+        A.data *= dc[cols]
         D *= dr
         E *= dc
-    b = D * b
-    c = E * c
-    return A.tocsr(), b, c, D, E
+    return A, D * form.b, E * form.c, D, E
 
 
 # ---------------------------------------------------------------------------
@@ -286,31 +391,81 @@ class ConicSolution:
         return self.status == "optimal"
 
 
+class _RowSplit:
+    """A for the ADMM products, its dense rows held as one dense array.
+
+    A row is dense when more than half its entries are set.  In the design
+    programs these are the power, SINR, energy-efficiency and Schur rows:
+    a tenth of the rows, nearly all of the entries.
+    """
+
+    def __init__(self, A):
+        m, n = A.shape
+        self.csr = A
+        self.shape = A.shape
+        self.rows = np.flatnonzero(np.diff(A.indptr) > n // 2)
+        keep = np.ones(m)
+        keep[self.rows] = 0.0
+        self.dense = A[self.rows].toarray()
+        self.sparse = (scipy.sparse.diags(keep) @ A).tocsr()
+        self.sparse.eliminate_zeros()
+        self.sparse_T = self.sparse.T.tocsr()
+
+    def dot(self, x):
+        """A x."""
+        out = self.sparse @ x
+        out[self.rows] = self.dense @ x
+        return out
+
+    def tdot(self, y):
+        """A^T y."""
+        return self.sparse_T @ y + self.dense.T @ y[self.rows]
+
+    def gram(self):
+        """A^T A as a dense array."""
+        G = self.dense.T @ self.dense
+        S = (self.sparse_T @ self.sparse).tocoo()
+        np.add.at(G, (S.row, S.col), S.data)
+        return G
+
+
 class _XSolver:
-    """Cached solve of (sigma I + rho A^T A) x = rhs; refactors on rho change."""
+    """Cached solve of (sigma I + rho A^T A) x = rhs; refactors on rho change.
+
+    Dense: the inverse itself, from an in-place Cholesky factorization and
+    inversion (LAPACK potrf/potri), so a solve is one matrix-vector product.
+    Sparse: a splu factorization.  A is a _RowSplit.
+    """
 
     def __init__(self, A):
         self.n = A.shape[1]
         self.dense = self.n <= DENSE_LIMIT
-        ATA = (A.T @ A).tocsc()
-        self.ATA = ATA.toarray() if self.dense else ATA
+        self.ATA = A.gram() if self.dense else (A.csr.T @ A.csr).tocsc()
         self.rho = None
-        self.factor = None
+        self.factor = np.empty((self.n, self.n), order="F") if self.dense else None
 
     def set_rho(self, rho):
         if self.rho == rho:
             return
         self.rho = rho
         if self.dense:
-            Q = self.rho * self.ATA + SIGMA * np.eye(self.n)
-            self.factor = scipy.linalg.cho_factor(Q, check_finite=False)
+            # potrf and potri overwrite the Fortran-ordered buffer; the
+            # inverse is left in its lower triangle, which symv reads
+            Q = self.factor
+            np.multiply(self.ATA, rho, out=Q)
+            Q.flat[:: self.n + 1] += SIGMA
+            _, info = scipy.linalg.lapack.dpotrf(Q, lower=1, clean=0, overwrite_a=1)
+            if info == 0:
+                _, info = scipy.linalg.lapack.dpotri(Q, lower=1, overwrite_c=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"x-update matrix not positive definite ({info})")
         else:
             Q = (self.rho * self.ATA + SIGMA * scipy.sparse.eye(self.n)).tocsc()
             self.factor = scipy.sparse.linalg.splu(Q)
 
     def solve(self, rhs):
         if self.dense:
-            return scipy.linalg.cho_solve(self.factor, rhs, check_finite=False)
+            return scipy.linalg.blas.dsymv(1.0, self.factor, rhs, lower=1)
         return self.factor.solve(rhs)
 
 
@@ -338,18 +493,18 @@ def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000)
             s = D * ws
             u = (wy / D) / rho
 
-    xsolver = _XSolver(A)
+    op = _RowSplit(A)
+    xsolver = _XSolver(op)
     xsolver.set_rho(rho)
-    AT = A.T.tocsr()
 
     status = "max_iter"
     it = 0
     pri = dual = gap = np.inf
     y_prev_check = None
     for it in range(1, max_iter + 1):
-        rhs = SIGMA * x - c + rho * (AT @ (b - s - u))
+        rhs = SIGMA * x - c + rho * op.tdot(b - s - u)
         x_new = xsolver.solve(rhs)
-        Ax = A @ x_new
+        Ax = op.dot(x_new)
         zeta = ALPHA * Ax - (1.0 - ALPHA) * (s - b)
         s = project_cone(b - zeta - u, form)
         u = u + zeta + s - b

@@ -67,18 +67,32 @@ class ScaOptions:
             raise InvalidArgumentError("invalid optimizer options")
 
 
+@dataclass(frozen=True)
+class SolveRecord:
+    """How one conic subproblem solve ended (see conic.ConicSolution)."""
+
+    status: str
+    iterations: int
+    primal_residual: float
+    dual_residual: float
+    duality_gap: float
+
+
 @dataclass
 class ScaTrace:
     """Per-iteration record of a run.
 
     Slacks are normalized: power and EE relative to their budgets, SINR as
     achieved/threshold - 1; all should stay above -sdp_tol at accepted
-    iterates.
+    iterates.  solves holds one SolveRecord per subproblem solve, including
+    a last one that stopped the run; a "max_iter" status marks an objective
+    that the solver did not certify.
     """
 
     objectives: list = field(default_factory=list)
     rank_residuals: list = field(default_factory=list)
     slacks: list = field(default_factory=list)
+    solves: list = field(default_factory=list)
     status: str = "running"
     wall_time: float = 0.0
 
@@ -569,6 +583,8 @@ def _sca_loop(scenario, options, state, build, bound_from_solution):
         prog = build(state, scenario)
         sol = solve(prog, tol=options.sdp_tol, max_iter=options.sdp_max_iter,
                     warm_start=warm)
+        trace.solves.append(SolveRecord(sol.status, sol.iterations, sol.primal_residual,
+                                        sol.dual_residual, sol.duality_gap))
         if sol.status == "infeasible" or (not sol.optimal and sol.status != "max_iter"):
             trace.status = "degraded"
             break

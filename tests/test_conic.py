@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +8,7 @@ from nfisac.conic.model import (
     ConicProgram,
     LinExpr,
     PsdBlock,
+    basis_descriptors,
     epigraph_trace_inverse,
     matrix_to_params,
     params_to_matrix,
@@ -51,6 +53,24 @@ def test_trace_functional_consistency(seed, n):
     g = trace_coefficients(var, C)
     assert g @ matrix_to_params(var, M) == pytest.approx(
         float(np.real(np.trace(C @ M))), rel=1e-10, abs=1e-10)
+
+
+def test_trace_coefficients_match_basis_loop():
+    # one entry per basis descriptor, each computed as a scalar
+    rng = np.random.default_rng(4)
+    prog = ConicProgram()
+    for n, hermitian in [(1, True), (4, True), (4, False)]:
+        var = prog.add_matrix_var(f"V{n}{hermitian}", n, hermitian=hermitian)
+        C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ref = []
+        for kind, a, b in basis_descriptors(var):
+            if kind == "d":
+                ref.append(np.real(C[a, a]))
+            elif kind == "s":
+                ref.append(np.real(C[b, a] + C[a, b]) / np.sqrt(2.0))
+            else:
+                ref.append(np.real(1j * C[b, a] - 1j * C[a, b]) / np.sqrt(2.0))
+        np.testing.assert_array_equal(trace_coefficients(var, C), ref)
 
 
 def test_basis_is_orthonormal():
@@ -155,6 +175,89 @@ def test_sparse_x_update_matches_dense(monkeypatch):
     np.testing.assert_allclose(sparse.x, dense.x, rtol=0, atol=1e-9 * (1 + np.linalg.norm(dense.x)))
 
 
+def test_x_update_inverse_matches_dense_solve():
+    # the cached inverse of sigma I + rho A^T A, refreshed on each rho change;
+    # A mixes dense rows (held as one array) with sparse ones
+    rng = np.random.default_rng(7)
+    dense = rng.standard_normal((6, 12))
+    sparse = scipy.sparse.random(30, 12, density=0.1, random_state=8).toarray()
+    sparse[np.arange(12), np.arange(12)] += 1.0
+    A = scipy.sparse.csr_matrix(np.vstack([sparse[:15], dense, sparse[15:]]))
+    op = solver._RowSplit(A)
+    assert op.rows.tolist() == list(range(15, 21))
+    x, y = rng.standard_normal(12), rng.standard_normal(36)
+    np.testing.assert_allclose(op.dot(x), A @ x, rtol=0, atol=1e-12 * np.abs(A @ x).max())
+    np.testing.assert_allclose(op.tdot(y), A.T @ y, rtol=0, atol=1e-12 * np.abs(A.T @ y).max())
+    xs = solver._XSolver(op)
+    AtA = (A.T @ A).toarray()
+    for rho in (1.0, 8.0, 0.125, 1.0):
+        xs.set_rho(rho)
+        rhs = rng.standard_normal(12)
+        ref = np.linalg.solve(solver.SIGMA * np.eye(12) + rho * AtA, rhs)
+        np.testing.assert_allclose(xs.solve(rhs), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def _cone_form():
+    # zero rows, nonnegative rows, and PSD blocks: two real of side 3, one
+    # of side 1, two complex of side 2 (realified to 4) and one of side 5;
+    # blocks of equal side and kind share a batched projection
+    prog = ConicProgram()
+    t = prog.add_scalar_var("t")
+    prog.add_eq(scalar_term(t))
+    prog.add_eq(scalar_term(t, 2.0))
+    for _ in range(4):
+        prog.add_ineq(scalar_term(t))
+    for k, (side, hermitian) in enumerate([(3, False), (1, False), (2, True), (3, False),
+                                           (5, True), (2, True)]):
+        prog.psd_var(prog.add_matrix_var(f"V{k}", side, hermitian=hermitian))
+    return assemble(prog)
+
+
+def _cone_point(rng, form, psd_blocks=()):
+    """Random vector of the form's cone space; complex blocks are realified."""
+    v = rng.standard_normal(form.A.shape[0])
+    for k, (side, sl, cplx) in enumerate(zip(form.psd_sides, form.psd_slices,
+                                              form.psd_complex)):
+        M = _random_hermitian(rng, side // 2) if cplx else _random_hermitian(rng, side).real
+        if k in psd_blocks:
+            M = M @ M.conj().T
+        v[sl] = svec(realify_matrix(M) if cplx else M, svec_indices(side))
+    return v
+
+
+def _dense_projection(v, form):
+    out = v.copy()
+    out[: form.n_zero] = 0.0
+    ng = slice(form.n_zero, form.n_zero + form.n_nonneg)
+    out[ng] = np.maximum(out[ng], 0.0)
+    for side, sl in zip(form.psd_sides, form.psd_slices):
+        cache = svec_indices(side)
+        w, V = np.linalg.eigh(smat(v[sl], side, cache))
+        out[sl] = svec((V * np.maximum(w, 0.0)) @ V.T, cache)
+    return out
+
+
+def test_project_cone_matches_dense_projection():
+    rng = np.random.default_rng(11)
+    form = _cone_form()
+    assert form.psd_sides == [3, 1, 4, 3, 10, 4]
+    assert form.psd_complex == [False, False, True, False, True, True]
+    for psd_blocks in [(), (0, 2), tuple(range(6))]:
+        for _ in range(10):
+            v = _cone_point(rng, form, psd_blocks)
+            np.testing.assert_allclose(solver.project_cone(v, form), _dense_projection(v, form),
+                                       rtol=0, atol=1e-12 * np.abs(v).max())
+
+
+def test_project_cone_is_idempotent():
+    rng = np.random.default_rng(12)
+    form = _cone_form()
+    for _ in range(10):
+        p = solver.project_cone(_cone_point(rng, form), form)
+        np.testing.assert_allclose(solver.project_cone(p, form), p, rtol=0,
+                                   atol=1e-12 * np.abs(p).max())
+
+
 def test_epigraph_trace_inverse_value():
     # pin Xi to a known PD matrix; min Tr(U) must equal Tr(Xi^-1)
     rng = np.random.default_rng(1)
@@ -244,6 +347,32 @@ def test_assemble_dimensions_consistent():
     assert form.A.shape[0] == 2 + 6 * 7 // 2
 
 
+def test_ruiz_equilibrate_matches_matrix_products():
+    # the in-place scaling of A's entries against diag(dr) @ A @ diag(dc)
+    # per pass, with the same arithmetic, so the results are equal
+    form = _cone_form()
+    rng = np.random.default_rng(13)
+    A = form.A.tocsr(copy=True)
+    A.data = rng.standard_normal(A.nnz) * 10.0 ** rng.integers(-4, 5, A.nnz)
+    form.A = A
+    D, E = np.ones(A.shape[0]), np.ones(A.shape[1])
+    for _ in range(10):
+        mag = abs(A)
+        rows = np.asarray(mag.max(axis=1).todense()).ravel()
+        for sl in form.psd_slices:
+            rows[sl] = rows[sl].max()
+        dr = 1.0 / np.sqrt(np.clip(rows, 1e-10, 1e10))
+        dc = 1.0 / np.sqrt(np.clip(np.asarray(mag.max(axis=0).todense()).ravel(), 1e-10, 1e10))
+        A = scipy.sparse.diags(dr) @ A @ scipy.sparse.diags(dc)
+        D, E = D * dr, E * dc
+    As, bs, cs, Ds, Es = solver.ruiz_equilibrate(form)
+    np.testing.assert_array_equal(As.toarray(), A.toarray())
+    np.testing.assert_array_equal(Ds, D)
+    np.testing.assert_array_equal(Es, E)
+    np.testing.assert_array_equal(bs, D * form.b)
+    np.testing.assert_array_equal(cs, E * form.c)
+
+
 def test_assemble_matches_dense_evaluation():
     # s = b - A x must reproduce every row of the program at any parameter
     # vector: the constraint values, and each PSD block as the realified
@@ -288,6 +417,6 @@ def test_assemble_matches_dense_evaluation():
         assert s[1] == pytest.approx(ineq.evaluate(assignments, prog), rel=1e-12)
         expected = [realify_matrix(cblock.evaluate(assignments, prog)),
                     rblock.evaluate(assignments, prog)]
-        for side, sl, cache, M in zip(form.psd_sides, form.psd_slices,
-                                      form.svec_caches, expected):
-            np.testing.assert_allclose(smat(s[sl], side, cache), M, rtol=0, atol=1e-12)
+        for side, sl, M in zip(form.psd_sides, form.psd_slices, expected):
+            np.testing.assert_allclose(smat(s[sl], side, svec_indices(side)), M,
+                                       rtol=0, atol=1e-12)

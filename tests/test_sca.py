@@ -247,6 +247,28 @@ def test_point_sca_bound_improves_with_power():
     assert b4 < b1
 
 
+def test_point_sca_records_each_solve(monkeypatch):
+    # one record per SCA iteration, holding what solve returned; the cap of
+    # 200 ADMM iterations makes some subproblems stop at max_iter
+    returned = []
+    conic_solve = sca.solve
+
+    def recording_solve(*args, **kwargs):
+        sol = conic_solve(*args, **kwargs)
+        returned.append(sol)
+        return sol
+
+    monkeypatch.setattr(sca, "solve", recording_solve)
+    opts = sca.ScaOptions(max_iter=3, sdp_max_iter=200)
+    _, _, trace, _ = sca.solve_point_sca(_small_scenario(sinr_threshold=3.0), opts)
+    subproblems = returned[1:]   # the first solve is init_feasible's
+    assert len(trace.solves) == len(trace.objectives) == len(subproblems) == 3
+    for rec, sol in zip(trace.solves, subproblems):
+        assert rec == sca.SolveRecord(sol.status, sol.iterations, sol.primal_residual,
+                                      sol.dual_residual, sol.duality_gap)
+    assert "max_iter" in [rec.status for rec in trace.solves]
+
+
 def test_point_sca_requires_point_target():
     scn = _small_scenario(target=geometry.ExtendedTarget(prior_variance=1.0))
     with pytest.raises(InvalidArgumentError):
