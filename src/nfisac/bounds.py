@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .conic import realify_matrix
 from .errors import (
     DegenerateTargetError,
     InvalidArgumentError,
@@ -144,6 +143,12 @@ def bcrb_extended_trace(R_X, params):
     M = R_X + reg * np.eye(n_tx)
     evals = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
     return float(params.noise_power * params.n_rx / params.frame_length * np.sum(1.0 / evals))
+
+
+def realify_matrix(M):
+    """Real symmetric representation [[Re M, -Im M], [Im M, Re M]] of Hermitian M."""
+    Re, Im = np.real(M), np.imag(M)
+    return np.block([[Re, -Im], [Im, Re]])
 
 
 def extended_fim_prior_free(R_X, noise_power, frame_length, n_rx):

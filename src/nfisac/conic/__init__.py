@@ -8,7 +8,6 @@ from .model import (
     matrix_to_params,
     params_to_matrix,
     real_trace,
-    realify_matrix,
     scalar_term,
     trace_coefficients,
 )
@@ -17,6 +16,6 @@ from .solver import ConicSolution, assemble, solve
 __all__ = [
     "ConicProgram", "LinExpr", "PsdBlock",
     "epigraph_trace_inverse", "matrix_to_params", "params_to_matrix",
-    "real_trace", "realify_matrix", "scalar_term",
+    "real_trace", "scalar_term",
     "trace_coefficients", "ConicSolution", "assemble", "solve",
 ]

@@ -7,9 +7,9 @@ inequality constraints, and affine-in-the-variables PSD constraint blocks.
 Matrix variables are parameterized by real coordinates in an orthonormal
 basis under the Frobenius inner product Re Tr(A^H B), so every affine
 quantity in the program is a real linear functional of one flat real
-parameter vector.  Programs stay complex here: solver.assemble is the one
-place that realifies a complex Hermitian block, by the [[Re, -Im], [Im, Re]]
-doubling of realify_matrix, before the numerical solver sees it.
+parameter vector.  The same coordinates (coordinate_map) describe every PSD
+block: solver.assemble emits a block's rows in them and solver.project_cone
+reads them back as the block's Hermitian or symmetric matrix.
 """
 
 import functools
@@ -47,78 +47,66 @@ class ScalarVar:
         return 1
 
 
-def _hermitian_basis_indices(n):
-    """(kind, a, b) descriptors for the orthonormal Hermitian basis."""
-    out = [("d", l, l) for l in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            out.append(("s", a, b))
-    for a in range(n):
-        for b in range(a + 1, n):
-            out.append(("a", a, b))
-    return out
-
-
-def _symmetric_basis_indices(n):
-    out = [("d", l, l) for l in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            out.append(("s", a, b))
-    return out
-
-
-def basis_descriptors(var):
-    if isinstance(var, ScalarVar):
-        raise InvalidArgumentError("scalar variables have no matrix basis")
-    if var.hermitian:
-        return _hermitian_basis_indices(var.side)
-    return _symmetric_basis_indices(var.side)
-
-
-def params_to_matrix(var, x):
-    """Reconstruct the matrix value of a variable from its coordinates."""
-    n = var.side
-    x = np.asarray(x, dtype=float)
-    if var.hermitian:
-        M = np.zeros((n, n), dtype=complex)
-    else:
-        M = np.zeros((n, n))
-    for coeff, (kind, a, b) in zip(x, basis_descriptors(var)):
-        if kind == "d":
-            M[a, a] += coeff
-        elif kind == "s":
-            M[a, b] += coeff / SQRT2
-            M[b, a] += coeff / SQRT2
-        else:
-            M[a, b] += 1j * coeff / SQRT2
-            M[b, a] += -1j * coeff / SQRT2
-    return M
-
-
-def matrix_to_params(var, M):
-    """Coordinates of a Hermitian/symmetric matrix in the variable's basis."""
-    M = np.asarray(M)
-    out = np.empty(var.n_params)
-    for p, (kind, a, b) in enumerate(basis_descriptors(var)):
-        if kind == "d":
-            out[p] = np.real(M[a, a])
-        elif kind == "s":
-            out[p] = np.real(M[a, b] + M[b, a]) / SQRT2
-        else:
-            out[p] = np.real(-1j * (M[a, b] - M[b, a])) / SQRT2
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def pair_indices(n):
     """Row and column indices (a, b), a < b, of the off-diagonal basis elements.
 
-    Their order is the order of the "s" (and "a") descriptors of
-    basis_descriptors.  Cached and shared, so read-only.
+    Cached and shared, so read-only.
     """
     a, b = np.triu_indices(n, 1)
     a.flags.writeable = b.flags.writeable = False
     return a, b
+
+
+@functools.lru_cache(maxsize=None)
+def coordinate_map(n, hermitian):
+    """Index map between the coordinates x of an n x n matrix and its entries.
+
+    The coordinates are the diagonal, then the symmetric pairs
+    (E_ab + E_ba) / sqrt(2) in pair_indices order, then, for a Hermitian
+    matrix, the antisymmetric pairs i (E_ab - E_ba) / sqrt(2).
+
+    Returns (index, weight), both of shape (n, n, 2) for a Hermitian matrix
+    (real and imaginary parts) and (n, n, 1) for a real one: the matrix, as
+    floats, is x[index] * weight, where the imaginary diagonal has weight 0.
+    The basis is orthonormal, so the coordinates of a matrix's Hermitian
+    (symmetric) part are bincount(index, weight * matrix).  Cached and
+    shared, so read-only.
+    """
+    d = np.arange(n)
+    a, b = pair_indices(n)
+    sym = n + np.arange(a.size)
+    index = np.zeros((n, n, 2 if hermitian else 1), dtype=int)
+    weight = np.zeros(index.shape)
+    index[d, d, 0] = d
+    weight[d, d, 0] = 1.0
+    index[a, b, 0] = index[b, a, 0] = sym
+    weight[a, b, 0] = weight[b, a, 0] = 1.0 / SQRT2
+    if hermitian:
+        index[a, b, 1] = index[b, a, 1] = sym + a.size
+        weight[a, b, 1] = 1.0 / SQRT2
+        weight[b, a, 1] = -1.0 / SQRT2
+    index.flags.writeable = weight.flags.writeable = False
+    return index, weight
+
+
+def params_to_matrix(var, x):
+    """Reconstruct the matrix value of a variable from its coordinates."""
+    index, weight = coordinate_map(var.side, var.hermitian)
+    M = np.asarray(x, dtype=float)[index] * weight
+    return (M.view(complex) if var.hermitian else M).reshape(var.side, var.side)
+
+
+def matrix_to_params(var, M):
+    """Coordinates of the Hermitian/symmetric part of a matrix in the variable's basis."""
+    index, weight = coordinate_map(var.side, var.hermitian)
+    M = np.asarray(M)
+    if var.hermitian:
+        M = np.ascontiguousarray(M, dtype=complex).view(float)
+    else:
+        M = np.real(M)
+    return np.bincount(index.ravel(), weights=(weight.ravel() * M.ravel()),
+                       minlength=var.n_params)
 
 
 def trace_coefficients(var, C):
@@ -302,14 +290,23 @@ class ConicProgram:
     def add_psd_block(self, block):
         for term in block.terms:
             if term[0] == "var":
-                name = term[1]
-                if name not in self.variables:
-                    raise InvalidArgumentError(f"undeclared variable {name!r} in block {block.name!r}")
-                var = self.variables[name]
+                _, name, offset = term
+                var = self.variables.get(name)
+                if not isinstance(var, MatrixVar):
+                    raise InvalidArgumentError(
+                        f"no matrix variable {name!r} for block {block.name!r}")
                 if var.hermitian and not block.complex_valued:
                     raise InvalidArgumentError("Hermitian variable placed in a real block")
+                if offset < 0 or offset + var.side > block.side:
+                    raise InvalidArgumentError(
+                        f"{name!r} at offset {offset} leaves block {block.name!r}"
+                        f" of side {block.side}")
             else:
-                self._check_expr(term[3])
+                _, i, j, expr = term
+                if not (0 <= i < block.side and 0 <= j < block.side):
+                    raise InvalidArgumentError(
+                        f"entry ({i}, {j}) outside block {block.name!r} of side {block.side}")
+                self._check_expr(expr)
         self.psd_blocks.append(block)
         return block
 
@@ -368,13 +365,3 @@ def epigraph_trace_inverse(program, xi_var, name="U"):
     block.add_var(xi_var, offset=n)
     program.add_psd_block(block)
     return u_var
-
-
-# ---------------------------------------------------------------------------
-# realification
-
-
-def realify_matrix(M):
-    """Real symmetric representation [[Re M, -Im M], [Im M, Re M]] of Hermitian M."""
-    Re, Im = np.real(M), np.imag(M)
-    return np.block([[Re, -Im], [Im, Re]])

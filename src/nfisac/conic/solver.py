@@ -8,24 +8,23 @@ Standard form after assembly:
 solved by ADMM on the splitting (x, s): the x-update solves with the
 regularized normal matrix sigma*I + rho*A^T A, the s-update is a Euclidean
 projection onto K (eigenvalue clipping per PSD block), and the scaled
-multiplier accumulates the residual.  assemble is the one realification
-path: it doubles each complex Hermitian block into a real symmetric one
-(model.realify_matrix) while it emits the rows.  Symmetric matrices travel
-through the cone interface in scaled upper-triangular (svec) form so the PSD
-cone is self-dual under the plain dot product, and project_cone serves K* as
-well once the zero rows are left free.
+multiplier accumulates the residual.  A PSD block's rows are the block's
+coordinates in the orthonormal basis of model.coordinate_map times a weight
+fixed by the block's kind (block_weight): 1 for a real symmetric block and
+sqrt(2) for a complex Hermitian one, so a complex block's rows have the
+Frobenius norm of its realification [[Re H, -Im H], [Im H, Re H]] and ADMM
+takes the steps it would take on the real program.  In orthonormal
+coordinates the PSD cone is self-dual under the plain dot product, so
+project_cone serves K* as well once the zero rows are left free.
 
 Each iteration is a few dense kernels on data prepared once:
   - the x-update multiplies by the inverse of sigma*I + rho*A^T A, computed
     in place (Cholesky, then inversion) once per value of rho; programs with
     more than DENSE_LIMIT unknowns keep a sparse LU factorization instead;
   - products with A and A^T hold A's dense rows as one dense array;
-  - project_cone maps each block's svec slice to its matrix through index
-    arrays built once per StandardForm.  A realified block is projected as
-    the n x n complex Hermitian matrix it represents, which costs about
-    half the 2n x 2n real eigendecomposition; ADMM iterates stay realified,
-    so this is the projection onto the real PSD cone.  Blocks of one side and
-    kind share one batched eigendecomposition.
+  - project_cone reads each block's coordinates as its n x n Hermitian or
+    symmetric matrix through index arrays built once per StandardForm;
+    blocks of one side and kind share one batched eigendecomposition.
 
 Data is Ruiz-equilibrated first with one uniform scale factor per PSD block
 (row scaling must not break cone membership).  Convergence is declared on
@@ -33,7 +32,6 @@ unscaled KKT residuals; primal infeasibility is detected from an approximate
 ray certificate and is heuristic, not a proof.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,32 +55,9 @@ CHECK_EVERY = 25
 DENSE_LIMIT = 2500
 
 
-# ---------------------------------------------------------------------------
-# svec / smat
-
-
-def svec_indices(m):
-    iu = np.triu_indices(m)
-    mult = np.where(iu[0] == iu[1], 1.0, SQRT2)
-    return iu, mult
-
-
-def svec(M, cache):
-    iu, mult = cache
-    return M[iu] * mult
-
-
-def smat(v, m, cache):
-    iu, mult = cache
-    M = np.zeros((m, m))
-    M[iu] = v / mult
-    return M + M.T - np.diag(np.diag(M))
-
-
-def svec_position(m, i, j):
-    """Index of entry (i, j), i <= j, in the svec ordering of np.triu_indices."""
-    # rows laid out i = 0..m-1, row i holds columns i..m-1
-    return i * m - i * (i - 1) // 2 + (j - i)
+def block_weight(complex_block):
+    """Weight of a PSD block's rows: sqrt(2) for a complex block, 1 for a real one."""
+    return SQRT2 if complex_block else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +73,7 @@ class StandardForm:
     n_nonneg: int
     psd_sides: list
     psd_slices: list
-    psd_complex: list   # per block: True when it realifies a complex Hermitian block
+    psd_complex: list   # per block: True for a complex Hermitian block
     n_x: int
     offsets: dict
     psd_groups: list = field(init=False)
@@ -119,73 +94,43 @@ def _expr_entries(expr, offsets):
     return np.concatenate(cols), np.concatenate(vals)
 
 
-def _var_entries(var, offset, m, complex_block):
-    """Block positions (i, j), i <= j, and coefficients of a variable's basis.
-
-    Row p of each array belongs to basis element p; a complex block holds two
-    entries per element (the realified copies), a real block one.
-    """
-    n = var.side
-    inv = 1.0 / SQRT2
-    d = np.arange(n) + offset
-    a, b = mdl.pair_indices(n)
-    a, b = a + offset, b + offset
-    i = np.concatenate([d, a])
-    j = np.concatenate([d, b])
-    coeff = np.concatenate([np.ones(n), np.full(a.size, inv)])
-    if not complex_block:   # ConicProgram keeps Hermitian variables out of real blocks
-        return i[:, None], j[:, None], coeff[:, None]
-    i2, j2, c2 = m + i, m + j, coeff
-    if var.hermitian:
-        # i (E_ab - E_ba)/sqrt(2) realifies into the off-diagonal
-        # quadrants: -Im top-right, +Im bottom-left
-        i = np.concatenate([i, a])
-        j = np.concatenate([j, m + b])
-        coeff = np.concatenate([coeff, np.full(a.size, -inv)])
-        i2 = np.concatenate([i2, b])
-        j2 = np.concatenate([j2, m + a])
-        c2 = np.concatenate([c2, np.full(a.size, inv)])
-    return np.stack([i, i2], 1), np.stack([j, j2], 1), np.stack([coeff, c2], 1)
-
-
 def _psd_block_rows(block, program, offsets, row0, rows, cols, vals, b_parts):
-    """Append A/b entries for one PSD block; returns the realified side."""
-    complex_block = block.complex_valued
-    m = block.side
-    side = 2 * m if complex_block else m
+    """Append A/b entries for one PSD block; returns its number of rows.
 
-    const = mdl.realify_matrix(block.const) if complex_block else block.const.astype(float).copy()
-
-    def emit(i, j, param, coeff):
-        # s = svec(const) + sum_p x_p svec(M_p) and A x + s = b
-        rows.append(row0 + svec_position(side, i, j))
-        cols.append(param)
-        vals.append(-coeff * np.where(i == j, 1.0, SQRT2))
-
+    Row p is weight * coordinate p of the block's matrix, so with A x + s = b
+    the slice s is weight * coords(const + sum_p x_p M_p).
+    """
+    block_var = mdl.MatrixVar(block.name, block.side, block.complex_valued)
+    index, _ = mdl.coordinate_map(block.side, block.complex_valued)
+    weight = block_weight(block.complex_valued)
+    const = block.const.copy()
     for term in block.terms:
         if term[0] == "var":
+            # each basis element of V is one of the block's, shifted
             _, name, offset = term
-            i, j, coeff = _var_entries(program.variables[name], offset, m, complex_block)
-            param = np.broadcast_to(offsets[name].start + np.arange(len(i))[:, None], i.shape)
-            emit(i.ravel(), j.ravel(), param.ravel(), coeff.ravel())
+            var = program.variables[name]
+            d = np.arange(var.side) + offset
+            a, b = mdl.pair_indices(var.side)
+            a, b = a + offset, b + offset
+            coords = [index[d, d, 0], index[a, b, 0]]
+            if var.hermitian:
+                coords.append(index[a, b, 1])
+            coords = np.concatenate(coords)
+            rows.append(row0 + coords)
+            cols.append(offsets[name].start + np.arange(coords.size))
+            vals.append(np.full(coords.size, -weight))
         else:
+            # a real value v at (i, j) and (j, i) has coordinate sqrt(2) v
             _, i, j, expr = term
-            i, j = min(i, j), max(i, j)
-            places = [(i, j)]
-            if complex_block:
-                places.append((m + i, m + j))
+            const[i, j] += expr.const
+            if i != j:
+                const[j, i] += expr.const
             gp, coeff = _expr_entries(expr, offsets)
-            for (pi, pj) in places:
-                const[pi, pj] += expr.const
-                if pi != pj:
-                    const[pj, pi] += expr.const
-                emit(np.full(gp.size, pi), np.full(gp.size, pj), gp, coeff)
-
-    cache = svec_indices(side)
-    if complex_block:
-        const = 0.5 * (const + const.T)
-    b_parts.append(svec(const, cache))
-    return side
+            rows.append(np.full(gp.size, row0 + index[i, j, 0]))
+            cols.append(gp)
+            vals.append(-weight * (1.0 if i == j else SQRT2) * coeff)
+    b_parts.append(weight * mdl.matrix_to_params(block_var, const))
+    return block_var.n_params
 
 
 def assemble(program):
@@ -214,9 +159,8 @@ def assemble(program):
 
     psd_sides, psd_slices = [], []
     for block in program.psd_blocks:
-        side = _psd_block_rows(block, program, offsets, row, rows, cols, vals, b_parts)
-        n_rows = side * (side + 1) // 2
-        psd_sides.append(side)
+        n_rows = _psd_block_rows(block, program, offsets, row, rows, cols, vals, b_parts)
+        psd_sides.append(block.side)
         psd_slices.append(slice(row, row + n_rows))
         row += n_rows
 
@@ -235,99 +179,48 @@ def assemble(program):
 # cone projections
 
 
-@functools.lru_cache(maxsize=None)
-def _psd_map(side, complex_block):
-    """Index maps between a PSD block's svec slice v and the matrix projected.
-
-    A real block is the side x side symmetric matrix itself.  A complex block
-    is the realification [[Re H, -Im H], [Im H, Re H]] of an n x n Hermitian
-    H, n = side / 2, and is projected as H: each entry of H averages its two
-    realified copies, which is the orthogonal projection onto realified
-    matrices.
-
-    Returns (n, gather, weights, scatter, scatter_weights): the matrix, as
-    floats (real and imaginary parts interleaved for H), is
-    sum_k v[gather[k]] * weights[k], and the svec of a projection P is
-    P.view(float).ravel()[scatter] * scatter_weights.  Cached and shared,
-    so the arrays are read-only.
-    """
-    n = side // 2 if complex_block else side
-    a, b = np.divmod(np.arange(n * n), n)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    mult = np.where(lo == hi, 1.0, SQRT2)
-    (iu, ju), svec_mult = svec_indices(side)
-    if not complex_block:
-        return _read_only(n, svec_position(side, lo, hi)[None, :], (1.0 / mult)[None, :],
-                          iu * n + ju, svec_mult)
-    gather = np.empty((2, 2 * n * n), dtype=int)
-    weights = np.empty((2, 2 * n * n))
-    gather[:, 0::2] = svec_position(side, lo, hi), svec_position(side, n + lo, n + hi)
-    weights[:, 0::2] = 0.5 / mult
-    # Im H[a, b] is +M[n + a, b] (stored at (b, n + a)) and -M[a, n + b]
-    gather[:, 1::2] = svec_position(side, b, n + a), svec_position(side, a, n + b)
-    weights[0, 1::2] = 0.5 / SQRT2
-    weights[1, 1::2] = -0.5 / SQRT2
-
-    # svec entry (i, j): Re P in the diagonal quadrants, -Im P[i, j - n] in
-    # the top-right one
-    mixed = (iu < n) & (ju >= n)
-    scatter = 2 * ((iu % n) * n + ju % n) + mixed
-    scatter_weights = np.where(mixed, -SQRT2, svec_mult)
-    return _read_only(n, gather, weights, scatter, scatter_weights)
-
-
-def _read_only(n, *arrays):
-    for arr in arrays:
-        arr.flags.writeable = False
-    return (n, *arrays)
-
-
 def _psd_groups(form):
     """Index maps of the PSD blocks, stacked per (side, complex) group.
 
-    Each group is (n, complex, gather, weights, dst, src, src_weights) with
-    the _psd_map arrays shifted to global svec positions (gather, dst) and
-    to the group's stacked matrices (src).
+    Each group is (n, complex, dst, gather, local, to_matrix, to_coords):
+    the group's stacked matrices, as floats, are v[gather] * to_matrix, and
+    the rows dst of a projection P are bincount(local, P * to_coords).
+    These are model.coordinate_map's index and weight, shifted to the
+    group's rows and divided (multiplied) by the block weight.
     """
     members = {}
     for sl, side, cplx in zip(form.psd_slices, form.psd_sides, form.psd_complex):
         members.setdefault((side, cplx), []).append(sl)
     groups = []
-    for (side, cplx), slices in members.items():
-        n, gather, weights, scatter, scatter_weights = _psd_map(side, cplx)
-        size = 2 * n * n if cplx else n * n
-        groups.append((
-            n, cplx,
-            np.concatenate([gather + sl.start for sl in slices], axis=1),
-            np.tile(weights, len(slices)),
-            np.concatenate([np.arange(sl.start, sl.stop) for sl in slices]),
-            np.concatenate([scatter + g * size for g in range(len(slices))]),
-            np.tile(scatter_weights, len(slices)),
-        ))
+    for (n, cplx), slices in members.items():
+        index, weight = mdl.coordinate_map(n, cplx)
+        size = slices[0].stop - slices[0].start
+        dst = np.concatenate([np.arange(sl.start, sl.stop) for sl in slices])
+        local = np.concatenate([index.ravel() + g * size for g in range(len(slices))])
+        weights = np.tile(weight.ravel(), len(slices))
+        scale = block_weight(cplx)
+        groups.append((n, cplx, dst, dst[local], local, weights / scale, weights * scale))
     return groups
 
 
 def project_cone(v, form):
-    """Euclidean projection onto K = {0}^p x R+^q x PSD(m_1) x ..., blocks in svec form.
+    """Euclidean projection onto K = {0}^p x R+^q x PSD(m_1) x ..., blocks in coordinates.
 
-    A complex block is projected onto the realified Hermitian PSD matrices,
-    the part of the real PSD cone where every ADMM iterate lies.  Blocks of
-    one side and kind share one batched eigendecomposition.
+    Blocks of one side and kind share one batched eigendecomposition.
     """
     out = v.copy()
     out[: form.n_zero] = 0.0
     ng = slice(form.n_zero, form.n_zero + form.n_nonneg)
     out[ng] = np.maximum(out[ng], 0.0)
-    for n, cplx, gather, weights, dst, src, src_weights in form.psd_groups:
-        M = v[gather[0]] * weights[0]
+    for n, cplx, dst, gather, local, to_matrix, to_coords in form.psd_groups:
+        M = v[gather] * to_matrix
         if cplx:
-            M += v[gather[1]] * weights[1]
             M = M.view(complex)
-        M = M.reshape(-1, n, n)
-        w, V = np.linalg.eigh(M)
+        w, V = np.linalg.eigh(M.reshape(-1, n, n))
         if w.min() < 0:
-            M = (V * np.maximum(w, 0.0)[:, None, :]) @ V.conj().swapaxes(1, 2)
-        out[dst] = M.view(float).ravel()[src] * src_weights
+            P = (V * np.maximum(w, 0.0)[:, None, :]) @ V.conj().swapaxes(1, 2)
+            out[dst] = np.bincount(local, weights=P.view(float).ravel() * to_coords,
+                                   minlength=dst.size)
     return out
 
 
@@ -346,14 +239,24 @@ def _row_group_scale(norms, form):
 
 
 def ruiz_equilibrate(form, n_iter=10):
+    """Ruiz scaling diag(D) A diag(E), with one uniform D per PSD block.
+
+    Entries are read divided by their block weight.  For a complex block
+    these are the entries of its realified rows, so D and E are the scales
+    of the realified program.
+    """
     A = form.A.tocsr(copy=True)
     m, n = A.shape
     rows = np.repeat(np.arange(m), np.diff(A.indptr))
     cols = A.indices
+    row_weight = np.ones(m)
+    for sl, cplx in zip(form.psd_slices, form.psd_complex):
+        row_weight[sl] = block_weight(cplx)
+    entry_weight = row_weight[rows]
     D = np.ones(m)
     E = np.ones(n)
     for _ in range(n_iter):
-        mag = np.abs(A.data)
+        mag = np.abs(A.data) / entry_weight
         row_norms = np.zeros(m)
         np.maximum.at(row_norms, rows, mag)
         row_norms = _row_group_scale(row_norms, form)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nfisac import bounds, geometry
-from nfisac.conic import realify_matrix
 from nfisac.errors import (
     DegenerateTargetError,
     InvalidArgumentError,
@@ -230,7 +229,7 @@ def test_prior_free_fim_nonsingular_at_full_rank():
 def test_realify_doubles_eigenvalues():
     M = _random_covariance(9, 5)
     evals_c = np.linalg.eigvalsh(M)
-    evals_r = np.linalg.eigvalsh(realify_matrix(M))
+    evals_r = np.linalg.eigvalsh(bounds.realify_matrix(M))
     np.testing.assert_allclose(np.sort(np.repeat(evals_c, 2)), np.sort(evals_r), rtol=1e-10)
 
 

@@ -4,27 +4,64 @@ import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
+from nfisac.bounds import realify_matrix
 from nfisac.conic.model import (
     ConicProgram,
     LinExpr,
+    MatrixVar,
     PsdBlock,
-    basis_descriptors,
     epigraph_trace_inverse,
     matrix_to_params,
     params_to_matrix,
     real_trace,
-    realify_matrix,
     scalar_term,
     trace_coefficients,
 )
 from nfisac.conic import solver
-from nfisac.conic.solver import assemble, smat, solve, svec, svec_indices
+from nfisac.conic.solver import assemble, solve
 from nfisac.errors import InvalidArgumentError
 
 
 def _random_hermitian(rng, n):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (A + A.conj().T)
+
+
+def _basis_descriptors(n, hermitian):
+    """(kind, a, b) of each coordinate: diagonal, symmetric pairs, antisymmetric pairs."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    out = [("d", l, l) for l in range(n)] + [("s", a, b) for a, b in pairs]
+    if hermitian:
+        out += [("a", a, b) for a, b in pairs]
+    return out
+
+
+def coords_to_matrix(x, n, hermitian):
+    """Matrix with coordinates x, one basis element at a time."""
+    M = np.zeros((n, n), dtype=complex if hermitian else float)
+    for coeff, (kind, a, b) in zip(x, _basis_descriptors(n, hermitian)):
+        if kind == "d":
+            M[a, a] += coeff
+        elif kind == "s":
+            M[a, b] += coeff / np.sqrt(2.0)
+            M[b, a] += coeff / np.sqrt(2.0)
+        else:
+            M[a, b] += 1j * coeff / np.sqrt(2.0)
+            M[b, a] += -1j * coeff / np.sqrt(2.0)
+    return M
+
+
+def matrix_to_coords(M, n, hermitian):
+    """Coordinates of the Hermitian part of M, one basis element at a time."""
+    out = []
+    for kind, a, b in _basis_descriptors(n, hermitian):
+        if kind == "d":
+            out.append(np.real(M[a, a]))
+        elif kind == "s":
+            out.append(np.real(M[a, b] + M[b, a]) / np.sqrt(2.0))
+        else:
+            out.append(np.real(-1j * (M[a, b] - M[b, a])) / np.sqrt(2.0))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +100,7 @@ def test_trace_coefficients_match_basis_loop():
         var = prog.add_matrix_var(f"V{n}{hermitian}", n, hermitian=hermitian)
         C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         ref = []
-        for kind, a, b in basis_descriptors(var):
+        for kind, a, b in _basis_descriptors(n, hermitian):
             if kind == "d":
                 ref.append(np.real(C[a, a]))
             elif kind == "s":
@@ -71,6 +108,22 @@ def test_trace_coefficients_match_basis_loop():
             else:
                 ref.append(np.real(1j * C[b, a] - 1j * C[a, b]) / np.sqrt(2.0))
         np.testing.assert_array_equal(trace_coefficients(var, C), ref)
+
+
+def test_coordinate_maps_match_basis_loop():
+    # the vectorized maps against the loops over basis elements; the
+    # weights multiply by 1/sqrt(2) where the loops divide by sqrt(2), so
+    # the two agree to a few units in the last place
+    rng = np.random.default_rng(6)
+    for n, hermitian in [(1, True), (1, False), (2, True), (5, True), (5, False)]:
+        var = MatrixVar("V", n, hermitian)
+        x = rng.standard_normal(var.n_params)
+        np.testing.assert_allclose(params_to_matrix(var, x), coords_to_matrix(x, n, hermitian),
+                                   rtol=0, atol=1e-15 * np.abs(x).max())
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ref = matrix_to_coords(M, n, hermitian)
+        np.testing.assert_allclose(matrix_to_params(var, M), ref,
+                                   rtol=0, atol=1e-15 * np.abs(M).max())
 
 
 def test_basis_is_orthonormal():
@@ -100,15 +153,22 @@ def test_linexpr_algebra_and_evaluate():
     assert (-e).evaluate({"t": 2.0, "V": M}, prog) == pytest.approx(-1.5)
 
 
-def test_svec_preserves_inner_products():
+def test_block_coordinates_preserve_inner_products():
+    # a complex block's rows are sqrt(2) times its coordinates: their dot
+    # product is that of the realified matrices; a real block's rows are
+    # its coordinates, with the dot product of the matrices
     rng = np.random.default_rng(3)
-    cache = svec_indices(4)
-    A = rng.standard_normal((4, 4))
-    A = A + A.T
-    B = rng.standard_normal((4, 4))
-    B = B + B.T
-    assert svec(A, cache) @ svec(B, cache) == pytest.approx(np.trace(A @ B), rel=1e-12)
-    np.testing.assert_allclose(smat(svec(A, cache), 4, cache), A, atol=1e-12)
+    H, G = _random_hermitian(rng, 4), _random_hermitian(rng, 4)
+    var = MatrixVar("H", 4, hermitian=True)
+    w = solver.block_weight(True)
+    assert (w * matrix_to_params(var, H)) @ (w * matrix_to_params(var, G)) == pytest.approx(
+        np.trace(realify_matrix(H) @ realify_matrix(G)), rel=1e-12)
+    A, B = H.real, G.real
+    var = MatrixVar("A", 4, hermitian=False)
+    assert solver.block_weight(False) == 1.0
+    assert matrix_to_params(var, A) @ matrix_to_params(var, B) == pytest.approx(
+        np.trace(A @ B), rel=1e-12)
+    np.testing.assert_allclose(params_to_matrix(var, matrix_to_params(var, A)), A, atol=1e-12)
 
 
 def test_duplicate_variable_rejected():
@@ -118,6 +178,34 @@ def test_duplicate_variable_rejected():
         prog.add_matrix_var("V", 3)
     with pytest.raises(InvalidArgumentError):
         prog.set_objective(LinExpr(0.0, {"unknown": np.ones(1)}))
+
+
+def test_psd_block_rejects_misplaced_terms():
+    # a term must lie inside its block: a variable past the edge would
+    # write into the next block's rows
+    prog = ConicProgram()
+    V = prog.add_matrix_var("V", 2, hermitian=False)
+    t = prog.add_scalar_var("t")
+    for offset in (-1, 2, 3):
+        block = PsdBlock("b", 3, complex_valued=False)
+        block.add_var(V, offset=offset)
+        with pytest.raises(InvalidArgumentError):
+            prog.add_psd_block(block)
+    for i, j in [(3, 0), (0, 3), (-1, 1), (2, -1)]:
+        block = PsdBlock("b", 3, complex_valued=False)
+        block.set_entry(i, j, scalar_term(t))
+        with pytest.raises(InvalidArgumentError):
+            prog.add_psd_block(block)
+    block = PsdBlock("t", 3, complex_valued=False)
+    block.set_entry(0, 0, scalar_term(t))
+    with pytest.raises(InvalidArgumentError):
+        prog.add_psd_block(block.add_var(t))
+    assert prog.psd_blocks == []
+    block = PsdBlock("b", 3, complex_valued=False)
+    block.add_var(V, offset=1)
+    block.set_entry(0, 2, scalar_term(t))
+    prog.add_psd_block(block)
+    assert assemble(prog).A.shape[0] == 6
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +287,8 @@ def test_x_update_inverse_matches_dense_solve():
 
 def _cone_form():
     # zero rows, nonnegative rows, and PSD blocks: two real of side 3, one
-    # of side 1, two complex of side 2 (realified to 4) and one of side 5;
-    # blocks of equal side and kind share a batched projection
+    # of side 1, two complex of side 2 and one of side 5; blocks of equal
+    # side and kind share a batched projection
     prog = ConicProgram()
     t = prog.add_scalar_var("t")
     prog.add_eq(scalar_term(t))
@@ -214,14 +302,14 @@ def _cone_form():
 
 
 def _cone_point(rng, form, psd_blocks=()):
-    """Random vector of the form's cone space; complex blocks are realified."""
+    """Random vector of the form's cone space, blocks as weighted coordinates."""
     v = rng.standard_normal(form.A.shape[0])
     for k, (side, sl, cplx) in enumerate(zip(form.psd_sides, form.psd_slices,
                                               form.psd_complex)):
-        M = _random_hermitian(rng, side // 2) if cplx else _random_hermitian(rng, side).real
+        M = _random_hermitian(rng, side) if cplx else _random_hermitian(rng, side).real
         if k in psd_blocks:
             M = M @ M.conj().T
-        v[sl] = svec(realify_matrix(M) if cplx else M, svec_indices(side))
+        v[sl] = solver.block_weight(cplx) * matrix_to_coords(M, side, cplx)
     return v
 
 
@@ -230,18 +318,20 @@ def _dense_projection(v, form):
     out[: form.n_zero] = 0.0
     ng = slice(form.n_zero, form.n_zero + form.n_nonneg)
     out[ng] = np.maximum(out[ng], 0.0)
-    for side, sl in zip(form.psd_sides, form.psd_slices):
-        cache = svec_indices(side)
-        w, V = np.linalg.eigh(smat(v[sl], side, cache))
-        out[sl] = svec((V * np.maximum(w, 0.0)) @ V.T, cache)
+    for side, sl, cplx in zip(form.psd_sides, form.psd_slices, form.psd_complex):
+        weight = solver.block_weight(cplx)
+        w, V = np.linalg.eigh(coords_to_matrix(v[sl] / weight, side, cplx))
+        P = (V * np.maximum(w, 0.0)) @ V.conj().T
+        out[sl] = weight * matrix_to_coords(P, side, cplx)
     return out
 
 
 def test_project_cone_matches_dense_projection():
     rng = np.random.default_rng(11)
     form = _cone_form()
-    assert form.psd_sides == [3, 1, 4, 3, 10, 4]
+    assert form.psd_sides == [3, 1, 2, 3, 5, 2]
     assert form.psd_complex == [False, False, True, False, True, True]
+    assert [sl.stop - sl.start for sl in form.psd_slices] == [6, 1, 4, 6, 25, 4]
     for psd_blocks in [(), (0, 2), tuple(range(6))]:
         for _ in range(10):
             v = _cone_point(rng, form, psd_blocks)
@@ -317,6 +407,39 @@ def test_warm_start_resumes():
     assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
 
 
+def test_capped_solve_matches_realified_iterates():
+    # 25 iterations, far from optimal, of a program with a complex dominance
+    # block and a complex block that holds a variable at an offset, a scalar
+    # and a constant: the values are those of the solver that stored each
+    # complex block as its realified 2n x 2n symmetric matrix, so a change
+    # of row format, row weight or Ruiz scaling that alters the iterates
+    # shows here
+    C = _random_hermitian(np.random.default_rng(0), 4)
+    prog = ConicProgram()
+    W = prog.add_matrix_var("W", 4)
+    V = prog.add_matrix_var("V", 2)
+    t = prog.add_scalar_var("t")
+    prog.psd_var(W)
+    dom = PsdBlock("dom", 4, complex_valued=True, const=-C)
+    dom.add_var(W)
+    prog.add_psd_block(dom)
+    schur = PsdBlock("schur", 3, complex_valued=True)
+    schur.const[0, 1] = schur.const[1, 0] = 1.0
+    schur.add_var(V, offset=1)
+    schur.set_entry(0, 0, scalar_term(t))
+    prog.add_psd_block(schur)
+    prog.add_ineq(LinExpr(10.0) - real_trace(np.eye(4), W))
+    prog.set_objective(real_trace(np.diag([1.0, 2.0, 3.0, 4.0]), W) + scalar_term(t)
+                       + real_trace(np.eye(2), V))
+    sol = solve(prog, tol=1e-12, max_iter=25)
+    assert sol.status == "max_iter"
+    assert sol.iterations == 25
+    assert sol.objective == pytest.approx(5.358454351067375, rel=1e-10)
+    assert sol.primal_residual == pytest.approx(1.6005907245357956e-3, rel=1e-10)
+    assert sol.dual_residual == pytest.approx(4.3887556062619185e-3, rel=1e-10)
+    assert sol.duality_gap == pytest.approx(7.02025528910532e-3, rel=1e-10)
+
+
 def test_equality_constraints_enforced():
     # minimize Tr(diag([2,1]) W) s.t. Tr(W) == 4, W PSD: all mass on the
     # cheap diagonal entry
@@ -343,8 +466,8 @@ def test_assemble_dimensions_consistent():
     assert form.n_x == W.n_params + 1
     assert form.n_zero == 1
     assert form.n_nonneg == 1
-    assert form.psd_sides == [6]  # complex 3x3 realified
-    assert form.A.shape[0] == 2 + 6 * 7 // 2
+    assert form.psd_sides == [3]
+    assert form.A.shape[0] == 2 + 9  # a complex 3x3 block has 9 coordinates
 
 
 def test_ruiz_equilibrate_matches_matrix_products():
@@ -355,14 +478,18 @@ def test_ruiz_equilibrate_matches_matrix_products():
     A = form.A.tocsr(copy=True)
     A.data = rng.standard_normal(A.nnz) * 10.0 ** rng.integers(-4, 5, A.nnz)
     form.A = A
+    # complex PSD rows are read at 1/sqrt(2), as entries of the realified rows
+    row_weight = np.ones(A.shape[0])
+    for sl, cplx in zip(form.psd_slices, form.psd_complex):
+        row_weight[sl] = np.sqrt(2.0) if cplx else 1.0
     D, E = np.ones(A.shape[0]), np.ones(A.shape[1])
     for _ in range(10):
-        mag = abs(A)
-        rows = np.asarray(mag.max(axis=1).todense()).ravel()
+        mag = abs(A).toarray() / row_weight[:, None]
+        rows = mag.max(axis=1)
         for sl in form.psd_slices:
             rows[sl] = rows[sl].max()
         dr = 1.0 / np.sqrt(np.clip(rows, 1e-10, 1e10))
-        dc = 1.0 / np.sqrt(np.clip(np.asarray(mag.max(axis=0).todense()).ravel(), 1e-10, 1e10))
+        dc = 1.0 / np.sqrt(np.clip(mag.max(axis=0), 1e-10, 1e10))
         A = scipy.sparse.diags(dr) @ A @ scipy.sparse.diags(dc)
         D, E = D * dr, E * dc
     As, bs, cs, Ds, Es = solver.ruiz_equilibrate(form)
@@ -375,8 +502,9 @@ def test_ruiz_equilibrate_matches_matrix_products():
 
 def test_assemble_matches_dense_evaluation():
     # s = b - A x must reproduce every row of the program at any parameter
-    # vector: the constraint values, and each PSD block as the realified
-    # (complex) or plain (real) dense matrix PsdBlock.evaluate builds
+    # vector: the constraint values, and each PSD block, divided by its
+    # weight and read back as a matrix, as the dense matrix
+    # PsdBlock.evaluate builds
     rng = np.random.default_rng(5)
     prog = ConicProgram()
     W = prog.add_matrix_var("W", 3)
@@ -405,7 +533,8 @@ def test_assemble_matches_dense_evaluation():
     prog.add_psd_block(rblock)
 
     form = assemble(prog)
-    assert form.psd_sides == [8, 3]
+    assert form.psd_sides == [4, 3]
+    assert form.psd_complex == [True, False]
     for _ in range(5):
         x = rng.standard_normal(form.n_x)
         assignments = prog.split_solution(x, form.offsets)
@@ -415,8 +544,9 @@ def test_assemble_matches_dense_evaluation():
         # zero rows hold -expr (A = g, b = -const), nonnegative rows +expr
         assert s[0] == pytest.approx(-eq.evaluate(assignments, prog), rel=1e-12)
         assert s[1] == pytest.approx(ineq.evaluate(assignments, prog), rel=1e-12)
-        expected = [realify_matrix(cblock.evaluate(assignments, prog)),
-                    rblock.evaluate(assignments, prog)]
-        for side, sl, M in zip(form.psd_sides, form.psd_slices, expected):
-            np.testing.assert_allclose(smat(s[sl], side, svec_indices(side)), M,
-                                       rtol=0, atol=1e-12)
+        expected = [cblock.evaluate(assignments, prog), rblock.evaluate(assignments, prog)]
+        for side, sl, cplx, M in zip(form.psd_sides, form.psd_slices, form.psd_complex,
+                                     expected):
+            np.testing.assert_allclose(
+                coords_to_matrix(s[sl] / solver.block_weight(cplx), side, cplx), M,
+                rtol=0, atol=1e-12)
