@@ -1,6 +1,7 @@
 """Command line front end: sweeps, heatmaps, estimator runs, invariant checks.
 
-Exit codes: 0 success, 2 infeasible scenario, 1 internal error.
+Exit codes: 0 success, 2 infeasible scenario (the message names the violated
+constraint), 1 internal error.
 """
 
 import argparse
@@ -161,7 +162,7 @@ def main(argv=None):
     try:
         return handler(args)
     except ScenarioInfeasibleError as exc:
-        print(f"infeasible scenario: {exc}", file=sys.stderr)
+        print(f"infeasible scenario: {exc} (violated: {exc.violated})", file=sys.stderr)
         return 2
     except Exception as exc:  # surfaced with a message, not a traceback
         print(f"error: {exc}", file=sys.stderr)

@@ -191,62 +191,24 @@ def _mrt_covariances(channels, per_user_power):
     return out
 
 
-def _sinr_slack_exprs(program, w_vars, channels, gamma_th, noise):
-    exprs = []
-    for k in range(channels.n_users):
-        Hk = channels.outer(k)
-        e = LinExpr(-noise)
-        for i, var in enumerate(w_vars):
-            scale = 1.0 / gamma_th if i == k else -1.0
-            e = e + real_trace(scale * Hk, var)
-        exprs.append(e)
-    return exprs
-
-
 def init_feasible(scenario, channels=None):
     """Feasible per-user covariances {W_k} for the constraint block.
 
-    SINR active: solve the semidefinite power-minimization relaxation, then
-    rescale along a 1-D power scan to maximize the energy-efficiency slack.
-    SINR off with a point target: the budget goes to the target-matched
-    direction (the sensing-only start), then the same scan.  SINR off
-    otherwise: maximum-ratio directions at full budget, then the scan.
+    SINR active: the closed-form minimum-power covariances that meet every
+    SINR floor with equality (see _min_power_covariances), then a 1-D power
+    scan that maximizes the energy-efficiency slack.  SINR off with a point
+    target: the budget goes to the target-matched direction (the
+    sensing-only start), then the same scan.  SINR off otherwise:
+    maximum-ratio directions at full budget, then the scan.
     """
     if channels is None:
         channels = scenario.channels()
     K = channels.n_users
     P = scenario.power_budget
-    noise = scenario.comm_noise
-    gamma_th = scenario.sinr_threshold
 
-    if gamma_th > 0:
-        for k in range(K):
-            cap = float(np.linalg.norm(channels.vectors[k]) ** 2) * P / noise
-            if gamma_th > cap:
-                raise ScenarioInfeasibleError(
-                    f"SINR threshold exceeds the single-user matched-filter ceiling for user {k}",
-                    violated=f"sinr:user{k}")
-        prog = ConicProgram()
-        w_vars = [prog.add_matrix_var(f"W{k}", scenario.geom.n_tx) for k in range(K)]
-        for var in w_vars:
-            prog.psd_var(var)
-        obj = LinExpr()
-        for var in w_vars:
-            obj = obj + real_trace(np.eye(var.side), var)
-        prog.set_objective(obj)
-        for e in _sinr_slack_exprs(prog, w_vars, channels, gamma_th, noise):
-            prog.add_ineq(e)
-        prog.add_ineq(LinExpr(P) - obj)
-        sol = solve(prog, tol=1e-7)
-        if sol.status == "infeasible":
-            raise ScenarioInfeasibleError(
-                "SINR constraints cannot be met within the power budget",
-                violated="sinr")
-        if not sol.optimal:
-            raise ScenarioInfeasibleError(
-                f"feasibility program did not converge (status {sol.status})",
-                violated="sinr")
-        W0 = [_psd_cleanup(sol.assignments[f"W{k}"]) for k in range(K)]
+    if scenario.sinr_threshold > 0:
+        W0 = _min_power_covariances(channels, scenario.sinr_threshold,
+                                    scenario.comm_noise, P)
     elif isinstance(scenario.target, geometry.PointTarget):
         b = geometry.steering_vector(scenario.geom, scenario.target.distance,
                                      scenario.target.angle)
@@ -256,6 +218,39 @@ def init_feasible(scenario, channels=None):
         W0 = _mrt_covariances(channels, P / K)
 
     return _power_scan(scenario, channels, W0)
+
+
+def _min_power_covariances(channels, gamma_th, noise, budget):
+    """Rank-one covariances of least total power with every SINR at gamma_th.
+
+    Uplink-downlink duality (Bengtsson and Ottersten 2001; Björnson,
+    Bengtsson and Ottersten, IEEE SP Magazine 2014): with q_k = h_k/sqrt(noise)
+    and M = I + sum_i lam_i q_i q_i^H, the dual powers solve
+    lam_k = 1 / ((1 + 1/gamma) q_k^H M^-1 q_k), and their sum is the least
+    total power.  The fixed-point iteration from lam = 0 rises monotonically
+    to that solution, or diverges when no power meets the floors, so the
+    floors are out of the budget's reach once the sum passes it.  The beams
+    point along M^-1 q_k; their powers make every SINR row tight.
+    """
+    Q = np.stack(channels.vectors, axis=1) / np.sqrt(noise)
+    n, K = Q.shape
+    lam = np.zeros(K)
+    while True:
+        X = np.linalg.solve(np.eye(n) + (Q * lam) @ Q.conj().T, Q)
+        d = (1.0 + 1.0 / gamma_th) * np.real(np.sum(Q.conj() * X, axis=0))
+        # d_k * budget <= 1 means lam_k >= budget, and keeps 1/d finite
+        if np.any(d * budget <= 1.0) or np.sum(1.0 / d) > budget:
+            raise ScenarioInfeasibleError(
+                "SINR constraints cannot be met within the power budget",
+                violated="sinr")
+        lam, prev = 1.0 / d, lam
+        if np.sum(lam - prev) <= 1e-13 * np.sum(lam):
+            break
+    V = X / np.linalg.norm(X, axis=0)
+    G = np.abs(Q.conj().T @ V) ** 2     # G[k, i] = |q_k^H v_i|^2
+    # tight SINR rows: G_kk p_k / gamma - sum_{i != k} G_ki p_i = 1
+    p = np.linalg.solve(np.diag((1.0 + 1.0 / gamma_th) * np.diag(G)) - G, np.ones(K))
+    return [p[k] * np.outer(V[:, k], V[:, k].conj()) for k in range(K)]
 
 
 def _psd_cleanup(W):
@@ -346,8 +341,12 @@ def _add_constraint_block(prog, state, scenario, w_vars):
     prog.add_ineq(LinExpr(scenario.power_budget) - total_tr)
 
     if scenario.sinr_threshold > 0:
-        for e in _sinr_slack_exprs(prog, w_vars, channels,
-                                   scenario.sinr_threshold, scenario.comm_noise):
+        for k in range(K):
+            Hk = channels.outer(k)
+            e = LinExpr(-scenario.comm_noise)
+            for i, var in enumerate(w_vars):
+                scale = 1.0 / scenario.sinr_threshold if i == k else -1.0
+                e = e + real_trace(scale * Hk, var)
             prog.add_ineq(e)
 
     if scenario.ee_threshold > 0:

@@ -89,7 +89,9 @@ def test_estimate_subcommand_deterministic(tmp_path):
 def test_infeasible_scenario_exit_code(tmp_path, capsys):
     cfg = _config_file(tmp_path, constraints={"sinr_db": 400.0})
     assert cli.main(["estimate", "--config", cfg]) == 2
-    assert "infeasible" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "infeasible" in err
+    assert "violated: sinr" in err
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from nfisac import bounds, geometry, metrics, sca
+from nfisac import bounds, config, geometry, metrics, sca
+from nfisac.conic import ConicProgram, LinExpr, real_trace, solve
 from nfisac.errors import (
     InvalidArgumentError,
     RankViolationError,
@@ -103,10 +106,53 @@ def test_init_feasible_sensing_only_is_target_matched():
     assert overlap == pytest.approx(1.0, rel=1e-10)
 
 
+def _two_user_scenario(**overrides):
+    users = (geometry.UserSpec(distance=5.0, angle=0.3, id=0),
+             geometry.UserSpec(distance=7.0, angle=-0.4, id=1))
+    return _small_scenario(**{"users": users, "sinr_threshold": 5.0, **overrides})
+
+
+def _min_power_sdp(scn, channels):
+    """Reference: the SINR-constrained power minimization as a conic program.
+
+    Its relaxation is tight, so its optimum is the closed-form start.
+    """
+    prog = ConicProgram()
+    w_vars = [prog.add_matrix_var(f"W{k}", scn.geom.n_tx) for k in range(channels.n_users)]
+    for var in w_vars:
+        prog.psd_var(var)
+    obj = LinExpr()
+    for var in w_vars:
+        obj = obj + real_trace(np.eye(var.side), var)
+    prog.set_objective(obj)
+    for k in range(channels.n_users):
+        e = LinExpr(-scn.comm_noise)
+        for i, var in enumerate(w_vars):
+            scale = 1.0 / scn.sinr_threshold if i == k else -1.0
+            e = e + real_trace(scale * channels.outer(k), var)
+        prog.add_ineq(e)
+    prog.add_ineq(LinExpr(scn.power_budget) - obj)
+    sol = solve(prog, tol=1e-8)
+    assert sol.optimal
+    return [sca._psd_cleanup(sol.assignments[f"W{k}"]) for k in range(channels.n_users)]
+
+
+def test_min_power_start_matches_sdp_oracle():
+    scn = _two_user_scenario()
+    channels = scn.channels()
+    W_ref = _min_power_sdp(scn, channels)
+    W_min = sca._min_power_covariances(channels, scn.sinr_threshold, scn.comm_noise,
+                                       scn.power_budget)
+    for W, R in zip(W_min, W_ref):
+        assert np.linalg.norm(W - R) <= 1e-6 * np.linalg.norm(R)
+    assert sca.rank_residual(W_min) <= 1e-12
+    slacks = sca.evaluate_slacks(scn, channels, W_min)
+    for k in range(2):
+        assert slacks[f"sinr{k}"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_init_feasible_with_sinr_meets_every_constraint():
-    scn = _small_scenario(sinr_threshold=5.0, ee_threshold=1.0,
-                          users=(geometry.UserSpec(distance=5.0, angle=0.3, id=0),
-                                 geometry.UserSpec(distance=7.0, angle=-0.4, id=1)))
+    scn = _two_user_scenario(ee_threshold=1.0)
     channels = scn.channels()
     W0 = sca.init_feasible(scn, channels)
     slacks = sca.evaluate_slacks(scn, channels, W0)
@@ -114,10 +160,42 @@ def test_init_feasible_with_sinr_meets_every_constraint():
     assert min(slacks.values()) >= -1e-6
 
 
+def test_init_feasible_is_unit_free():
+    # SINR rows read the channels only through h_k / sqrt(noise)
+    scn = _two_user_scenario(ee_threshold=1.0)
+    channels = scn.channels()
+    small = geometry.ChannelSet(vectors=tuple(1e-4 * h for h in channels.vectors))
+    W0 = sca.init_feasible(scn, channels)
+    W1 = sca.init_feasible(replace(scn, comm_noise=1e-8 * scn.comm_noise), small)
+    for W, V in zip(W0, W1):
+        assert np.linalg.norm(W - V) <= 1e-12 * np.linalg.norm(W)
+
+
+def test_init_feasible_at_paper_scale():
+    scn = config.config_to_scenario(config.default_config("paper"))
+    channels = scn.channels()
+    W0 = sca.init_feasible(scn, channels)
+    assert min(sca.evaluate_slacks(scn, channels, W0).values()) >= 0.0
+
+
 def test_init_feasible_rejects_unreachable_sinr():
     scn = _small_scenario(sinr_threshold=1e30)
-    with pytest.raises(ScenarioInfeasibleError):
+    with pytest.raises(ScenarioInfeasibleError) as err:
         sca.init_feasible(scn)
+    assert err.value.violated == "sinr"
+
+
+def test_init_feasible_users_at_one_spot():
+    # two users share one channel: SINR 10 is beyond any power, SINR 0.5 is met
+    user = geometry.UserSpec(distance=5.0, angle=0.3, id=0)
+    scn = _small_scenario(users=(user, replace(user, id=1)), sinr_threshold=10.0)
+    with pytest.raises(ScenarioInfeasibleError) as err:
+        sca.init_feasible(scn)
+    assert err.value.violated == "sinr"
+    scn = replace(scn, sinr_threshold=0.5)
+    channels = scn.channels()
+    W0 = sca.init_feasible(scn, channels)
+    assert min(sca.evaluate_slacks(scn, channels, W0).values()) >= -1e-12
 
 
 def test_evaluate_slacks_power_formula():
@@ -261,9 +339,8 @@ def test_point_sca_records_each_solve(monkeypatch):
     monkeypatch.setattr(sca, "solve", recording_solve)
     opts = sca.ScaOptions(max_iter=3, sdp_max_iter=200)
     _, _, trace, _ = sca.solve_point_sca(_small_scenario(sinr_threshold=3.0), opts)
-    subproblems = returned[1:]   # the first solve is init_feasible's
-    assert len(trace.solves) == len(trace.objectives) == len(subproblems) == 3
-    for rec, sol in zip(trace.solves, subproblems):
+    assert len(trace.solves) == len(trace.objectives) == len(returned) == 3
+    for rec, sol in zip(trace.solves, returned):
         assert rec == sca.SolveRecord(sol.status, sol.iterations, sol.primal_residual,
                                       sol.dual_residual, sol.duality_gap)
     assert "max_iter" in [rec.status for rec in trace.solves]
