@@ -17,14 +17,15 @@ takes the steps it would take on the real program.  In orthonormal
 coordinates the PSD cone is self-dual under the plain dot product, so
 project_cone serves K* as well once the zero rows are left free.
 
-Each iteration is a few dense kernels on data prepared once:
-  - the x-update multiplies by the inverse of sigma*I + rho*A^T A, computed
-    in place (Cholesky, then inversion) once per value of rho; programs with
-    more than DENSE_LIMIT unknowns keep a sparse LU factorization instead;
-  - products with A and A^T hold A's dense rows as one dense array;
+Each iteration costs what the structure of A allows, on data prepared once
+per solve and once per value of rho (as in SCS):
+  - products with A and A^T go through _RowSplit: one-entry rows as
+    triplets, the other rows as a thin SVD of rank r (15 at desk size);
+  - the x-update (_XSolver) is a Woodbury solve through that rank, so
+    A^T A is never formed;
   - project_cone reads each block's coordinates as its n x n Hermitian or
-    symmetric matrix through index arrays built once per StandardForm;
-    blocks of one side and kind share one batched eigendecomposition.
+    symmetric matrix through index arrays built once per StandardForm and
+    computes only the block's positive eigenpairs.
 
 Data is Ruiz-equilibrated first with one uniform scale factor per PSD block
 (row scaling must not break cone membership).  Convergence is declared on
@@ -35,10 +36,8 @@ ray certificate and is heuristic, not a proof.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.sparse
-import scipy.sparse.linalg
 
 from . import model as mdl
 from .model import SQRT2
@@ -51,8 +50,6 @@ SIGMA = 1e-6
 ALPHA = 1.6
 #: iterations between residual checks
 CHECK_EVERY = 25
-#: largest x dimension factored densely (Cholesky); larger ones use splu
-DENSE_LIMIT = 2500
 
 
 def block_weight(complex_block):
@@ -76,10 +73,10 @@ class StandardForm:
     psd_complex: list   # per block: True for a complex Hermitian block
     n_x: int
     offsets: dict
-    psd_groups: list = field(init=False)
+    psd_maps: list = field(init=False)
 
     def __post_init__(self):
-        self.psd_groups = _psd_groups(self)
+        self.psd_maps = _psd_maps(self)
 
 
 def _expr_entries(expr, offsets):
@@ -179,48 +176,63 @@ def assemble(program):
 # cone projections
 
 
-def _psd_groups(form):
-    """Index maps of the PSD blocks, stacked per (side, complex) group.
+def _psd_maps(form):
+    """Per PSD block, the index maps project_cone reads and writes it through.
 
-    Each group is (n, complex, dst, gather, local, to_matrix, to_coords):
-    the group's stacked matrices, as floats, are v[gather] * to_matrix, and
-    the rows dst of a projection P are bincount(local, P * to_coords).
-    These are model.coordinate_map's index and weight, shifted to the
-    group's rows and divided (multiplied) by the block weight.
+    Each is (n, complex, rows, gather, local, to_matrix, to_coords): the
+    block's matrix, as floats, is v[gather] * to_matrix, and the rows of
+    its projection P are bincount(local, P * to_coords).  local and the
+    weights are model.coordinate_map's index and weight, the weights
+    divided (multiplied) by the block weight; gather is that index shifted
+    to the block's rows.
     """
-    members = {}
-    for sl, side, cplx in zip(form.psd_slices, form.psd_sides, form.psd_complex):
-        members.setdefault((side, cplx), []).append(sl)
-    groups = []
-    for (n, cplx), slices in members.items():
+    maps = []
+    for rows, n, cplx in zip(form.psd_slices, form.psd_sides, form.psd_complex):
         index, weight = mdl.coordinate_map(n, cplx)
-        size = slices[0].stop - slices[0].start
-        dst = np.concatenate([np.arange(sl.start, sl.stop) for sl in slices])
-        local = np.concatenate([index.ravel() + g * size for g in range(len(slices))])
-        weights = np.tile(weight.ravel(), len(slices))
+        local = index.ravel()
         scale = block_weight(cplx)
-        groups.append((n, cplx, dst, dst[local], local, weights / scale, weights * scale))
-    return groups
+        maps.append((n, cplx, rows, local + rows.start, local, weight.ravel() / scale,
+                     weight.ravel() * scale))
+    return maps
+
+
+def _positive_part(B, cplx):
+    """B's projection onto the PSD cone, or None when B has no negative eigenvalue.
+
+    Only the eigenpairs with positive eigenvalues are computed (LAPACK
+    ?heevr/?syevr over (0, inf)); in the design programs nearly every W
+    block has one.  A block on which that routine fails is decomposed in
+    full.
+    """
+    evr = scipy.linalg.lapack.zheevr if cplx else scipy.linalg.lapack.dsyevr
+    w, V, m, _, info = evr(B, range="V", vl=0.0, vu=np.inf)
+    if info == 0:
+        w, V = w[:m], V[:, :m]
+    else:
+        w, V = np.linalg.eigh(B)
+        w, V = w[w > 0], V[:, w > 0]
+    if w.size == B.shape[0]:
+        return None
+    return (V * w) @ V.conj().T
 
 
 def project_cone(v, form):
     """Euclidean projection onto K = {0}^p x R+^q x PSD(m_1) x ..., blocks in coordinates.
 
-    Blocks of one side and kind share one batched eigendecomposition.
+    A PSD block with no negative eigenvalue keeps its rows.
     """
     out = v.copy()
     out[: form.n_zero] = 0.0
     ng = slice(form.n_zero, form.n_zero + form.n_nonneg)
     out[ng] = np.maximum(out[ng], 0.0)
-    for n, cplx, dst, gather, local, to_matrix, to_coords in form.psd_groups:
-        M = v[gather] * to_matrix
+    for n, cplx, rows, gather, local, to_matrix, to_coords in form.psd_maps:
+        B = v[gather] * to_matrix
         if cplx:
-            M = M.view(complex)
-        w, V = np.linalg.eigh(M.reshape(-1, n, n))
-        if w.min() < 0:
-            P = (V * np.maximum(w, 0.0)[:, None, :]) @ V.conj().swapaxes(1, 2)
-            out[dst] = np.bincount(local, weights=P.view(float).ravel() * to_coords,
-                                   minlength=dst.size)
+            B = B.view(complex)
+        P = _positive_part(B.reshape(n, n), cplx)
+        if P is not None:
+            out[rows] = np.bincount(local, weights=P.view(float).ravel() * to_coords,
+                                    minlength=rows.stop - rows.start)
     return out
 
 
@@ -285,6 +297,7 @@ class ConicSolution:
     dual_residual: float
     duality_gap: float
     iterations: int
+    rho_changes: int   # times the ADMM penalty rho was doubled or halved
     x: np.ndarray
     y: np.ndarray
     s: np.ndarray
@@ -295,81 +308,93 @@ class ConicSolution:
 
 
 class _RowSplit:
-    """A for the ADMM products, its dense rows held as one dense array.
+    """A for the ADMM products: one-entry rows as triplets, the rest as L Z^T.
 
-    A row is dense when more than half its entries are set.  In the design
-    programs these are the power, SINR, energy-efficiency and Schur rows:
-    a tenth of the rows, nearly all of the entries.
+    A row with one entry is kept as (row, col, value).  Every other row
+    that has entries is in the block L Z^T of a thin SVD (L with orthonormal
+    columns, Z scaled by the singular values), truncated at numpy's
+    matrix_rank tolerance.  In the design programs the one-entry rows are
+    mostly the PSD blocks' variable coordinates, and the others are the
+    power, SINR, energy-efficiency and Schur rows, which see the W blocks
+    through a few functionals: at desk size 141 of them have rank 15.
     """
 
     def __init__(self, A):
-        m, n = A.shape
-        self.csr = A
         self.shape = A.shape
-        self.rows = np.flatnonzero(np.diff(A.indptr) > n // 2)
-        keep = np.ones(m)
-        keep[self.rows] = 0.0
-        self.dense = A[self.rows].toarray()
-        self.sparse = (scipy.sparse.diags(keep) @ A).tocsr()
-        self.sparse.eliminate_zeros()
-        self.sparse_T = self.sparse.T.tocsr()
+        counts = np.diff(A.indptr)
+        self.rows1 = np.flatnonzero(counts == 1)
+        self.cols1 = A.indices[A.indptr[self.rows1]]
+        self.vals1 = A.data[A.indptr[self.rows1]]
+        self.rows = np.flatnonzero(counts > 1)
+        U, sv, Vt = np.linalg.svd(A[self.rows].toarray(), full_matrices=False)
+        tol = sv.max(initial=0.0) * max(A.shape[1], self.rows.size) * np.finfo(float).eps
+        rank = np.count_nonzero(sv > tol)
+        self.L = U[:, :rank]
+        self.Z = Vt[:rank].T * sv[:rank]
 
     def dot(self, x):
         """A x."""
-        out = self.sparse @ x
-        out[self.rows] = self.dense @ x
+        out = np.zeros(self.shape[0])
+        out[self.rows1] = self.vals1 * x[self.cols1]
+        out[self.rows] = self.L @ (self.Z.T @ x)
         return out
 
     def tdot(self, y):
         """A^T y."""
-        return self.sparse_T @ y + self.dense.T @ y[self.rows]
-
-    def gram(self):
-        """A^T A as a dense array."""
-        G = self.dense.T @ self.dense
-        S = (self.sparse_T @ self.sparse).tocoo()
-        np.add.at(G, (S.row, S.col), S.data)
-        return G
+        out = self.Z @ (self.L.T @ y[self.rows])
+        out += np.bincount(self.cols1, weights=self.vals1 * y[self.rows1],
+                           minlength=self.shape[1])
+        return out
 
 
 class _XSolver:
-    """Cached solve of (sigma I + rho A^T A) x = rhs; refactors on rho change.
+    """Solve of (sigma I + rho A^T A) x = rhs, rebuilt in O(n r^2) on each rho change.
 
-    Dense: the inverse itself, from an in-place Cholesky factorization and
-    inversion (LAPACK potrf/potri), so a solve is one matrix-vector product.
-    Sparse: a splu factorization.  A is a _RowSplit.
+    With A a _RowSplit, sigma I + rho A^T A = Delta + rho Z Z^T, where the
+    diagonal Delta = sigma + rho d holds the one-entry rows' squares d.  On
+    the columns F that a one-entry row touches, x_F = Delta_F^-1 (rhs_F -
+    rho Z_F p) with p = Z^T x, which is Woodbury's formula.  The other
+    columns T (the energy-efficiency auxiliaries of the design programs)
+    have Delta = sigma, where that formula's cancellation loses digits in
+    proportion to rho / sigma, so x_T is kept as an unknown beside p:
+
+        (I + rho Z_F^T Delta_F^-1 Z_F) p - Z_T^T x_T = Z_F^T Delta_F^-1 rhs_F
+        rho Z_T p + sigma x_T                        = rhs_T
+
+    an (r + |T|)-square system: the r x r capacitance matrix bordered by
+    the columns T.  Its solution operator is formed once per rho.
     """
 
     def __init__(self, A):
         self.n = A.shape[1]
-        self.dense = self.n <= DENSE_LIMIT
-        self.ATA = A.gram() if self.dense else (A.csr.T @ A.csr).tocsc()
+        self.d = np.bincount(A.cols1, weights=A.vals1 ** 2, minlength=self.n)
+        self.T = np.flatnonzero(self.d == 0)
+        self.Z = A.Z
         self.rho = None
-        self.factor = np.empty((self.n, self.n), order="F") if self.dense else None
 
     def set_rho(self, rho):
-        if self.rho == rho:
-            return
         self.rho = rho
-        if self.dense:
-            # potrf and potri overwrite the Fortran-ordered buffer; the
-            # inverse is left in its lower triangle, which symv reads
-            Q = self.factor
-            np.multiply(self.ATA, rho, out=Q)
-            Q.flat[:: self.n + 1] += SIGMA
-            _, info = scipy.linalg.lapack.dpotrf(Q, lower=1, clean=0, overwrite_a=1)
-            if info == 0:
-                _, info = scipy.linalg.lapack.dpotri(Q, lower=1, overwrite_c=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"x-update matrix not positive definite ({info})")
-        else:
-            Q = (self.rho * self.ATA + SIGMA * scipy.sparse.eye(self.n)).tocsc()
-            self.factor = scipy.sparse.linalg.splu(Q)
+        r, t = self.Z.shape[1], self.T.size
+        delta = SIGMA + rho * self.d
+        Zd = self.Z / delta[:, None]
+        Zd[self.T] = 0.0   # Z_F Delta_F^-1
+        Z_T = self.Z[self.T]
+        bordered = np.block([[np.eye(r) + rho * (self.Z.T @ Zd), -Z_T.T],
+                             [rho * Z_T, SIGMA * np.eye(t)]])
+        gather = np.zeros((r + t, self.n))
+        gather[:r] = Zd.T
+        gather[r + np.arange(t), self.T] = 1.0
+        # rhs -> (p, x_T)
+        self.to_border = np.linalg.solve(bordered, gather)
+        self.inv_delta = 1.0 / delta
+        self.back = rho * Zd
 
     def solve(self, rhs):
-        if self.dense:
-            return scipy.linalg.blas.dsymv(1.0, self.factor, rhs, lower=1)
-        return self.factor.solve(rhs)
+        r = self.Z.shape[1]
+        border = self.to_border @ rhs
+        x = rhs * self.inv_delta - self.back @ border[:r]
+        x[self.T] = border[r:]
+        return x
 
 
 def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000):
@@ -381,7 +406,7 @@ def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000)
     form = assemble(program)
     A, b, c, D, E = ruiz_equilibrate(form)
     m, n = A.shape
-    A0, b0, c0 = form.A, form.b, form.c
+    b0, c0 = form.b, form.c
     norm_b = 1.0 + np.linalg.norm(b0)
     norm_c = 1.0 + np.linalg.norm(c0)
 
@@ -401,7 +426,7 @@ def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000)
     xsolver.set_rho(rho)
 
     status = "max_iter"
-    it = 0
+    it = rho_changes = 0
     pri = dual = gap = np.inf
     y_prev_check = None
     for it in range(1, max_iter + 1):
@@ -414,11 +439,11 @@ def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000)
         x = x_new
 
         if it % CHECK_EVERY == 0 or it == max_iter:
+            # unscaled residuals: A0 = diag(1/D) A diag(1/E), y0 = rho D u
             x_orig = E * x
-            s_orig = s / D
             y_orig = rho * (D * u)
-            pri = np.linalg.norm(A0 @ x_orig + s_orig - b0) / norm_b
-            dual = np.linalg.norm(c0 + A0.T @ y_orig) / norm_c
+            pri = np.linalg.norm((Ax + s - b) / D) / norm_b
+            dual = np.linalg.norm((c + rho * op.tdot(u)) / E) / norm_c
             cx = c0 @ x_orig
             by = b0 @ y_orig
             gap = abs(cx + by) / (1.0 + abs(cx) + abs(by))
@@ -432,7 +457,7 @@ def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000)
                 dy[: form.n_zero] = step[: form.n_zero]
                 ndy = np.linalg.norm(dy)
                 if ndy > 0:
-                    if (np.linalg.norm(A0.T @ dy) <= 1e-7 * ndy
+                    if (np.linalg.norm(op.tdot(dy / D) / E) <= 1e-7 * ndy
                             and b0 @ dy < -1e-9 * ndy):
                         status = "infeasible"
                         break
@@ -442,10 +467,11 @@ def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000)
                 if pri > 10.0 * dual and rho < 1e6:
                     rho *= 2.0
                     u /= 2.0
-                    xsolver.set_rho(rho)
                 elif dual > 10.0 * pri and rho > 1e-6:
                     rho /= 2.0
                     u *= 2.0
+                if rho != xsolver.rho:
+                    rho_changes += 1
                     xsolver.set_rho(rho)
 
     x_orig = E * x
@@ -455,5 +481,5 @@ def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000)
     objective = float(form.c @ x_orig + 0.0) + program.objective.const
     return ConicSolution(status=status, assignments=assignments, objective=objective,
                          primal_residual=float(pri), dual_residual=float(dual),
-                         duality_gap=float(gap), iterations=it,
+                         duality_gap=float(gap), iterations=it, rho_changes=rho_changes,
                          x=x_orig, y=y_orig, s=s_orig)

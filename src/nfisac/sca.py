@@ -76,6 +76,7 @@ class SolveRecord:
     primal_residual: float
     dual_residual: float
     duality_gap: float
+    rho_changes: int
 
 
 @dataclass
@@ -583,7 +584,8 @@ def _sca_loop(scenario, options, state, build, bound_from_solution):
         sol = solve(prog, tol=options.sdp_tol, max_iter=options.sdp_max_iter,
                     warm_start=warm)
         trace.solves.append(SolveRecord(sol.status, sol.iterations, sol.primal_residual,
-                                        sol.dual_residual, sol.duality_gap))
+                                        sol.dual_residual, sol.duality_gap,
+                                        sol.rho_changes))
         if sol.status == "infeasible" or (not sol.optimal and sol.status != "max_iter"):
             trace.status = "degraded"
             break

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse
-import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from nfisac.bounds import realify_matrix
@@ -246,39 +246,34 @@ def test_sdp_dominance():
     assert sol.objective == pytest.approx(evals[evals > 0].sum(), abs=1e-5)
 
 
-def test_sparse_x_update_matches_dense(monkeypatch):
-    # every program in the package is small enough for the dense Cholesky
-    # x-update; a zero cutoff sends this one through the sparse LU branch
-    prog, _ = _dominance_program()
-    dense = solve(prog, tol=1e-9)
-    factored = []
-    splu = scipy.sparse.linalg.splu
-    monkeypatch.setattr(solver, "DENSE_LIMIT", 0)
-    monkeypatch.setattr(scipy.sparse.linalg, "splu",
-                        lambda Q: factored.append(Q.shape) or splu(Q))
-    sparse = solve(prog, tol=1e-9)
-    assert factored
-    assert sparse.status == dense.status == "optimal"
-    assert sparse.objective == pytest.approx(dense.objective, abs=1e-9 * (1 + abs(dense.objective)))
-    np.testing.assert_allclose(sparse.x, dense.x, rtol=0, atol=1e-9 * (1 + np.linalg.norm(dense.x)))
-
-
-def test_x_update_inverse_matches_dense_solve():
-    # the cached inverse of sigma I + rho A^T A, refreshed on each rho change;
-    # A mixes dense rows (held as one array) with sparse ones
+def _low_rank_rows():
+    """A of 12 columns: one-entry rows (one column twice, one column never),
+    an empty row, and 8 multi-entry rows of rank 3 interleaved with them."""
     rng = np.random.default_rng(7)
-    dense = rng.standard_normal((6, 12))
-    sparse = scipy.sparse.random(30, 12, density=0.1, random_state=8).toarray()
-    sparse[np.arange(12), np.arange(12)] += 1.0
-    A = scipy.sparse.csr_matrix(np.vstack([sparse[:15], dense, sparse[15:]]))
+    single = np.zeros((12, 12))
+    single[np.arange(11), np.arange(11)] = rng.uniform(0.5, 2.0, 11)
+    single[11, 4] = -0.7          # a second one-entry row on column 4
+    multi = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 12))
+    A = np.vstack([single[:5], multi[:4], np.zeros((1, 12)), single[5:], multi[4:]])
+    return scipy.sparse.csr_matrix(A)
+
+
+def test_x_update_matches_dense_solve():
+    # the low-rank split of A and the bordered Woodbury solve of
+    # sigma I + rho A^T A; column 11 is touched by the multi-entry rows only,
+    # where plain Woodbury loses digits as rho / sigma grows
+    A = _low_rank_rows()
     op = solver._RowSplit(A)
-    assert op.rows.tolist() == list(range(15, 21))
-    x, y = rng.standard_normal(12), rng.standard_normal(36)
+    assert op.rows.tolist() == [5, 6, 7, 8, 17, 18, 19, 20]
+    assert op.Z.shape == (12, 3)
+    rng = np.random.default_rng(8)
+    x, y = rng.standard_normal(12), rng.standard_normal(21)
     np.testing.assert_allclose(op.dot(x), A @ x, rtol=0, atol=1e-12 * np.abs(A @ x).max())
     np.testing.assert_allclose(op.tdot(y), A.T @ y, rtol=0, atol=1e-12 * np.abs(A.T @ y).max())
     xs = solver._XSolver(op)
+    assert xs.T.tolist() == [11]
     AtA = (A.T @ A).toarray()
-    for rho in (1.0, 8.0, 0.125, 1.0):
+    for rho in (1e-3, 1.0, 64.0, 1e3, 1.0):
         xs.set_rho(rho)
         rhs = rng.standard_normal(12)
         ref = np.linalg.solve(solver.SIGMA * np.eye(12) + rho * AtA, rhs)
@@ -287,8 +282,7 @@ def test_x_update_inverse_matches_dense_solve():
 
 def _cone_form():
     # zero rows, nonnegative rows, and PSD blocks: two real of side 3, one
-    # of side 1, two complex of side 2 and one of side 5; blocks of equal
-    # side and kind share a batched projection
+    # of side 1, two complex of side 2 and one of side 5
     prog = ConicProgram()
     t = prog.add_scalar_var("t")
     prog.add_eq(scalar_term(t))
@@ -348,6 +342,59 @@ def test_project_cone_is_idempotent():
                                    atol=1e-12 * np.abs(p).max())
 
 
+def _single_block_form(side):
+    prog = ConicProgram()
+    prog.psd_var(prog.add_matrix_var("W", side))
+    return assemble(prog)
+
+
+def _block_coords(B):
+    return solver.block_weight(True) * matrix_to_coords(B, B.shape[0], True)
+
+
+def test_project_cone_block_that_zheevr_fails_on():
+    # LAPACK zheevr reports info = 1 on this PSD block, which
+    # test_sca::test_extended_penalized_run_is_rank_one_and_feasible reaches
+    u = np.exp(-1.89j * np.arange(4)) / 2
+    B = 0.1 * np.eye(4) + 28.5 * np.outer(u, u.conj())
+    form = _single_block_form(4)
+    v = _block_coords(B)
+    np.testing.assert_allclose(solver.project_cone(v, form), _dense_projection(v, form),
+                               rtol=0, atol=1e-12 * np.abs(v).max())
+
+
+@pytest.mark.parametrize("positive", [0, 1, 16])
+def test_project_cone_near_rank_one_blocks(positive):
+    # a 16 x 16 complex block near a u u^H with 0, 1 or 16 positive
+    # eigenvalues, the cases the design programs' W blocks meet
+    rng = np.random.default_rng(positive)
+    u = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    shift = {0: -0.01, 1: -0.01, 16: 0.01}[positive]
+    B = (1.0 if positive else -1.0) * np.outer(u, u.conj()) + shift * np.eye(16)
+    B += 1e-4 * _random_hermitian(rng, 16)
+    assert np.sum(np.linalg.eigvalsh(B) > 0) == positive
+    form = _single_block_form(16)
+    v = _block_coords(B)
+    np.testing.assert_allclose(solver.project_cone(v, form), _dense_projection(v, form),
+                               rtol=0, atol=1e-12 * np.abs(v).max())
+
+
+def test_project_cone_falls_back_when_lapack_fails(monkeypatch):
+    # every subset eigensolver call reports failure: the full
+    # eigendecomposition gives the same projection
+    def failing(B, **kwargs):
+        return np.zeros(B.shape[0]), np.zeros(B.shape, B.dtype), 0, None, 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zheevr", failing)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", failing)
+    rng = np.random.default_rng(14)
+    form = _cone_form()
+    for psd_blocks in [(), (0, 2), tuple(range(6))]:
+        v = _cone_point(rng, form, psd_blocks)
+        np.testing.assert_allclose(solver.project_cone(v, form), _dense_projection(v, form),
+                                   rtol=0, atol=1e-12 * np.abs(v).max())
+
+
 def test_epigraph_trace_inverse_value():
     # pin Xi to a known PD matrix; min Tr(U) must equal Tr(Xi^-1)
     rng = np.random.default_rng(1)
@@ -389,6 +436,28 @@ def test_infeasible_psd_program_detected():
     sol = solve(prog, infeas_after=500)
     assert sol.status == "infeasible"
     assert sol.iterations == 500
+
+
+def test_rho_changes_counted(monkeypatch):
+    # the infeasible LP keeps a large primal residual, so rho doubles at
+    # each rebalancing check until the certificate stops the run
+    rhos = []
+    set_rho = solver._XSolver.set_rho
+
+    def recording_set_rho(self, rho):
+        rhos.append(rho)
+        set_rho(self, rho)
+
+    monkeypatch.setattr(solver._XSolver, "set_rho", recording_set_rho)
+    prog = ConicProgram()
+    t = prog.add_scalar_var("t")
+    prog.set_objective(scalar_term(t))
+    prog.add_ineq(scalar_term(t) - 1.0)
+    prog.add_ineq(LinExpr(-0.5) - scalar_term(t))
+    sol = solve(prog, tol=1e-8, max_iter=20000, infeas_after=500)
+    assert sol.status == "infeasible"
+    assert rhos == [solver.RHO, 2 * solver.RHO, 4 * solver.RHO]
+    assert sol.rho_changes == 2
 
 
 def test_warm_start_resumes():

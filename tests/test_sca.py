@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from nfisac import bounds, config, geometry, metrics, sca
-from nfisac.conic import ConicProgram, LinExpr, real_trace, solve
+from nfisac.conic import ConicProgram, LinExpr, real_trace, solve, solver
 from nfisac.errors import (
     InvalidArgumentError,
     RankViolationError,
@@ -342,8 +342,39 @@ def test_point_sca_records_each_solve(monkeypatch):
     assert len(trace.solves) == len(trace.objectives) == len(returned) == 3
     for rec, sol in zip(trace.solves, returned):
         assert rec == sca.SolveRecord(sol.status, sol.iterations, sol.primal_residual,
-                                      sol.dual_residual, sol.duality_gap)
+                                      sol.dual_residual, sol.duality_gap, sol.rho_changes)
     assert "max_iter" in [rec.status for rec in trace.solves]
+
+
+class _FirstSubproblem(Exception):
+    pass
+
+
+def test_paper_subproblem_x_update_is_low_rank(monkeypatch):
+    # the first paper-scale subproblem has n_x = 16,394; its ADMM x-update
+    # is built from the rank of the multi-entry rows, without A^T A
+    programs = []
+
+    def first_program(prog, **kwargs):
+        programs.append(prog)
+        raise _FirstSubproblem
+
+    monkeypatch.setattr(sca, "solve", first_program)
+    with pytest.raises(_FirstSubproblem):
+        sca.solve_point_sca(config.config_to_scenario(config.default_config("paper")))
+    A = solver.ruiz_equilibrate(solver.assemble(programs[0]))[0]
+    op = solver._RowSplit(A)
+    assert A.shape[1] == 16394
+    assert (op.rows.size, op.Z.shape[1]) == (271, 21)
+    xs = solver._XSolver(op)
+    assert xs.T.size == 4   # one energy-efficiency auxiliary per user
+    rng = np.random.default_rng(3)
+    for rho in (1.0, 1e3):
+        xs.set_rho(rho)
+        rhs = rng.standard_normal(A.shape[1])
+        x = xs.solve(rhs)
+        residual = solver.SIGMA * x + rho * (A.T @ (A @ x)) - rhs
+        assert np.linalg.norm(residual) < 1e-12 * np.linalg.norm(rhs)
 
 
 def test_point_sca_requires_point_target():
