@@ -109,6 +109,23 @@ def matrix_to_params(var, M):
                        minlength=var.n_params)
 
 
+def subspace_isometry(U, hermitian):
+    """Phi with coordinates of U Z U^H + a (I - U U^H) / sqrt(n - m) = Phi @ (coords(Z), a).
+
+    U is n x m with orthonormal columns.  U Z U^H and the complement
+    projector are orthogonal under the Frobenius inner product, and the
+    projector has norm sqrt(n - m), so Phi's columns are orthonormal.  A
+    square U has no complement, and Phi no a column.
+    """
+    n, m = U.shape
+    big, small = MatrixVar("V", n, hermitian), MatrixVar("Z", m, hermitian)
+    cols = [matrix_to_params(big, U @ params_to_matrix(small, e) @ U.conj().T)
+            for e in np.eye(small.n_params)]
+    if m < n:
+        cols.append(matrix_to_params(big, np.eye(n) - U @ U.conj().T) / np.sqrt(n - m))
+    return np.column_stack(cols)
+
+
 def trace_coefficients(var, C):
     """Coefficient vector g with Re Tr(C V) = g . params(V)."""
     C = np.asarray(C)
@@ -256,6 +273,7 @@ class ConicProgram:
         self.eq_constraints = []    # LinExpr == 0
         self.ineq_constraints = []  # LinExpr >= 0
         self.psd_blocks = []
+        self.restrictions = {}      # name -> U, see restrict
 
     # -- declaration ------------------------------------------------------
     def add_matrix_var(self, name, side, hermitian=True):
@@ -315,6 +333,35 @@ class ConicProgram:
         block = PsdBlock(f"psd:{var.name}", var.side, complex_valued=var.hermitian)
         block.add_var(var)
         return self.add_psd_block(block)
+
+    def own_block(self, name):
+        """Index of the block psd_var added for a variable, or None."""
+        for j, block in enumerate(self.psd_blocks):
+            if (block.terms == [("var", name, 0)] and block.side == self.variables[name].side
+                    and not block.const.any()):
+                return j
+        return None
+
+    def restrict(self, var, U):
+        """Solve with V = U Z U^H + a (I - U U^H), Z PSD and a >= 0, in place of V PSD.
+
+        V must be PSD through psd_var, and U (n x m) must have orthonormal
+        columns, real for a real symmetric V.  The restriction loses nothing
+        when every datum that sees V maps that subspace to itself, as a
+        Fisher-information or channel matrix whose row and column spaces
+        lie in span U, and the identity, do.  solver.solve applies it after
+        equilibration; solutions stay in V's coordinates.
+        """
+        U = np.asarray(U)
+        if self.variables.get(var.name) is not var or self.own_block(var.name) is None:
+            raise InvalidArgumentError(f"{var.name!r} is not a variable constrained by psd_var")
+        if U.ndim != 2 or U.shape[0] != var.side or not 0 < U.shape[1] <= var.side:
+            raise InvalidArgumentError(f"basis of shape {U.shape} for a side-{var.side} variable")
+        if not var.hermitian and np.iscomplexobj(U):
+            raise InvalidArgumentError("complex basis for a real symmetric variable")
+        if np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])) > 1e-10:
+            raise InvalidArgumentError("basis columns are not orthonormal")
+        self.restrictions[var.name] = U
 
     def _check_expr(self, expr):
         for name in expr.terms:

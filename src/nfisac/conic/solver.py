@@ -17,20 +17,34 @@ takes the steps it would take on the real program.  In orthonormal
 coordinates the PSD cone is self-dual under the plain dot product, so
 project_cone serves K* as well once the zero rows are left free.
 
+Data is Ruiz-equilibrated first with one uniform scale factor per PSD block
+(row scaling must not break cone membership).  A program may then restrict
+a PSD variable V to {U Z U^H + a (I - U U^H) : Z PSD, a >= 0} with U an
+n x m orthonormal basis (ConicProgram.restrict): restrict rewrites the
+equilibrated data so that V's columns are Z's coordinates and a, and V's
+PSD block is an m x m block plus one nonnegative row.  When every datum
+maps that subspace to itself the full program's iterates stay in it, so
+the restricted ADMM takes the full program's path on a smaller program
+(an invariant-subspace reduction, Permenter and Parrilo, Math. Programming
+2020).  The design programs restrict each W_k to m = K + 3 directions:
+the desk point-target subproblem runs on 207 x 60 instead of 667 x 520,
+the first paper subproblem on 485 x 210 instead of 16,669 x 16,394.
+
 Each iteration costs what the structure of A allows, on data prepared once
 per solve and once per value of rho (as in SCS):
   - products with A and A^T go through _RowSplit: one-entry rows as
-    triplets, the other rows as a thin SVD of rank r (15 at desk size);
+    triplets, the other rows as a thin SVD of rank r (15 at desk size,
+    21 at paper size, restricted or not);
   - the x-update (_XSolver) is a Woodbury solve through that rank, so
     A^T A is never formed;
   - project_cone reads each block's coordinates as its n x n Hermitian or
     symmetric matrix through index arrays built once per StandardForm and
-    computes only the block's positive eigenpairs.
+    computes only the block's positive eigenpairs.  In the restricted desk
+    program these are two complex 5 x 5 blocks (W_k) and real 2 x 2 and
+    4 x 4 ones (Xi, its epigraph and the Schur block).
 
-Data is Ruiz-equilibrated first with one uniform scale factor per PSD block
-(row scaling must not break cone membership).  Convergence is declared on
-unscaled KKT residuals; primal infeasibility is detected from an approximate
-ray certificate and is heuristic, not a proof.
+Convergence is declared on unscaled KKT residuals; primal infeasibility is
+detected from an approximate ray certificate and is heuristic, not a proof.
 """
 
 from dataclasses import dataclass, field
@@ -40,6 +54,7 @@ import scipy.linalg.lapack
 import scipy.sparse
 
 from . import model as mdl
+from ..errors import InvalidArgumentError
 from .model import SQRT2
 
 #: initial ADMM penalty rho; doubled or halved to rebalance the residuals
@@ -397,14 +412,121 @@ class _XSolver:
         return x
 
 
+def restrict(program, form, A, D, E):
+    """The equilibrated program restricted to the subspaces of program.restrictions.
+
+    A restricted variable V = U Z U^H + a (I - U U^H) keeps V's coordinates
+    as Phi @ (coords(Z), a) (model.subspace_isometry) and shares one column
+    scale, the geometric mean of V's E; D and every other column's E stay.
+    So the restricted columns are A diag(e / E) Phi, and with D uniform on
+    a block the restricted program's residuals and steps have the norms of
+    the full program's for iterates inside the subspace.  V's own PSD rows
+    become the PSD block of Z plus a nonnegative row for a, written as the
+    one-entry rows -w D e they are (Phi^T (-w D e Phi) would leave residue
+    that _RowSplit counts as entries).
+
+    Returns (rform, A_r, D_r, E_r, cols, rows): the restricted standard
+    form (unscaled), its equilibrated matrix and scales, and the isometries
+    with x = cols @ x_r and s = rows @ s_r (y likewise) in full coordinates.
+    """
+    n_rows = A.shape[0]
+    blocks, E_r, offsets, phis = [], [], {}, {}
+    pos = 0
+    for name, var in program.variables.items():
+        sl = form.offsets[name]
+        if name in program.restrictions:
+            Phi = mdl.subspace_isometry(program.restrictions[name], var.hermitian)
+            e = np.exp(np.mean(np.log(E[sl])))
+            phis[name] = (Phi, e)
+            blocks.append(Phi)
+            E_r.append(np.full(Phi.shape[1], e))
+        else:
+            blocks.append(scipy.sparse.identity(sl.stop - sl.start))
+            E_r.append(E[sl])
+        offsets[name] = slice(pos, pos + blocks[-1].shape[1])
+        pos = offsets[name].stop
+    cols = scipy.sparse.block_diag(blocks, format="csr")
+    E_r = np.concatenate(E_r)
+
+    own_blocks = {program.own_block(name): name for name in program.restrictions}
+    if None in own_blocks:
+        raise InvalidArgumentError("a restricted variable lost its psd_var block")
+    n_cone = form.n_zero + form.n_nonneg
+    n_alpha = sum(U.shape[1] < U.shape[0] for U in program.restrictions.values())
+    # the restricted row of every full row kept as it is, and V's own rows
+    kept_full, kept_r = [np.arange(n_cone)], [np.arange(n_cone)]
+    own_r, own_c, own_v, own_src = [], [], [], []   # V's own rows, exact
+    lift_f, lift_r, lift_v = [], [], []       # the Phi blocks of `rows`
+    alpha_row, row = n_cone, n_cone + n_alpha
+    sides, slices, cplx = [], [], []
+    for j, (sl, side, complex_block) in enumerate(zip(form.psd_slices, form.psd_sides,
+                                                      form.psd_complex)):
+        if j not in own_blocks:
+            kept_full.append(np.arange(sl.start, sl.stop))
+            kept_r.append(row + np.arange(sl.stop - sl.start))
+            side_r = side
+        else:
+            name = own_blocks[j]
+            Phi, e = phis[name]
+            side_r = program.restrictions[name].shape[1]
+            targets = row + np.arange(mdl.MatrixVar("Z", side_r, complex_block).n_params)
+            if side_r < side:
+                targets = np.append(targets, alpha_row)
+                alpha_row += 1
+            own_r.append(targets)
+            own_c.append(offsets[name].start + np.arange(targets.size))
+            own_v.append(np.full(targets.size, -block_weight(complex_block) * D[sl.start] * e))
+            f, c = np.nonzero(Phi)
+            lift_f.append(sl.start + f)
+            lift_r.append(targets[c])
+            lift_v.append(Phi[f, c])
+            own_src.append(np.full(targets.size, sl.start))
+        n_block = mdl.MatrixVar("B", side_r, complex_block).n_params
+        sides.append(side_r)
+        slices.append(slice(row, row + n_block))
+        cplx.append(complex_block)
+        row += n_block
+
+    kept_full, kept_r = np.concatenate(kept_full), np.concatenate(kept_r)
+    # the kept rows that see a restricted V (power, SINR, EE, Schur) are
+    # few and dense on its columns, so A diag(e / E) Phi is a dense product
+    A_kept = A[kept_full].tocsc()
+    AP = scipy.sparse.hstack([
+        scipy.sparse.csc_matrix(A_kept[:, sl].toarray()
+                                @ ((phis[name][1] / E[sl])[:, None] * phis[name][0]))
+        if name in phis else A_kept[:, sl] for name, sl in form.offsets.items()]).tocoo()
+    A_r = scipy.sparse.csr_matrix(
+        (np.concatenate([AP.data] + own_v),
+         (np.concatenate([kept_r[AP.row]] + own_r), np.concatenate([AP.col] + own_c))),
+        shape=(row, pos))
+    D_r = np.zeros(row)
+    D_r[np.concatenate([kept_r] + own_r)] = D[np.concatenate([kept_full] + own_src)]
+    rows = scipy.sparse.csr_matrix(
+        (np.concatenate([np.ones(kept_full.size)] + lift_v),
+         (np.concatenate([kept_full] + lift_f), np.concatenate([kept_r] + lift_r))),
+        shape=(n_rows, row))
+    unscaled = scipy.sparse.diags(1.0 / D_r) @ A_r @ scipy.sparse.diags(1.0 / E_r)
+    rform = StandardForm(c=cols.T @ form.c, A=unscaled.tocsr(), b=rows.T @ form.b,
+                         n_zero=form.n_zero, n_nonneg=form.n_nonneg + n_alpha,
+                         psd_sides=sides, psd_slices=slices, psd_complex=cplx,
+                         n_x=pos, offsets=offsets)
+    return rform, A_r, D_r, E_r, cols, rows
+
+
 def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000):
     """Solve a ConicProgram; returns a ConicSolution.
 
     warm_start: optional (x, s, y) triple in original (unscaled) coordinates,
-    shapes must match the assembled problem or it is ignored.
+    shapes must match the assembled problem or it is ignored.  A program
+    with restrictions is solved restricted (see restrict); the warm start,
+    the solution's x, s and y and its assignments are in full coordinates.
     """
-    form = assemble(program)
-    A, b, c, D, E = ruiz_equilibrate(form)
+    full = assemble(program)
+    A, b, c, D, E = ruiz_equilibrate(full)
+    form, cols, rows = full, None, None
+    if program.restrictions:
+        form, A, D, E, cols, rows = restrict(program, full, A, D, E)
+        b, c = D * form.b, E * form.c
     m, n = A.shape
     b0, c0 = form.b, form.c
     norm_b = 1.0 + np.linalg.norm(b0)
@@ -416,7 +538,9 @@ def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000)
     u = np.zeros(m)
     if warm_start is not None:
         wx, ws, wy = warm_start
-        if wx.shape == (n,) and ws.shape == (m,) and wy.shape == (m,):
+        if wx.shape == (full.n_x,) and ws.shape == wy.shape == (full.A.shape[0],):
+            if cols is not None:
+                wx, ws, wy = cols.T @ wx, rows.T @ ws, rows.T @ wy
             x = wx / E
             s = D * ws
             u = (wy / D) / rho
@@ -477,8 +601,10 @@ def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000)
     x_orig = E * x
     s_orig = s / D
     y_orig = rho * (D * u)
-    assignments = program.split_solution(x_orig, form.offsets)
-    objective = float(form.c @ x_orig + 0.0) + program.objective.const
+    if cols is not None:
+        x_orig, s_orig, y_orig = cols @ x_orig, rows @ s_orig, rows @ y_orig
+    assignments = program.split_solution(x_orig, full.offsets)
+    objective = float(full.c @ x_orig + 0.0) + program.objective.const
     return ConicSolution(status=status, assignments=assignments, objective=objective,
                          primal_residual=float(pri), dual_residual=float(dual),
                          duality_gap=float(gap), iterations=it, rho_changes=rho_changes,

@@ -9,6 +9,7 @@ change the artifact bytes.
 """
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,8 +22,8 @@ SCHEMA_VERSION = 1
 
 COLUMNS = ("sweep_var", "sweep_value", "arch", "metric", "value", "trials", "stderr")
 
-#: workers for Monte Carlo trial evaluation
-MAX_WORKERS = 4
+#: environment variables that set the BLAS thread count, in the order read
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -254,6 +255,22 @@ def _evaluate_design(table, scn, channels, var, value, arch, W_cols, extra_rows=
         table.append(var, value, arch, metric_name, v)
 
 
+def trial_workers():
+    """Workers of the Monte Carlo trial pool: max(1, cores // BLAS threads).
+
+    Each trial scores its grid with BLAS, so more workers than that only
+    oversubscribe the cores.  The thread count is the first of
+    BLAS_THREAD_VARS set to a positive integer; with none set, BLAS starts
+    one thread per core, which leaves one worker.
+    """
+    cores = os.cpu_count() or 1
+    for name in BLAS_THREAD_VARS:
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cores // int(value))
+    return 1
+
+
 def estimator_trial_rows(table, scn, var, value, W_cols, trials, seed):
     trm = bounds.point_trm(scn.geom, scn.target)
     C = _point_bound(scn, W_cols @ W_cols.conj().T)
@@ -266,7 +283,7 @@ def estimator_trial_rows(table, scn, var, value, W_cols, trials, seed):
         r_hat, phi_hat, _ = estimators.mle_point(echo, scn.geom, grid)
         return (r_hat - scn.target.distance) ** 2, (phi_hat - scn.target.angle) ** 2
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=MAX_WORKERS) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=trial_workers()) as pool:
         errs = np.array(list(pool.map(one, range(trials))))
     for name, col, crb in (("distance", 0, C[0, 0]), ("angle", 1, C[1, 1])):
         sq = errs[:, col]

@@ -63,7 +63,8 @@ class ScaOptions:
     gamma_decay: bool = True
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.max_iter < 1:
+        if (self.gamma <= 0 or self.max_iter < 1 or self.sdp_max_iter < 1
+                or self.sdp_tol <= 0 or self.rank_tol < 0):
             raise InvalidArgumentError("invalid optimizer options")
 
 
@@ -87,13 +88,17 @@ class ScaTrace:
     achieved/threshold - 1; all should stay above -sdp_tol at accepted
     iterates.  solves holds one SolveRecord per subproblem solve, including
     a last one that stopped the run; a "max_iter" status marks an objective
-    that the solver did not certify.
+    that the solver did not certify.  gammas holds the rank-penalty weight
+    each subproblem was built with and polish_scales the uniform scale
+    _polish applied to its iterate, one entry per objective.
     """
 
     objectives: list = field(default_factory=list)
     rank_residuals: list = field(default_factory=list)
     slacks: list = field(default_factory=list)
     solves: list = field(default_factory=list)
+    gammas: list = field(default_factory=list)
+    polish_scales: list = field(default_factory=list)
     status: str = "running"
     wall_time: float = 0.0
 
@@ -262,12 +267,17 @@ def _psd_cleanup(W):
     return (evecs * evals) @ evecs.conj().T
 
 
+def _total_trace(W_list):
+    """Radiated power sum_k Tr W_k."""
+    return float(sum(np.real(np.trace(W)) for W in W_list))
+
+
 def _ee_slack(scenario, channels, W_list):
     """rate - eta * consumed power (W); positive means feasible."""
     sinrs = [metrics.sinr_from_covariances(channels, W_list, k, scenario.comm_noise)
              for k in range(channels.n_users)]
     rate = metrics.sum_rate(sinrs)
-    radiated = float(sum(np.real(np.trace(W)) for W in W_list))
+    radiated = _total_trace(W_list)
     power_mw = radiated / scenario.amplifier_eff + scenario.static_power
     return rate - scenario.ee_threshold * power_mw * 1e-3, rate, power_mw
 
@@ -279,7 +289,7 @@ def _power_scan(scenario, channels, W0):
     toward the interference-free limit), so the scan trades transmit power
     against the energy-efficiency slack.
     """
-    total = float(sum(np.real(np.trace(W)) for W in W0))
+    total = _total_trace(W0)
     if total <= 0:
         raise ZeroDirectionError("empty initial covariances")
     t_max = scenario.power_budget / total
@@ -310,6 +320,7 @@ class ScaState:
     spectral: list = None
     rates: list = None
     fim_coeffs: dict = None      # point target only
+    basis: np.ndarray = None     # point target only: see point_subspace
     d_scale: np.ndarray = None   # per-location-parameter congruence scaling
     mu_scale: float = 1.0
     gamma: float = 1e-3
@@ -377,6 +388,24 @@ def _xi_entry(xi_var, i, j):
     return real_trace(C, xi_var)
 
 
+def point_subspace(scenario, channels):
+    """Orthonormal basis of span{b_t, d b_t / dr, d b_t / dphi, h_1 ... h_K}.
+
+    n x m with m <= K + 3, from an SVD of the normalized vectors truncated
+    at numpy's matrix_rank tolerance.  Every information coefficient matrix
+    of bounds.fim_point_coefficients has its row and column spaces in the
+    first three, and the SINR and EE rows see W_k through the channels.
+    """
+    geom, target = scenario.geom, scenario.target
+    bt = geometry.steering_vector(geom, target.distance, target.angle)
+    d_r, d_phi = geometry.steering_derivatives(geom, target.distance, target.angle)
+    V = np.column_stack([bt, d_r, d_phi, *channels.vectors])
+    norms = np.linalg.norm(V, axis=0)
+    V = V[:, norms > 0] / norms[norms > 0]
+    Q, sv, _ = np.linalg.svd(V, full_matrices=False)
+    return Q[:, : np.count_nonzero(sv > sv.max() * max(V.shape) * np.finfo(float).eps)]
+
+
 def build_point_subproblem(state, scenario):
     """Conic subproblem of one point-target iteration.
 
@@ -385,6 +414,13 @@ def build_point_subproblem(state, scenario):
     under a diagonal congruence diag(d_r, d_phi, s, s) chosen so the
     initial blocks are O(1); the congruence is undone by weighting the
     epigraph trace with d^(-2), so the objective reads in original units.
+
+    Each W_k is restricted to U Z_k U^H + a_k (I - U U^H), U = state.basis
+    (n x m, see point_subspace), through ConicProgram.restrict.  Every
+    datum that sees W_k maps that subspace to itself: the information,
+    power, SINR and EE rows, and the penalty's I and u u^H, with u in
+    span U while the previous iterate's largest eigenvalue is Z_k's.  So
+    the restriction loses nothing, and the solver runs on m x m blocks.
     """
     prog = ConicProgram()
     n = scenario.geom.n_tx
@@ -392,6 +428,7 @@ def build_point_subproblem(state, scenario):
     w_vars = [prog.add_matrix_var(f"W{k}", n) for k in range(K)]
     for var in w_vars:
         prog.psd_var(var)
+        prog.restrict(var, state.basis)
     xi = prog.add_matrix_var("Xi", 2, hermitian=False)
     prog.psd_var(xi)
     u_var = epigraph_trace_inverse(prog, xi, name="U")
@@ -503,7 +540,7 @@ def rank_residual(W_list):
 
 def evaluate_slacks(scenario, channels, W_list):
     """Normalized constraint slacks (relative units, negative = violated)."""
-    total = float(sum(np.real(np.trace(W)) for W in W_list))
+    total = _total_trace(W_list)
     out = {"power": (scenario.power_budget - total) / scenario.power_budget}
     if scenario.sinr_threshold > 0:
         for k in range(channels.n_users):
@@ -548,7 +585,7 @@ def _polish(scenario, channels, W_list):
         lo = upper_edge(W_list, 0.9, 1.0)
         W_list = [lo * W for W in W_list]
         ok = True
-    total = float(sum(np.real(np.trace(W)) for W in W_list))
+    total = _total_trace(W_list)
     if total <= 0:
         return W_list
     t_max = scenario.power_budget / total
@@ -591,9 +628,13 @@ def _sca_loop(scenario, options, state, build, bound_from_solution):
             break
         warm = (sol.x, sol.s, sol.y)
         W_new = [_psd_cleanup(sol.assignments[f"W{k}"]) for k in range(K)]
-        W_new = _polish(scenario, state.channels, W_new)
+        W_polished = _polish(scenario, state.channels, W_new)
         obj = sol.objective
         trace.objectives.append(obj)
+        trace.gammas.append(state.gamma)
+        total = _total_trace(W_new)
+        trace.polish_scales.append(_total_trace(W_polished) / total if total > 0 else 1.0)
+        W_new = W_polished
         rr = rank_residual(W_new)
         trace.rank_residuals.append(rr)
         trace.slacks.append(evaluate_slacks(scenario, state.channels, W_new))
@@ -653,6 +694,7 @@ def solve_point_sca(scenario, options=None, channels=None):
     mu_scale = 1.0 / np.sqrt(float(fim0.J_mumu[0, 0]))
 
     state = ScaState(W_prev=W0, channels=channels, fim_coeffs=coeffs,
+                     basis=point_subspace(scenario, channels),
                      d_scale=d_scale, mu_scale=mu_scale, gamma=options.gamma,
                      chords=_make_chords(scenario, channels))
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nfisac import config, geometry, harness
+from nfisac import config, geometry, harness, sca
 from nfisac.errors import InvalidArgumentError
 
 SMALL_CFG = json.dumps({
@@ -164,19 +164,71 @@ def test_run_sweep_is_deterministic_and_complete():
     assert table.select(arch="fully", metric="factorization_residual")[0].value <= 1e-3
 
 
+def test_sweep_trace_records_gamma_and_polish_scale(monkeypatch):
+    # one rank-penalty weight and one polish scale per objective, the weight
+    # never rising; the records do not feed back, so the sweep's CSV bytes
+    # are the same when they are dropped
+    cfg = _small_config()
+    traces = []
+    sca_loop = sca._sca_loop
+
+    def recording_loop(*args, **kwargs):
+        out = sca_loop(*args, **kwargs)
+        traces.append(out[2])
+        return out
+
+    monkeypatch.setattr(sca, "_sca_loop", recording_loop)
+    recorded = harness.results_to_csv(harness.run_sweep(cfg))
+    (trace,) = traces
+    assert len(trace.objectives) > 0
+    assert len(trace.gammas) == len(trace.polish_scales) == len(trace.objectives)
+    assert trace.gammas[0] == sca.ScaOptions().gamma
+    assert all(b <= a for a, b in zip(trace.gammas, trace.gammas[1:]))
+    assert all(t > 0 for t in trace.polish_scales)
+
+    class Discard(list):
+        def append(self, item):
+            pass
+
+    class Unrecorded(sca.ScaTrace):
+        def __init__(self):
+            super().__init__(gammas=Discard(), polish_scales=Discard())
+
+    monkeypatch.setattr(sca, "ScaTrace", Unrecorded)
+    assert harness.results_to_csv(harness.run_sweep(cfg)) == recorded
+    assert traces[1].gammas == traces[1].polish_scales == []
+
+
 def test_estimator_trial_rows_independent_of_worker_count(monkeypatch):
     scn = harness._apply_sweep(config.config_to_scenario(_small_config()),
                                "target_distance", 0.08)
     b = geometry.steering_vector(scn.geom, scn.target.distance, scn.target.angle)
     W = (np.sqrt(scn.power_budget) * b / np.linalg.norm(b))[:, None]
     rows = {}
-    for workers in (1, 4):
-        monkeypatch.setattr(harness, "MAX_WORKERS", workers)
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(harness, "trial_workers", lambda: workers)
         table = harness.ResultTable()
         harness.estimator_trial_rows(table, scn, "none", 0.0, W, trials=24, seed=5)
         rows[workers] = table.sorted_rows()
     assert len(rows[1]) == 4
-    assert rows[1] == rows[4]
+    assert rows[1] == rows[2] == rows[4]
+
+
+@pytest.mark.parametrize("env, cores, workers", [
+    ({}, 2, 1),                                          # BLAS takes every core
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+    ({"OMP_NUM_THREADS": "2"}, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2, 1),
+    ({"MKL_NUM_THREADS": "1"}, 6, 6),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x", "MKL_NUM_THREADS": "3"}, 6, 2),
+])
+def test_trial_workers_follow_blas_threads(monkeypatch, env, cores, workers):
+    for name in harness.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+    assert harness.trial_workers() == workers
 
 
 def test_run_sweep_reports_infeasible_points():

@@ -48,6 +48,13 @@ def test_options_validation():
         sca.ScaOptions(gamma=0.0)
     with pytest.raises(InvalidArgumentError):
         sca.ScaOptions(max_iter=0)
+    # sdp_max_iter=0 used to hand the SCA an all-zero "solution"
+    for bad in (dict(sdp_max_iter=0), dict(sdp_max_iter=-1), dict(sdp_tol=0.0),
+                dict(sdp_tol=-1e-4), dict(rank_tol=-1e-9)):
+        with pytest.raises(InvalidArgumentError):
+            sca.ScaOptions(**bad)
+    sca.ScaOptions(sdp_max_iter=1, sdp_tol=1e-12, rank_tol=0.0)
+    sca.ScaOptions(rank_tol=np.inf)
 
 
 def test_spectral_surrogate_is_tangent_minorant():
@@ -348,6 +355,97 @@ def test_point_sca_records_each_solve(monkeypatch):
 
 class _FirstSubproblem(Exception):
     pass
+
+
+def _first_point_subproblem(monkeypatch, scn):
+    """The first SCA subproblem solve_point_sca builds for scn, and its solver options."""
+    programs = []
+
+    def first_program(prog, **kwargs):
+        programs.append((prog, kwargs))
+        raise _FirstSubproblem
+
+    with monkeypatch.context() as m:
+        m.setattr(sca, "solve", first_program)
+        with pytest.raises(_FirstSubproblem):
+            sca.solve_point_sca(scn)
+    return programs[0]
+
+
+def _restricted(prog):
+    form = solver.assemble(prog)
+    A, _, _, D, E = solver.ruiz_equilibrate(form)
+    return form, solver.restrict(prog, form, A, D, E)
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_point_subspace_spans_information_and_channels(scale):
+    scn = config.config_to_scenario(config.default_config(scale))
+    channels = scn.channels()
+    U = sca.point_subspace(scn, channels)
+    m = channels.n_users + 3
+    assert U.shape == (scn.geom.n_tx, m)
+    np.testing.assert_allclose(U.conj().T @ U, np.eye(m), rtol=0, atol=1e-12)
+    P = U @ U.conj().T
+    trm = bounds.point_trm(scn.geom, scn.target)
+    cf = bounds.fim_point_coefficients(trm, scn.sensing_noise, scn.frame_length)
+    for C in [*cf["phiphi"][0], *cf["phiphi"][1], *cf["cross"], cf["mumu"]]:
+        assert np.linalg.norm(C - P @ C @ P) <= 1e-12 * np.linalg.norm(C)
+    for h in channels.vectors:
+        assert np.linalg.norm(h - P @ h) <= 1e-12 * np.linalg.norm(h)
+
+
+def test_restricted_desk_subproblem_takes_the_full_path(monkeypatch):
+    # the first desk subproblem at the design's 2,500-iteration cap: the
+    # restriction keeps the ADMM path of the full program
+    scn = config.config_to_scenario(config.default_config("desk"))
+    prog, kwargs = _first_point_subproblem(monkeypatch, scn)
+    assert set(prog.restrictions) == {"W0", "W1"}
+    options = dict(kwargs, max_iter=2500)
+    restricted = solve(prog, **options)
+    prog.restrictions = {}
+    full = solve(prog, **options)
+    assert restricted.status == full.status == "max_iter"
+    assert restricted.iterations == full.iterations
+    assert restricted.rho_changes == full.rho_changes
+    assert restricted.objective == pytest.approx(full.objective, rel=1e-6)
+    for k in range(2):
+        W, V = restricted.assignments[f"W{k}"], full.assignments[f"W{k}"]
+        assert np.linalg.norm(W - V) <= 1e-6 * np.linalg.norm(V)
+    assert restricted.x.shape == full.x.shape
+    assert restricted.s.shape == restricted.y.shape == full.s.shape
+
+
+def test_paper_subproblem_restricts_to_seven_dimensions(monkeypatch):
+    # the first paper subproblem restricted to m = K + 3 = 7; no ADMM runs
+    scn = config.config_to_scenario(config.default_config("paper"))
+    prog, _ = _first_point_subproblem(monkeypatch, scn)
+    form, (rform, A_r, D_r, E_r, cols, rows) = _restricted(prog)
+    assert form.psd_sides == [64, 64, 64, 64, 2, 4, 4]
+    assert rform.psd_sides == [7, 7, 7, 7, 2, 4, 4]
+    assert rform.psd_complex == [True] * 4 + [False] * 3
+    assert rform.n_nonneg == form.n_nonneg + 4    # one complement row per W_k
+    assert A_r.shape == (rform.psd_slices[-1].stop, 4 * 50 + 3 + 3 + 4)
+    assert cols.shape == (form.n_x, A_r.shape[1]) and rows.shape == (form.A.shape[0],
+                                                                     A_r.shape[0])
+    np.testing.assert_allclose((cols.T @ cols).toarray(), np.eye(cols.shape[1]), atol=1e-12)
+    np.testing.assert_allclose((rows.T @ rows).toarray(), np.eye(rows.shape[1]), atol=1e-12)
+
+
+def test_square_basis_has_no_complement_row(monkeypatch):
+    # n_tx = K + 3: U is square, so W_k = U Z_k U^H with no complement
+    scn = _small_scenario(sinr_threshold=3.0)
+    assert sca.point_subspace(scn, scn.channels()).shape == (4, 4)
+    prog, kwargs = _first_point_subproblem(monkeypatch, scn)
+    form, (rform, A_r, *_) = _restricted(prog)
+    assert rform.n_nonneg == form.n_nonneg
+    assert rform.psd_sides == form.psd_sides
+    assert A_r.shape == form.A.shape
+    restricted = solve(prog, **kwargs)
+    prog.restrictions = {}
+    full = solve(prog, **kwargs)
+    assert (restricted.status, restricted.iterations) == (full.status, full.iterations)
+    assert restricted.objective == pytest.approx(full.objective, rel=1e-6)
 
 
 def test_paper_subproblem_x_update_is_low_rank(monkeypatch):
