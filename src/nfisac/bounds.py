@@ -9,6 +9,9 @@ Extended target: the prior-free information matrix of the full response
 matrix is singular whenever the transmit covariance is rank deficient, so a
 Gaussian prior on the response matrix entries is added and the Bayesian
 bound has a closed-form trace.
+
+scenario_bound owns the bound of a design: the optimizer, the result
+tables and the Monte Carlo reference rows all read it there.
 """
 
 from dataclasses import dataclass
@@ -134,6 +137,20 @@ def crb_point(fim):
         raise UnidentifiableParametersError("reduced information matrix is singular")
     inv = (evecs / evals) @ evecs.T
     return 0.5 * (inv + inv.T)
+
+
+def scenario_bound(scenario, R_X):
+    """The bound of transmit covariance R_X in a scenario.
+
+    Point target: the 2x2 CRB of (distance, angle).  Extended target: the
+    trace of the Bayesian bound on the response-matrix entries.
+    """
+    if isinstance(scenario.target, geometry.PointTarget):
+        trm = point_trm(scenario.geom, scenario.target)
+        return crb_point(fim_point(trm, R_X, scenario.sensing_noise, scenario.frame_length))
+    return bcrb_extended_trace(R_X, BcrbParams(scenario.sensing_noise,
+                                               scenario.target.prior_variance,
+                                               scenario.frame_length, scenario.geom.n_rx))
 
 
 def bcrb_extended_trace(R_X, params):

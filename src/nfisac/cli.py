@@ -84,7 +84,8 @@ def _cmd_estimate(args):
         raise InvalidArgumentError("estimator trials need a point target")
     W, _, _, _ = harness.optimize_scenario(scn)
     table = harness.ResultTable()
-    trials = max(cfg.trials, 1)
+    # a standard error needs two trials; a config without trials gets two
+    trials = max(cfg.trials, 2)
     harness.estimator_trial_rows(table, scn, "none", 0.0, W, trials, cfg.seed)
     _write(harness.results_to_csv(table), args.out)
     return 0

@@ -136,8 +136,9 @@ def _validate(d):
     for arch in d["architectures"]:
         if arch not in ARCHITECTURES:
             raise InvalidArgumentError(f"unknown configuration value architectures={arch!r}")
-    if int(d["trials"]) < 0:
-        raise InvalidArgumentError("trials must be nonnegative")
+    if int(d["trials"]) < 0 or int(d["trials"]) == 1:
+        # one trial has no standard error; 0 means no trials
+        raise InvalidArgumentError("trials must be 0 or at least 2")
     return ExperimentConfig(
         geometry=dict(g),
         users=tuple(dict(u) for u in d["users"]),

@@ -273,7 +273,7 @@ class ConicProgram:
         self.eq_constraints = []    # LinExpr == 0
         self.ineq_constraints = []  # LinExpr >= 0
         self.psd_blocks = []
-        self.restrictions = {}      # name -> U, see restrict
+        self.restrictions = {}      # name -> (U, index of V's block), see psd_var
 
     # -- declaration ------------------------------------------------------
     def add_matrix_var(self, name, side, hermitian=True):
@@ -328,40 +328,32 @@ class ConicProgram:
         self.psd_blocks.append(block)
         return block
 
-    def psd_var(self, var):
-        """Constrain a declared matrix variable to be PSD."""
-        block = PsdBlock(f"psd:{var.name}", var.side, complex_valued=var.hermitian)
-        block.add_var(var)
-        return self.add_psd_block(block)
+    def psd_var(self, var, basis=None):
+        """Constrain a declared matrix variable V to be PSD.
 
-    def own_block(self, name):
-        """Index of the block psd_var added for a variable, or None."""
-        for j, block in enumerate(self.psd_blocks):
-            if (block.terms == [("var", name, 0)] and block.side == self.variables[name].side
-                    and not block.const.any()):
-                return j
-        return None
-
-    def restrict(self, var, U):
-        """Solve with V = U Z U^H + a (I - U U^H), Z PSD and a >= 0, in place of V PSD.
-
-        V must be PSD through psd_var, and U (n x m) must have orthonormal
-        columns, real for a real symmetric V.  The restriction loses nothing
-        when every datum that sees V maps that subspace to itself, as a
+        With an n x m basis U (orthonormal columns, real for a real
+        symmetric V), solve with V = U Z U^H + a (I - U U^H), Z PSD and
+        a >= 0, in place of V PSD.  The restriction loses nothing when every
+        datum that sees V maps that subspace to itself, as a
         Fisher-information or channel matrix whose row and column spaces
         lie in span U, and the identity, do.  solver.solve applies it after
         equilibration; solutions stay in V's coordinates.
         """
-        U = np.asarray(U)
-        if self.variables.get(var.name) is not var or self.own_block(var.name) is None:
-            raise InvalidArgumentError(f"{var.name!r} is not a variable constrained by psd_var")
-        if U.ndim != 2 or U.shape[0] != var.side or not 0 < U.shape[1] <= var.side:
-            raise InvalidArgumentError(f"basis of shape {U.shape} for a side-{var.side} variable")
-        if not var.hermitian and np.iscomplexobj(U):
-            raise InvalidArgumentError("complex basis for a real symmetric variable")
-        if np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])) > 1e-10:
-            raise InvalidArgumentError("basis columns are not orthonormal")
-        self.restrictions[var.name] = U
+        if self.variables.get(var.name) is not var:
+            raise InvalidArgumentError(f"{var.name!r} is not a variable of this program")
+        if basis is not None:
+            U = np.asarray(basis)
+            if U.ndim != 2 or U.shape[0] != var.side or not 0 < U.shape[1] <= var.side:
+                raise InvalidArgumentError(f"basis shape {U.shape} does not fit side {var.side}")
+            if not var.hermitian and np.iscomplexobj(U):
+                raise InvalidArgumentError("complex basis for a real symmetric variable")
+            if np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])) > 1e-10:
+                raise InvalidArgumentError("basis columns are not orthonormal")
+        block = self.add_psd_block(
+            PsdBlock(f"psd:{var.name}", var.side, complex_valued=var.hermitian).add_var(var))
+        if basis is not None:
+            self.restrictions[var.name] = (U, len(self.psd_blocks) - 1)
+        return block
 
     def _check_expr(self, expr):
         for name in expr.terms:

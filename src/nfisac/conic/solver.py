@@ -20,7 +20,7 @@ project_cone serves K* as well once the zero rows are left free.
 Data is Ruiz-equilibrated first with one uniform scale factor per PSD block
 (row scaling must not break cone membership).  A program may then restrict
 a PSD variable V to {U Z U^H + a (I - U U^H) : Z PSD, a >= 0} with U an
-n x m orthonormal basis (ConicProgram.restrict): restrict rewrites the
+n x m orthonormal basis (ConicProgram.psd_var): restrict rewrites the
 equilibrated data so that V's columns are Z's coordinates and a, and V's
 PSD block is an m x m block plus one nonnegative row.  When every datum
 maps that subspace to itself the full program's iterates stay in it, so
@@ -54,7 +54,6 @@ import scipy.linalg.lapack
 import scipy.sparse
 
 from . import model as mdl
-from ..errors import InvalidArgumentError
 from .model import SQRT2
 
 #: initial ADMM penalty rho; doubled or halved to rebalance the residuals
@@ -265,8 +264,8 @@ def _row_group_scale(norms, form):
     return d
 
 
-def ruiz_equilibrate(form, n_iter=10):
-    """Ruiz scaling diag(D) A diag(E), with one uniform D per PSD block.
+def ruiz_equilibrate(form):
+    """Ruiz scaling diag(D) A diag(E) over ten passes, with one uniform D per PSD block.
 
     Entries are read divided by their block weight.  For a complex block
     these are the entries of its realified rows, so D and E are the scales
@@ -282,7 +281,7 @@ def ruiz_equilibrate(form, n_iter=10):
     entry_weight = row_weight[rows]
     D = np.ones(m)
     E = np.ones(n)
-    for _ in range(n_iter):
+    for _ in range(10):
         mag = np.abs(A.data) / entry_weight
         row_norms = np.zeros(m)
         np.maximum.at(row_norms, rows, mag)
@@ -435,7 +434,7 @@ def restrict(program, form, A, D, E):
     for name, var in program.variables.items():
         sl = form.offsets[name]
         if name in program.restrictions:
-            Phi = mdl.subspace_isometry(program.restrictions[name], var.hermitian)
+            Phi = mdl.subspace_isometry(program.restrictions[name][0], var.hermitian)
             e = np.exp(np.mean(np.log(E[sl])))
             phis[name] = (Phi, e)
             blocks.append(Phi)
@@ -448,11 +447,9 @@ def restrict(program, form, A, D, E):
     cols = scipy.sparse.block_diag(blocks, format="csr")
     E_r = np.concatenate(E_r)
 
-    own_blocks = {program.own_block(name): name for name in program.restrictions}
-    if None in own_blocks:
-        raise InvalidArgumentError("a restricted variable lost its psd_var block")
+    own_blocks = {j: name for name, (_, j) in program.restrictions.items()}
     n_cone = form.n_zero + form.n_nonneg
-    n_alpha = sum(U.shape[1] < U.shape[0] for U in program.restrictions.values())
+    n_alpha = sum(U.shape[1] < U.shape[0] for U, _ in program.restrictions.values())
     # the restricted row of every full row kept as it is, and V's own rows
     kept_full, kept_r = [np.arange(n_cone)], [np.arange(n_cone)]
     own_r, own_c, own_v, own_src = [], [], [], []   # V's own rows, exact
@@ -468,7 +465,7 @@ def restrict(program, form, A, D, E):
         else:
             name = own_blocks[j]
             Phi, e = phis[name]
-            side_r = program.restrictions[name].shape[1]
+            side_r = program.restrictions[name][0].shape[1]
             targets = row + np.arange(mdl.MatrixVar("Z", side_r, complex_block).n_params)
             if side_r < side:
                 targets = np.append(targets, alpha_row)

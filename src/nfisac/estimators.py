@@ -101,12 +101,8 @@ def _grid_steering(geom, grid, side):
     key = (tuple(deltas), geom.spacing, geom.wavelength, grid)
     with _GRID_LOCK:
         if key not in _GRID_CACHE:
-            # path-length difference, broadcast over (element, r, phi)
-            rr = grid.distances()[None, :, None]
-            pp = grid.angles()[None, None, :]
-            dd = deltas[:, None, None] * geom.spacing
-            path = np.sqrt(rr**2 + dd**2 - 2.0 * rr * dd * np.sin(pp)) - rr
-            B = np.exp(-2j * np.pi / geom.wavelength * path).reshape(len(deltas), -1)
+            B = geometry.steering_vectors(geom, grid.distances()[:, None], grid.angles()[None, :],
+                                          side).reshape(len(deltas), -1)
             _GRID_CACHE[key] = B, _abs2(B).sum(axis=0)
         return _GRID_CACHE[key]
 

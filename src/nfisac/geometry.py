@@ -6,6 +6,9 @@ in units of the spacing d, so the offsets are symmetric about the array
 center.  Steering vectors carry the exact spherical-wave phase profile by
 default; a second-order (quadratic) phase approximation is available for
 cross-validation.
+This module owns the path-length formula (exact_element_distance) and the
+exact steering vectors of points or grids built on it (steering_vectors):
+channels, estimator search grids and heatmaps all take theirs from here.
 """
 
 from dataclasses import dataclass
@@ -120,10 +123,22 @@ def element_offsets(n):
 
 
 def exact_element_distance(r, phi, delta, d):
-    """Exact distance from a point at (r, phi) to the element at offset delta."""
-    if r <= 0:
+    """Exact distance from points at (r, phi) to elements at offsets delta (broadcast)."""
+    if np.asarray(r).min(initial=np.inf) <= 0:
         raise InvalidArgumentError("range must be positive")
     return np.sqrt(r * r + (delta * d) ** 2 - 2.0 * r * delta * d * np.sin(phi))
+
+
+def steering_vectors(geom, r, phi, side="tx"):
+    """Exact steering vectors, shape (n,) + S, of the tx or rx aperture at (r, phi).
+
+    r and phi broadcast to shape S.  Angles are not validated, so a grid
+    may reach phi = +-pi/2.
+    """
+    deltas = geom.tx_offsets if side == "tx" else geom.rx_offsets
+    deltas = deltas.reshape(deltas.shape + (1,) * np.broadcast(r, phi).ndim)
+    path_diff = exact_element_distance(r, phi, deltas, geom.spacing) - r
+    return np.exp(-2j * np.pi / geom.wavelength * path_diff)
 
 
 def steering_vector(geom, r, phi, mode="exact", side="tx"):
@@ -138,14 +153,13 @@ def steering_vector(geom, r, phi, mode="exact", side="tx"):
         raise InvalidArgumentError("range must be positive")
     if not -np.pi / 2 < phi < np.pi / 2:
         raise InvalidArgumentError("angle must lie in (-pi/2, pi/2)")
+    if mode == "exact":
+        return steering_vectors(geom, r, phi, side)
+    if mode != "quadratic":
+        raise InvalidArgumentError(f"unknown steering mode {mode!r}")
     deltas = geom.tx_offsets if side == "tx" else geom.rx_offsets
     d = geom.spacing
-    if mode == "exact":
-        path_diff = exact_element_distance(r, phi, deltas, d) - r
-    elif mode == "quadratic":
-        path_diff = -deltas * d * np.sin(phi) + (deltas * d) ** 2 * np.cos(phi) ** 2 / (2.0 * r)
-    else:
-        raise InvalidArgumentError(f"unknown steering mode {mode!r}")
+    path_diff = -deltas * d * np.sin(phi) + (deltas * d) ** 2 * np.cos(phi) ** 2 / (2.0 * r)
     return np.exp(-2j * np.pi / geom.wavelength * path_diff)
 
 
@@ -154,7 +168,7 @@ def steering_derivatives(geom, r, phi, side="tx"):
     deltas = geom.tx_offsets if side == "tx" else geom.rx_offsets
     d = geom.spacing
     rl = exact_element_distance(r, phi, deltas, d)
-    b = np.exp(-2j * np.pi / geom.wavelength * (rl - r))
+    b = steering_vectors(geom, r, phi, side)
     k = 2.0 * np.pi / geom.wavelength
     drl_dr = (r - deltas * d * np.sin(phi)) / rl
     drl_dphi = -r * deltas * d * np.cos(phi) / rl

@@ -144,9 +144,7 @@ def beamfocusing_heatmap(W, geom, grid=None):
     r = np.hypot(X, Y).ravel()
     phi = np.arctan2(X, Y).ravel()
     ok = r > 0
-    deltas = geom.tx_offsets[:, None] * geom.spacing
-    path = np.sqrt(r[ok] ** 2 + deltas**2 - 2.0 * r[ok] * deltas * np.sin(phi[ok])) - r[ok]
-    B = np.exp(-2j * np.pi / geom.wavelength * path)
+    B = geometry.steering_vectors(geom, r[ok], phi[ok])
     gain = np.zeros(r.shape)
     gain[ok] = np.sum(np.abs(W.conj().T @ B) ** 2, axis=0)
     return gain.reshape(grid.n_x, grid.n_y)
@@ -216,38 +214,28 @@ def _sweep_options(scn):
     return sca.ScaOptions(max_iter=60 if extended else 25, sdp_max_iter=6000)
 
 
-def _point_bound(scn, R):
-    trm = bounds.point_trm(scn.geom, scn.target)
-    fim = bounds.fim_point(trm, R, scn.sensing_noise, scn.frame_length)
-    return bounds.crb_point(fim)
-
-
-def optimize_scenario(scn, options=None):
+def optimize_scenario(scn):
     """Run the matching bound minimizer; returns (W, W_list, trace, bound)."""
-    options = options or _sweep_options(scn)
     if isinstance(scn.target, geometry.PointTarget):
-        return sca.solve_point_sca(scn, options)
-    return sca.solve_extended_sca(scn, options)
+        return sca.solve_point_sca(scn, _sweep_options(scn))
+    return sca.solve_extended_sca(scn, _sweep_options(scn))
 
 
 def _evaluate_design(table, scn, channels, var, value, arch, W_cols, extra_rows=()):
     R = W_cols @ W_cols.conj().T
+    bound = bounds.scenario_bound(scn, R)
     if isinstance(scn.target, geometry.PointTarget):
-        C = _point_bound(scn, R)
-        rows = [("bound_trace", float(np.trace(C))),
-                ("bound_distance", float(C[0, 0])),
-                ("bound_angle", float(C[1, 1]))]
+        rows = [("bound_trace", float(np.trace(bound))),
+                ("bound_distance", float(bound[0, 0])),
+                ("bound_angle", float(bound[1, 1]))]
     else:
-        params = bounds.BcrbParams(noise_power=scn.sensing_noise,
-                                   prior_variance=scn.target.prior_variance,
-                                   frame_length=scn.frame_length,
-                                   n_rx=scn.geom.n_rx)
-        rows = [("bound_trace", bounds.bcrb_extended_trace(R, params))]
-    sinrs = [metrics.sinr(channels, W_cols, k, scn.comm_noise) for k in range(scn.n_users)]
-    rate = metrics.sum_rate(sinrs)
-    power_mw = metrics.total_power(W_cols, scn.amplifier_eff, scn.static_power)
+        rows = [("bound_trace", bound)]
+    radiated = float(np.real(np.trace(R)))
+    covs = [np.outer(w, w.conj()) for w in W_cols.T]
+    rate = metrics.sum_rate(metrics.sinrs(channels, covs, scn.comm_noise))
+    power_mw = metrics.consumed_power(radiated, scn.amplifier_eff, scn.static_power)
     rows += [("sum_rate", rate),
-             ("tx_power_mw", float(np.real(np.trace(R)))),
+             ("tx_power_mw", radiated),
              ("energy_efficiency", metrics.energy_efficiency(rate, power_mw)),
              ("status", 0.0)]
     rows += list(extra_rows)
@@ -272,8 +260,11 @@ def trial_workers():
 
 
 def estimator_trial_rows(table, scn, var, value, W_cols, trials, seed):
+    """MLE RMSE rows with standard errors (two trials or more) and root-CRB rows."""
+    if trials < 2:
+        raise InvalidArgumentError("estimator trials need at least 2 trials")
     trm = bounds.point_trm(scn.geom, scn.target)
-    C = _point_bound(scn, W_cols @ W_cols.conj().T)
+    C = bounds.scenario_bound(scn, W_cols @ W_cols.conj().T)
     grid = estimators.default_grid(scn.geom)
 
     def one(t):

@@ -1,6 +1,9 @@
 """Communication-side figures of merit: SINR, sum rate, power, energy efficiency.
 
-Beamformers are plain n_tx x K matrices W whose column k serves user k.
+This module owns the communication model: every user's SINR from the
+per-user transmit covariances W_k (a beamformer column w enters as w w^H),
+and the linear power model that turns radiated into consumed power.  The
+optimizer's slacks and the result tables both evaluate designs here.
 """
 
 import numpy as np
@@ -9,28 +12,18 @@ from .errors import InvalidArgumentError
 from .units import mw_to_w
 
 
-def sinr(channels, W, k, noise_power):
-    """Downlink SINR of user k."""
+def sinrs(channels, covs, noise_power):
+    """Every user's downlink SINR Tr(H_k W_k) / (sum_{i != k} Tr(H_k W_i) + sigma^2)."""
     if noise_power <= 0:
         raise InvalidArgumentError("noise power must be positive")
-    h = channels.vectors[k]
-    if h.shape[0] != W.shape[0]:
-        raise InvalidArgumentError("channel/beamformer dimension mismatch")
-    gains = np.abs(h.conj() @ W) ** 2
-    signal = gains[k]
-    interference = gains.sum() - signal
-    return signal / (interference + noise_power)
-
-
-def sinr_from_covariances(channels, covs, k, noise_power):
-    """SINR in lifted form Tr(H_k W_k) / (sum_{i != k} Tr(H_k W_i) + sigma^2)."""
-    if noise_power <= 0:
-        raise InvalidArgumentError("noise power must be positive")
-    hk = channels.outer(k)
-    terms = np.array([np.real(np.trace(hk @ wi)) for wi in covs])
-    signal = terms[k]
-    interference = terms.sum() - signal
-    return signal / (interference + noise_power)
+    if len(covs) != channels.n_users:
+        raise InvalidArgumentError("need one covariance per user")
+    out = np.empty(channels.n_users)
+    for k in range(channels.n_users):
+        hk = channels.outer(k)
+        terms = np.array([np.real(np.trace(hk @ wi)) for wi in covs])
+        out[k] = terms[k] / (terms.sum() - terms[k] + noise_power)
+    return out
 
 
 def sum_rate(sinrs):
@@ -40,9 +33,8 @@ def sum_rate(sinrs):
     return float(np.log2(1.0 + sinrs).sum())
 
 
-def total_power(W, amplifier_eff, static_power):
-    """Linear power model: radiated power scaled by amplifier efficiency plus static draw (mW)."""
-    radiated = float(np.sum(np.abs(W) ** 2))
+def consumed_power(radiated, amplifier_eff, static_power):
+    """Linear power model: radiated power over amplifier efficiency plus static draw (mW)."""
     return radiated / amplifier_eff + static_power
 
 

@@ -60,7 +60,6 @@ class ScaOptions:
     rank_tol: float = 1e-6
     sdp_tol: float = 1e-4
     sdp_max_iter: int = 3000
-    gamma_decay: bool = True
 
     def __post_init__(self):
         if (self.gamma <= 0 or self.max_iter < 1 or self.sdp_max_iter < 1
@@ -272,14 +271,10 @@ def _total_trace(W_list):
     return float(sum(np.real(np.trace(W)) for W in W_list))
 
 
-def _ee_slack(scenario, channels, W_list):
-    """rate - eta * consumed power (W); positive means feasible."""
-    sinrs = [metrics.sinr_from_covariances(channels, W_list, k, scenario.comm_noise)
-             for k in range(channels.n_users)]
-    rate = metrics.sum_rate(sinrs)
-    radiated = _total_trace(W_list)
-    power_mw = radiated / scenario.amplifier_eff + scenario.static_power
-    return rate - scenario.ee_threshold * power_mw * 1e-3, rate, power_mw
+def _ee_slack(scenario, sinrs, radiated):
+    """(rate - eta * consumed power (W), consumed power (mW)); positive means feasible."""
+    power_mw = metrics.consumed_power(radiated, scenario.amplifier_eff, scenario.static_power)
+    return metrics.sum_rate(sinrs) - scenario.ee_threshold * power_mw * 1e-3, power_mw
 
 
 def _power_scan(scenario, channels, W0):
@@ -297,7 +292,9 @@ def _power_scan(scenario, channels, W0):
         return [W * t_max for W in W0]
     best_t, best_slack = None, -np.inf
     for t in np.geomspace(1.0, max(t_max, 1.0), 200):
-        slack, _, _ = _ee_slack(scenario, channels, [W * t for W in W0])
+        W_t = [W * t for W in W0]
+        slack, _ = _ee_slack(scenario, metrics.sinrs(channels, W_t, scenario.comm_noise),
+                             _total_trace(W_t))
         if slack > best_slack:
             best_slack, best_t = slack, t
     if best_slack < 0:
@@ -344,7 +341,10 @@ def _penalty_expr(state, w_vars, budget):
 
 
 def _add_constraint_block(prog, state, scenario, w_vars):
-    """Power, SINR, and chord-encoded energy-efficiency constraints."""
+    """Power, SINR, and chord-encoded energy-efficiency constraints.
+
+    The EE row charges metrics.consumed_power as the affine term it is.
+    """
     channels = state.channels
     K = channels.n_users
     total_tr = LinExpr()
@@ -416,7 +416,7 @@ def build_point_subproblem(state, scenario):
     epigraph trace with d^(-2), so the objective reads in original units.
 
     Each W_k is restricted to U Z_k U^H + a_k (I - U U^H), U = state.basis
-    (n x m, see point_subspace), through ConicProgram.restrict.  Every
+    (n x m, see point_subspace), through ConicProgram.psd_var.  Every
     datum that sees W_k maps that subspace to itself: the information,
     power, SINR and EE rows, and the penalty's I and u u^H, with u in
     span U while the previous iterate's largest eigenvalue is Z_k's.  So
@@ -427,8 +427,7 @@ def build_point_subproblem(state, scenario):
     K = state.channels.n_users
     w_vars = [prog.add_matrix_var(f"W{k}", n) for k in range(K)]
     for var in w_vars:
-        prog.psd_var(var)
-        prog.restrict(var, state.basis)
+        prog.psd_var(var, basis=state.basis)
     xi = prog.add_matrix_var("Xi", 2, hermitian=False)
     prog.psd_var(xi)
     u_var = epigraph_trace_inverse(prog, xi, name="U")
@@ -542,12 +541,13 @@ def evaluate_slacks(scenario, channels, W_list):
     """Normalized constraint slacks (relative units, negative = violated)."""
     total = _total_trace(W_list)
     out = {"power": (scenario.power_budget - total) / scenario.power_budget}
+    if scenario.sinr_threshold > 0 or scenario.ee_threshold > 0:
+        sinrs = metrics.sinrs(channels, W_list, scenario.comm_noise)
     if scenario.sinr_threshold > 0:
-        for k in range(channels.n_users):
-            s = metrics.sinr_from_covariances(channels, W_list, k, scenario.comm_noise)
+        for k, s in enumerate(sinrs):
             out[f"sinr{k}"] = s / scenario.sinr_threshold - 1.0
     if scenario.ee_threshold > 0:
-        slack, rate, power_mw = _ee_slack(scenario, channels, W_list)
+        slack, power_mw = _ee_slack(scenario, sinrs, total)
         out["ee"] = slack / max(scenario.ee_threshold * power_mw * 1e-3, 1e-300)
     return out
 
@@ -607,12 +607,20 @@ def _make_chords(scenario, channels):
     return out
 
 
-def _sca_loop(scenario, options, state, build, bound_from_solution):
+def _design_bound(scenario, W_list):
+    """Bound trace of the covariances, infinite when the design nulled the target."""
+    try:
+        bound = bounds.scenario_bound(scenario, sum(W_list))
+    except (SingularInformationError, UnidentifiableParametersError):
+        return float("inf")
+    return float(np.trace(bound)) if isinstance(scenario.target, geometry.PointTarget) else bound
+
+
+def _sca_loop(scenario, options, state, build):
     trace = ScaTrace()
     t_start = time.monotonic()
     K = state.channels.n_users
     warm = None
-    best = None
     prev_obj = np.inf
     stall = 0
     for it in range(options.max_iter):
@@ -638,16 +646,14 @@ def _sca_loop(scenario, options, state, build, bound_from_solution):
         rr = rank_residual(W_new)
         trace.rank_residuals.append(rr)
         trace.slacks.append(evaluate_slacks(scenario, state.channels, W_new))
-        best = (W_new, sol)
         state.W_prev = W_new
-        if options.gamma_decay:
-            stall = stall + 1 if (trace.rank_residuals[0] > 0 and it > 0 and
-                                  rr > 0.9 * trace.rank_residuals[-2]) else 0
-            if stall >= 5 and state.gamma > GAMMA_FLOOR:
-                state.gamma = max(state.gamma * 0.5, GAMMA_FLOOR)
-                stall = 0
+        stall = stall + 1 if (trace.rank_residuals[0] > 0 and it > 0 and
+                              rr > 0.9 * trace.rank_residuals[-2]) else 0
+        if stall >= 5 and state.gamma > GAMMA_FLOOR:
+            state.gamma = max(state.gamma * 0.5, GAMMA_FLOOR)
+            stall = 0
         if abs(prev_obj - obj) <= TOL * max(1.0, abs(obj)):
-            if rr <= options.rank_tol or not options.gamma_decay:
+            if rr <= options.rank_tol:
                 trace.status = "converged"
                 break
             if state.gamma > GAMMA_FLOOR:
@@ -661,24 +667,22 @@ def _sca_loop(scenario, options, state, build, bound_from_solution):
         prev_obj = obj
     else:
         trace.status = "max_iter"
-    if trace.status == "running":
-        trace.status = "converged"
-    if best is None:
+    if not trace.objectives:
         raise ScenarioInfeasibleError("no feasible iterate produced", violated="subproblem")
-    W_list, sol = best
+    W_list = state.W_prev
     w_cols = [extract_beamformer(W, options.rank_tol) for W in W_list]
     W = np.stack(w_cols, axis=1)
-    bound = bound_from_solution(W_list, sol)
+    bound = _design_bound(scenario, W_list)
     trace.wall_time = time.monotonic() - t_start
     return W, W_list, trace, bound
 
 
-def solve_point_sca(scenario, options=None, channels=None):
+def solve_point_sca(scenario, options=None):
     """Minimize the point-target location bound; returns (W, {W_k}, trace, bound)."""
     if not isinstance(scenario.target, geometry.PointTarget):
         raise InvalidArgumentError("point-target solver needs a point target")
     options = options or ScaOptions()
-    channels = channels or scenario.channels()
+    channels = scenario.channels()
     W0 = init_feasible(scenario, channels)
     trm = bounds.point_trm(scenario.geom, scenario.target)
     coeffs = bounds.fim_point_coefficients(trm, scenario.sensing_noise, scenario.frame_length)
@@ -697,36 +701,15 @@ def solve_point_sca(scenario, options=None, channels=None):
                      basis=point_subspace(scenario, channels),
                      d_scale=d_scale, mu_scale=mu_scale, gamma=options.gamma,
                      chords=_make_chords(scenario, channels))
-
-    def bound_from_solution(W_list, sol):
-        try:
-            fim = bounds.fim_point(trm, sum(W_list), scenario.sensing_noise,
-                                   scenario.frame_length)
-            return float(np.trace(bounds.crb_point(fim)))
-        except (SingularInformationError, UnidentifiableParametersError):
-            # the design nulled the target; no finite bound exists
-            return float("inf")
-
-    return _sca_loop(scenario, options, state, build_point_subproblem, bound_from_solution)
+    return _sca_loop(scenario, options, state, build_point_subproblem)
 
 
-def solve_extended_sca(scenario, options=None, channels=None):
+def solve_extended_sca(scenario, options=None):
     """Minimize the extended-target Bayesian bound; returns (W, {W_k}, trace, bound)."""
     if not isinstance(scenario.target, geometry.ExtendedTarget):
         raise InvalidArgumentError("extended-target solver needs an extended target")
     options = options or ScaOptions()
-    channels = channels or scenario.channels()
-    W0 = init_feasible(scenario, channels)
-    params = bounds.BcrbParams(noise_power=scenario.sensing_noise,
-                               prior_variance=scenario.target.prior_variance,
-                               frame_length=scenario.frame_length,
-                               n_rx=scenario.geom.n_rx)
-
-    state = ScaState(W_prev=W0, channels=channels, gamma=options.gamma,
-                     chords=_make_chords(scenario, channels))
-
-    def bound_from_solution(W_list, sol):
-        return bounds.bcrb_extended_trace(sum(W_list), params)
-
-    return _sca_loop(scenario, options, state,
-                     build_extended_subproblem, bound_from_solution)
+    channels = scenario.channels()
+    state = ScaState(W_prev=init_feasible(scenario, channels), channels=channels,
+                     gamma=options.gamma, chords=_make_chords(scenario, channels))
+    return _sca_loop(scenario, options, state, build_extended_subproblem)

@@ -289,7 +289,7 @@ def test_criterion_11_music_ordering():
     scn = harness._apply_sweep(base, "radar_snr_db", 30.0)
     W = _matched_design(scn)
     trm = bounds.point_trm(scn.geom, scn.target)
-    C = harness._point_bound(scn, W @ W.conj().T)
+    C = bounds.scenario_bound(scn, W @ W.conj().T)
     grid = estimators.default_grid(scn.geom)
     mle_sq, music_sq = [], []
     for trial in range(500):

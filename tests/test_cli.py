@@ -1,6 +1,12 @@
 import json
+import math
+import pathlib
+
+import pytest
 
 from nfisac import cli, harness
+
+GOLDEN_DESK = pathlib.Path(__file__).parent / "data" / "desk_sweep.csv"
 
 SMALL = {
     "geometry": {"n_tx": 4, "n_rx": 4, "n_rf": 2, "carrier_freq_hz": 28.0e9},
@@ -84,6 +90,40 @@ def test_estimate_subcommand_deterministic(tmp_path):
     table = harness.parse_results_csv(out1.read_text())
     assert table.select(metric="mle_rmse_distance")[0].trials == 2
     assert table.select(metric="crb_rmse_angle")
+
+
+def test_estimate_without_configured_trials_runs_two(tmp_path):
+    # trials 0 (no sweep trials) still gives the estimate two, so every
+    # standard error is finite
+    cfg = _config_file(tmp_path, trials=0)
+    out = tmp_path / "a.csv"
+    assert cli.main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+    table = harness.parse_results_csv(out.read_text())
+    for name in ("distance", "angle"):
+        (row,) = table.select(metric=f"mle_rmse_{name}")
+        assert row.trials == 2 and math.isfinite(row.stderr) and row.stderr > 0
+
+
+def test_desk_sweep_matches_golden_table(tmp_path):
+    # `nfisac sweep --scale desk`, its 200 MLE trials included, against the
+    # table written before the system model had one owner per piece: status
+    # rows exactly, every other value to 1e-8 relative (1e-12 absolute for
+    # values at rounding level, as the fully-connected factorization residual)
+    out = tmp_path / "desk.csv"
+    assert cli.main(["sweep", "--scale", "desk", "--out", str(out)]) == 0
+    text, golden = out.read_text(), GOLDEN_DESK.read_text()
+    assert [ln for ln in text.splitlines() if ln.startswith("#")] == \
+        [ln for ln in golden.splitlines() if ln.startswith("#")]
+    rows = harness.parse_results_csv(_strip_comments(text)).sorted_rows()
+    expected = harness.parse_results_csv(_strip_comments(golden)).sorted_rows()
+    assert [(r.sweep_var, r.sweep_value, r.arch, r.metric, r.trials) for r in rows] == \
+        [(r.sweep_var, r.sweep_value, r.arch, r.metric, r.trials) for r in expected]
+    for r, e in zip(rows, expected):
+        if r.metric == "status":
+            assert r.value == e.value
+        else:
+            assert r.value == pytest.approx(e.value, rel=1e-8, abs=1e-12), (r.arch, r.metric)
+            assert r.stderr == pytest.approx(e.stderr, rel=1e-8, abs=1e-12), (r.arch, r.metric)
 
 
 def test_infeasible_scenario_exit_code(tmp_path, capsys):

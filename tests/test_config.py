@@ -61,6 +61,14 @@ def test_output_and_architecture_validated():
         config.loads_config('{"trials": -1}')
 
 
+def test_trials_zero_or_at_least_two():
+    # one trial has no standard error; 0 means no trials
+    with pytest.raises(InvalidArgumentError):
+        config.loads_config('{"trials": 1}')
+    for n in (0, 2, 200):
+        assert config.loads_config(f'{{"trials": {n}}}').trials == n
+
+
 def test_users_block_is_replaced_wholesale():
     cfg = config.loads_config('{"users": [{"angle_deg": 0.0, "distance_m": 3.0}]}',
                               scale="desk")

@@ -649,30 +649,35 @@ def test_subspace_isometry_lifts_z_and_complement(n, m, hermitian):
 
 
 def test_restrict_rejects_bad_declarations():
+    # psd_var with a basis checks it, and records the block it adds; a
+    # rejected declaration adds no block
     rng = np.random.default_rng(20)
     prog = ConicProgram()
     W = prog.add_matrix_var("W", 4)
     S = prog.add_matrix_var("S", 4, hermitian=False)
     U = _orthonormal(rng, 4, 2)
-    with pytest.raises(InvalidArgumentError):
-        prog.restrict(W, U)                       # not constrained by psd_var
-    prog.psd_var(W)
-    prog.psd_var(S)
     for bad in (U[:3], 2.0 * U, np.zeros((4, 0)), U[:, 0]):
         with pytest.raises(InvalidArgumentError):
-            prog.restrict(W, bad)
+            prog.psd_var(W, basis=bad)
     with pytest.raises(InvalidArgumentError):
-        prog.restrict(S, U)                       # complex basis, real variable
+        prog.psd_var(S, basis=U)                        # complex basis, real variable
     with pytest.raises(InvalidArgumentError):
-        prog.restrict(MatrixVar("W", 4, True), U)  # not this program's variable
-    prog.restrict(W, U)
-    prog.restrict(S, _orthonormal(rng, 4, 4, hermitian=False))
+        prog.psd_var(MatrixVar("W", 4, True), basis=U)  # not this program's variable
+    assert prog.psd_blocks == [] and prog.restrictions == {}
+    prog.add_psd_block(PsdBlock("other", 2, complex_valued=False))
+    prog.psd_var(W, basis=U)
+    prog.psd_var(S, basis=_orthonormal(rng, 4, 4, hermitian=False))
     assert set(prog.restrictions) == {"W", "S"}
+    np.testing.assert_array_equal(prog.restrictions["W"][0], U)
+    assert [j for _, j in prog.restrictions.values()] == [1, 2]
+    assert prog.psd_blocks[1].terms == [("var", "W", 0)]
+    assert prog.psd_blocks[2].terms == [("var", "S", 0)]
 
 
-def _invariant_program(rng, n=6, m=2, hermitian=True):
+def _invariant_program(rng, n=6, m=2, hermitian=True, restricted=False):
     """min Re Tr(C W) + t over W >= 0, Tr W <= 2, Re Tr(G W) >= 1, t >= Re Tr(H W) - 3,
-    with every matrix of the form U X U^H + c (I - U U^H)."""
+    with every matrix of the form U X U^H + c (I - U U^H); restricted to U
+    when asked."""
     U = _orthonormal(rng, n, m, hermitian)
     P = np.eye(n) - U @ U.conj().T
 
@@ -683,7 +688,7 @@ def _invariant_program(rng, n=6, m=2, hermitian=True):
     prog = ConicProgram()
     W = prog.add_matrix_var("W", n, hermitian=hermitian)
     t = prog.add_scalar_var("t")
-    prog.psd_var(W)
+    prog.psd_var(W, basis=U if restricted else None)
     prog.add_ineq(LinExpr(2.0) - real_trace(np.eye(n), W))
     G = invariant(0.0)
     prog.add_ineq(real_trace(G @ G, W) - 1.0)
@@ -694,9 +699,10 @@ def _invariant_program(rng, n=6, m=2, hermitian=True):
 
 @pytest.mark.parametrize("hermitian", [True, False])
 def test_restricted_solve_matches_full_solve(hermitian):
-    prog, W, U = _invariant_program(np.random.default_rng(21), hermitian=hermitian)
-    full = solve(prog, tol=1e-9)
-    prog.restrict(W, U)
+    full = solve(_invariant_program(np.random.default_rng(21), hermitian=hermitian)[0],
+                 tol=1e-9)
+    prog, W, U = _invariant_program(np.random.default_rng(21), hermitian=hermitian,
+                                    restricted=True)
     restricted = solve(prog, tol=1e-9)
     assert full.optimal and restricted.optimal
     assert restricted.objective == pytest.approx(full.objective, rel=1e-6)
@@ -717,8 +723,7 @@ def test_restricted_solve_matches_full_solve(hermitian):
 def test_restricted_program_rows_are_exact():
     # W's own PSD rows become the Z block and one nonnegative row, each an
     # exact one-entry row; the other rows are A diag(e / E) Phi
-    prog, W, U = _invariant_program(np.random.default_rng(22))
-    prog.restrict(W, U)
+    prog, W, U = _invariant_program(np.random.default_rng(22), restricted=True)
     form = assemble(prog)
     A, _, _, D, E = solver.ruiz_equilibrate(form)
     rform, A_r, D_r, E_r, cols, rows = solver.restrict(prog, form, A, D, E)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nfisac import config, geometry, harness, sca
+from nfisac import bounds, config, geometry, harness, sca
 from nfisac.errors import InvalidArgumentError
 
 SMALL_CFG = json.dumps({
@@ -104,6 +104,26 @@ def test_heatmap_boresight_focus_is_mirror_symmetric():
     grid = harness.HeatmapGrid(x_min=-1, x_max=1, y_min=0.1, y_max=2, n_x=15, n_y=11)
     gain = harness.beamfocusing_heatmap(w, GEOM, grid)
     np.testing.assert_allclose(gain, gain[::-1, :], rtol=1e-9)
+
+
+def test_heatmap_gain_matches_per_point_steering():
+    # the heatmap's steering vectors are geometry's, point by point,
+    # including the phi = +-pi/2 edge of a grid starting at y = 0
+    rng = np.random.default_rng(4)
+    W = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+    grid = harness.HeatmapGrid(x_min=-1, x_max=1, y_min=0, y_max=2, n_x=9, n_y=7)
+    gain = harness.beamfocusing_heatmap(W, GEOM, grid)
+    for i, x in enumerate(grid.xs()):
+        for j, y in enumerate(grid.ys()):
+            r, phi = np.hypot(x, y), np.arctan2(x, y)
+            if r == 0:
+                assert gain[i, j] == 0.0
+                continue
+            b = geometry.steering_vectors(GEOM, r, phi)
+            if abs(phi) < np.pi / 2:
+                np.testing.assert_array_equal(b, geometry.steering_vector(GEOM, r, phi))
+            expected = np.sum(np.abs(W.conj().T @ b) ** 2)
+            assert gain[i, j] == pytest.approx(expected, rel=1e-12)
 
 
 def test_heatmap_csv_layout():
@@ -212,6 +232,37 @@ def test_estimator_trial_rows_independent_of_worker_count(monkeypatch):
         rows[workers] = table.sorted_rows()
     assert len(rows[1]) == 4
     assert rows[1] == rows[2] == rows[4]
+
+
+def test_estimator_trial_rows_need_two_trials():
+    # a standard error needs two trials
+    scn = config.config_to_scenario(_small_config())
+    b = geometry.steering_vector(scn.geom, scn.target.distance, scn.target.angle)
+    for trials in (0, 1):
+        with pytest.raises(InvalidArgumentError):
+            harness.estimator_trial_rows(harness.ResultTable(), scn, "none", 0.0,
+                                         b[:, None], trials=trials, seed=5)
+
+
+def test_digital_bound_row_is_the_sca_bound(monkeypatch):
+    # the table rates the extracted beamformers w_k, the SCA its rank-one
+    # covariances W_k = w_k w_k^H, both through bounds.scenario_bound
+    cfg = _small_config(architectures=["digital"])
+    returned = []
+    optimize = harness.optimize_scenario
+
+    def recording(scn):
+        result = optimize(scn)
+        returned.append(result)
+        return result
+
+    monkeypatch.setattr(harness, "optimize_scenario", recording)
+    table = harness.run_sweep(cfg)
+    (row,) = table.select(metric="bound_trace", arch="digital")
+    (_, W_list, _, bound), = returned
+    assert row.value == pytest.approx(bound, rel=1e-9)
+    scn = config.config_to_scenario(cfg)
+    assert bound == float(np.trace(bounds.scenario_bound(scn, sum(W_list))))
 
 
 @pytest.mark.parametrize("env, cores, workers", [

@@ -24,13 +24,23 @@ def test_units_round_trip():
 
 
 def test_sinr_matches_covariance_form():
+    # SINR, consumed power and EE of beamformer columns w_k, entered as the
+    # covariances w_k w_k^H, against the direct |h_k^H w_i|^2 formulas
     rng = np.random.default_rng(3)
-    W = rng.standard_normal((GEOM.n_tx, 2)) + 1j * rng.standard_normal((GEOM.n_tx, 2))
-    covs = [np.outer(W[:, k], W[:, k].conj()) for k in range(2)]
-    for k in range(2):
-        s_direct = metrics.sinr(CHANNELS, W, k, 1e-9)
-        s_lift = metrics.sinr_from_covariances(CHANNELS, covs, k, 1e-9)
-        assert s_direct == pytest.approx(s_lift, rel=1e-10)
+    noise, eff, static = 1e-9, 0.4, 20.0
+    for _ in range(5):
+        W = rng.standard_normal((GEOM.n_tx, 2)) + 1j * rng.standard_normal((GEOM.n_tx, 2))
+        covs = [np.outer(W[:, k], W[:, k].conj()) for k in range(2)]
+        sinrs = metrics.sinrs(CHANNELS, covs, noise)
+        gains = np.abs(np.stack(CHANNELS.vectors).conj() @ W) ** 2   # [k, i] = |h_k^H w_i|^2
+        direct = [gains[k, k] / (gains[k].sum() - gains[k, k] + noise) for k in range(2)]
+        np.testing.assert_allclose(sinrs, direct, rtol=1e-10)
+        radiated = float(np.sum(np.abs(W) ** 2))
+        power = metrics.consumed_power(sum(np.real(np.trace(c)) for c in covs), eff, static)
+        assert power == pytest.approx(radiated / eff + static, rel=1e-12)
+        rate = np.log2(1.0 + np.array(direct)).sum()
+        assert (metrics.energy_efficiency(metrics.sum_rate(sinrs), power)
+                == pytest.approx(rate / ((radiated / eff + static) * 1e-3), rel=1e-10))
 
 
 def test_sinr_interference_free_single_user():
@@ -38,7 +48,15 @@ def test_sinr_interference_free_single_user():
     w = h / np.linalg.norm(h) * 4.0
     noise = 1e-9
     expected = 16.0 * np.linalg.norm(h) ** 2 / noise
-    assert metrics.sinr(CHANNELS, w[:, None], 0, noise) == pytest.approx(expected, rel=1e-10)
+    (sinr,) = metrics.sinrs(geometry.ChannelSet((h,)), [np.outer(w, w.conj())], noise)
+    assert sinr == pytest.approx(expected, rel=1e-10)
+    # a second user's beam interferes only through its own overlap
+    both = metrics.sinrs(CHANNELS, [np.outer(w, w.conj()), np.zeros((GEOM.n_tx,) * 2)], noise)
+    assert both[0] == pytest.approx(expected, rel=1e-10) and both[1] >= 0.0
+    with pytest.raises(InvalidArgumentError):
+        metrics.sinrs(CHANNELS, [np.outer(w, w.conj())], noise)   # one covariance, two users
+    with pytest.raises(InvalidArgumentError):
+        metrics.sinrs(CHANNELS, [np.eye(GEOM.n_tx)] * 2, 0.0)
 
 
 def test_sum_rate_shannon():
@@ -51,8 +69,7 @@ def test_sum_rate_shannon():
 @settings(max_examples=25, deadline=None)
 @given(p=st.floats(1e-3, 1e4), rho=st.floats(0.05, 1.0), p0=st.floats(0.0, 100.0))
 def test_total_power_linear_model(p, rho, p0):
-    W = np.sqrt(p) * np.ones((1, 1))
-    assert metrics.total_power(W, rho, p0) == pytest.approx(p / rho + p0, rel=1e-10)
+    assert metrics.consumed_power(p, rho, p0) == pytest.approx(p / rho + p0, rel=1e-10)
 
 
 def test_energy_efficiency_units():

@@ -76,8 +76,7 @@ def test_rate_surrogate_is_tangent_minorant():
     W_prev = [_random_psd(rng, 4) for _ in range(2)]
 
     def true_rate(k, W_list):
-        s = metrics.sinr_from_covariances(channels, W_list, k, scn.comm_noise)
-        return np.log2(1.0 + s)
+        return np.log2(1.0 + metrics.sinrs(channels, W_list, scn.comm_noise)[k])
 
     for k in range(2):
         rs = sca.rate_surrogate(W_prev, k, channels, scn.comm_noise)
@@ -231,7 +230,7 @@ def _polish_case(kind):
         W *= {"budget": 40.0, "over": 105.0, "sinr": 40.0, "grow": 40.0}[kind] / np.real(np.trace(W))
     if kind == "grow":
         # SINR row violated by 1e-6 at scale 1: shrinking cannot repair it, growing can
-        sinr = metrics.sinr_from_covariances(channels, [W], 0, scn.comm_noise)
+        (sinr,) = metrics.sinrs(channels, [W], scn.comm_noise)
         scn = _small_scenario(sinr_threshold=sinr / (1.0 - 1e-6))
     return scn, channels, [W]
 
@@ -495,8 +494,7 @@ def test_extended_relaxation_matches_water_filling_oracle():
     # transmit covariance is isotropic at full power, and the bound equals
     # the 1-D closed form it induces
     scn = _extended_scenario()
-    opts = sca.ScaOptions(max_iter=8, sdp_max_iter=8000, gamma=1e9,
-                          rank_tol=np.inf, gamma_decay=False)
+    opts = sca.ScaOptions(max_iter=8, sdp_max_iter=8000, gamma=1e9, rank_tol=np.inf)
     _, W_list, trace, bound = sca.solve_extended_sca(scn, opts)
     R = sum(W_list)
     n = scn.geom.n_tx
