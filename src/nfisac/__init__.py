@@ -5,7 +5,7 @@ Subpackages and modules:
 - geometry: arrays, steering vectors, spherical-wave channels
 - metrics: SINR, rate, power, energy efficiency
 - bounds: point-target and extended-target estimation bounds
-- conic: semidefinite programming layer (modeling + ADMM solver)
+- conic: semidefinite programming layer (modeling + interior-point solver)
 - sca: successive convex approximation of the beamfocusing designs
 - hybrid: analog/digital factorization of digital beamformers
 - estimators: echo simulation, grid ML, subspace, and linear MMSE baselines

@@ -1,4 +1,4 @@
-"""Trace-linear semidefinite programming: modeling layer and ADMM solver."""
+"""Trace-linear semidefinite programming: modeling layer and primal-dual interior-point solver."""
 
 from .model import (
     ConicProgram,

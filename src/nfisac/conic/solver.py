@@ -1,69 +1,47 @@
-"""First-order operator-splitting solver for the conic programs in model.py.
+"""Primal-dual interior-point solver for the conic programs in model.py.
 
 Standard form after assembly:
 
     minimize    c . x
     subject to  A x + s = b,   s in K = {0}^p x R+^q x PSD(m_1) x ... x PSD(m_B)
 
-solved by ADMM on the splitting (x, s): the x-update solves with the
-regularized normal matrix sigma*I + rho*A^T A, the s-update is a Euclidean
-projection onto K (eigenvalue clipping per PSD block), and the scaled
-multiplier accumulates the residual.  A PSD block's rows are the block's
-coordinates in the orthonormal basis of model.coordinate_map times a weight
-fixed by the block's kind (block_weight): 1 for a real symmetric block and
-sqrt(2) for a complex Hermitian one, so a complex block's rows have the
-Frobenius norm of its realification [[Re H, -Im H], [Im H, Re H]] and ADMM
-takes the steps it would take on the real program.  In orthonormal
-coordinates the PSD cone is self-dual under the plain dot product, so
-project_cone serves K* as well once the zero rows are left free.
+with dual  maximize -b . y  subject to  A^T y + c = 0,  y in K* (free on the
+zero rows).  A PSD block's rows are its coordinates in the orthonormal
+basis of model.coordinate_map times block_weight, sqrt(2) for a complex
+block, whose rows then have the dot products of its realification (a
+complex block of side n counts as a real one of side 2n).  In these
+coordinates the PSD cone is self-dual under the plain dot product.
 
-Data is Ruiz-equilibrated first with one uniform scale factor per PSD block
-(row scaling must not break cone membership).  A program may then restrict
-a PSD variable V to {U Z U^H + a (I - U U^H) : Z PSD, a >= 0} with U an
-n x m orthonormal basis (ConicProgram.psd_var): restrict rewrites the
-equilibrated data so that V's columns are Z's coordinates and a, and V's
-PSD block is an m x m block plus one nonnegative row.  When every datum
-maps that subspace to itself the full program's iterates stay in it, so
-the restricted ADMM takes the full program's path on a smaller program
-(an invariant-subspace reduction, Permenter and Parrilo, Math. Programming
-2020).  The design programs restrict each W_k to m = K + 3 directions:
-the desk point-target subproblem runs on 207 x 60 instead of 667 x 520,
-the first paper subproblem on 485 x 210 instead of 16,669 x 16,394.
-
-Each iteration costs what the structure of A allows, on data prepared once
-per solve and once per value of rho (as in SCS):
-  - products with A and A^T go through _RowSplit: one-entry rows as
-    triplets, the other rows as a thin SVD of rank r (15 at desk size,
-    21 at paper size, restricted or not);
-  - the x-update (_XSolver) is a Woodbury solve through that rank, so
-    A^T A is never formed;
-  - project_cone reads each block's coordinates as its n x n Hermitian or
-    symmetric matrix through index arrays built once per StandardForm and
-    computes only the block's positive eigenpairs.  In the restricted desk
-    program these are two complex 5 x 5 blocks (W_k) and real 2 x 2 and
-    4 x 4 ones (Xi, its epigraph and the Schur block).
-
-Convergence is declared on unscaled KKT residuals; primal infeasibility is
-detected from an approximate ray certificate and is heuristic, not a proof.
+The data are Ruiz-equilibrated with one uniform row scale per PSD block;
+restrict then applies the program's subspace restrictions (see psd_var),
+which keep the optimum (Permenter and Parrilo, Math. Programming 2020):
+the desk point-target subproblem is 209 x 62 instead of 669 x 522.  The
+result is solved by a dense path-following method on its homogeneous
+self-dual embedding, as CVXOPT's conelp (Vandenberghe, "The CVXOPT linear
+and quadratic cone program solvers", 2010): Nesterov-Todd scaling,
+Mehrotra's predictor-corrector with one step of iterative refinement, and
+a Newton matrix of the size of x factored once per iteration.  Primal
+infeasibility is declared from the dual ray the embedding converges to.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
 import scipy.sparse
 
+from ..errors import InvalidArgumentError
 from . import model as mdl
 from .model import SQRT2
 
-#: initial ADMM penalty rho; doubled or halved to rebalance the residuals
-RHO = 1.0
-#: proximal regularization sigma of the x-update
-SIGMA = 1e-6
-#: over-relaxation factor
-ALPHA = 1.6
-#: iterations between residual checks
-CHECK_EVERY = 25
+#: fraction of the way to the cone boundary that a step may go
+STEP = 0.99
+#: exponent of Mehrotra's centering weight sigma = (1 - predictor step)^EXPON
+EXPON = 3
+#: a shorter step ends the solve: the iterate is as good as rounding allows
+MIN_STEP = 1e-8
+#: largest dense matrix A (rows times columns) the solver accepts
+MAX_DENSE = 20_000_000
 
 
 def block_weight(complex_block):
@@ -87,10 +65,6 @@ class StandardForm:
     psd_complex: list   # per block: True for a complex Hermitian block
     n_x: int
     offsets: dict
-    psd_maps: list = field(init=False)
-
-    def __post_init__(self):
-        self.psd_maps = _psd_maps(self)
 
 
 def _expr_entries(expr, offsets):
@@ -187,81 +161,7 @@ def assemble(program):
 
 
 # ---------------------------------------------------------------------------
-# cone projections
-
-
-def _psd_maps(form):
-    """Per PSD block, the index maps project_cone reads and writes it through.
-
-    Each is (n, complex, rows, gather, local, to_matrix, to_coords): the
-    block's matrix, as floats, is v[gather] * to_matrix, and the rows of
-    its projection P are bincount(local, P * to_coords).  local and the
-    weights are model.coordinate_map's index and weight, the weights
-    divided (multiplied) by the block weight; gather is that index shifted
-    to the block's rows.
-    """
-    maps = []
-    for rows, n, cplx in zip(form.psd_slices, form.psd_sides, form.psd_complex):
-        index, weight = mdl.coordinate_map(n, cplx)
-        local = index.ravel()
-        scale = block_weight(cplx)
-        maps.append((n, cplx, rows, local + rows.start, local, weight.ravel() / scale,
-                     weight.ravel() * scale))
-    return maps
-
-
-def _positive_part(B, cplx):
-    """B's projection onto the PSD cone, or None when B has no negative eigenvalue.
-
-    Only the eigenpairs with positive eigenvalues are computed (LAPACK
-    ?heevr/?syevr over (0, inf)); in the design programs nearly every W
-    block has one.  A block on which that routine fails is decomposed in
-    full.
-    """
-    evr = scipy.linalg.lapack.zheevr if cplx else scipy.linalg.lapack.dsyevr
-    w, V, m, _, info = evr(B, range="V", vl=0.0, vu=np.inf)
-    if info == 0:
-        w, V = w[:m], V[:, :m]
-    else:
-        w, V = np.linalg.eigh(B)
-        w, V = w[w > 0], V[:, w > 0]
-    if w.size == B.shape[0]:
-        return None
-    return (V * w) @ V.conj().T
-
-
-def project_cone(v, form):
-    """Euclidean projection onto K = {0}^p x R+^q x PSD(m_1) x ..., blocks in coordinates.
-
-    A PSD block with no negative eigenvalue keeps its rows.
-    """
-    out = v.copy()
-    out[: form.n_zero] = 0.0
-    ng = slice(form.n_zero, form.n_zero + form.n_nonneg)
-    out[ng] = np.maximum(out[ng], 0.0)
-    for n, cplx, rows, gather, local, to_matrix, to_coords in form.psd_maps:
-        B = v[gather] * to_matrix
-        if cplx:
-            B = B.view(complex)
-        P = _positive_part(B.reshape(n, n), cplx)
-        if P is not None:
-            out[rows] = np.bincount(local, weights=P.view(float).ravel() * to_coords,
-                                    minlength=rows.stop - rows.start)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # equilibration
-
-
-def _row_group_scale(norms, form):
-    """Per-row scale factors, uniform inside each PSD block."""
-    d = norms.copy()
-    for sl in form.psd_slices:
-        seg = d[sl]
-        mx = seg.max() if seg.size else 0.0
-        d[sl] = mx
-    return d
 
 
 def ruiz_equilibrate(form):
@@ -279,13 +179,13 @@ def ruiz_equilibrate(form):
     for sl, cplx in zip(form.psd_slices, form.psd_complex):
         row_weight[sl] = block_weight(cplx)
     entry_weight = row_weight[rows]
-    D = np.ones(m)
-    E = np.ones(n)
+    D, E = np.ones(m), np.ones(n)
     for _ in range(10):
         mag = np.abs(A.data) / entry_weight
         row_norms = np.zeros(m)
         np.maximum.at(row_norms, rows, mag)
-        row_norms = _row_group_scale(row_norms, form)
+        for sl in form.psd_slices:
+            row_norms[sl] = row_norms[sl].max(initial=0.0)
         dr = 1.0 / np.sqrt(np.clip(row_norms, 1e-10, 1e10))
         col_norms = np.zeros(n)
         np.maximum.at(col_norms, cols, mag)
@@ -299,7 +199,7 @@ def ruiz_equilibrate(form):
 
 
 # ---------------------------------------------------------------------------
-# solver
+# interior-point method
 
 
 @dataclass
@@ -311,7 +211,6 @@ class ConicSolution:
     dual_residual: float
     duality_gap: float
     iterations: int
-    rho_changes: int   # times the ADMM penalty rho was doubled or halved
     x: np.ndarray
     y: np.ndarray
     s: np.ndarray
@@ -321,94 +220,261 @@ class ConicSolution:
         return self.status == "optimal"
 
 
-class _RowSplit:
-    """A for the ADMM products: one-entry rows as triplets, the rest as L Z^T.
+def _herm(M):
+    return np.swapaxes(M, -1, -2).conj()
 
-    A row with one entry is kept as (row, col, value).  Every other row
-    that has entries is in the block L Z^T of a thin SVD (L with orthonormal
-    columns, Z scaled by the singular values), truncated at numpy's
-    matrix_rank tolerance.  In the design programs the one-entry rows are
-    mostly the PSD blocks' variable coordinates, and the others are the
-    power, SINR, energy-efficiency and Schur rows, which see the W blocks
-    through a few functionals: at desk size 141 of them have rank 15.
+
+class _Group:
+    """The PSD blocks of one side n and field, as stacked (k, ...) arrays.
+
+    rows (k, r) are the blocks' rows among the cone rows.  mats reads
+    (..., r) rows as (..., n, n) matrices; vecs writes matrices back as rows,
+    from their upper triangles.  Coordinate j sits at entry (ia[j], ib[j]).
     """
 
-    def __init__(self, A):
-        self.shape = A.shape
-        counts = np.diff(A.indptr)
-        self.rows1 = np.flatnonzero(counts == 1)
-        self.cols1 = A.indices[A.indptr[self.rows1]]
-        self.vals1 = A.data[A.indptr[self.rows1]]
-        self.rows = np.flatnonzero(counts > 1)
-        U, sv, Vt = np.linalg.svd(A[self.rows].toarray(), full_matrices=False)
-        tol = sv.max(initial=0.0) * max(A.shape[1], self.rows.size) * np.finfo(float).eps
-        rank = np.count_nonzero(sv > tol)
-        self.L = U[:, :rank]
-        self.Z = Vt[:rank].T * sv[:rank]
+    def __init__(self, n, cplx, starts):
+        self.n, self.cplx, self.w = n, cplx, block_weight(cplx)
+        r = mdl.MatrixVar("B", n, cplx).n_params
+        self.rows = np.add.outer(np.asarray(starts), np.arange(r))
+        index, weight = mdl.coordinate_map(n, cplx)
+        self.index, self.to_matrix = index, weight / self.w
+        d, (a, b) = np.arange(n), mdl.pair_indices(n)
+        self.ia = np.concatenate([d, a, a] if cplx else [d, a])
+        self.ib = np.concatenate([d, b, b] if cplx else [d, b])
+        flat = self.ia * n + self.ib
+        self.gather = 2 * flat + (np.arange(r) >= n + a.size) if cplx else flat
+        self.coef = self.w * np.where(self.ia == self.ib, 1.0, SQRT2)
+        self.R = self.Rinv = np.broadcast_to(np.eye(n), (len(starts), n, n))
 
-    def dot(self, x):
-        """A x."""
-        out = np.zeros(self.shape[0])
-        out[self.rows1] = self.vals1 * x[self.cols1]
-        out[self.rows] = self.L @ (self.Z.T @ x)
-        return out
+    def mats(self, v):
+        M = v.take(self.index, axis=-1) * self.to_matrix
+        return M.view(complex)[..., 0] if self.cplx else M[..., 0]
 
-    def tdot(self, y):
-        """A^T y."""
-        out = self.Z @ (self.L.T @ y[self.rows])
-        out += np.bincount(self.cols1, weights=self.vals1 * y[self.rows1],
-                           minlength=self.shape[1])
-        return out
+    def vecs(self, M):
+        M = np.ascontiguousarray(M, dtype=complex if self.cplx else float)
+        flat = (M.view(float) if self.cplx else M).reshape(M.shape[:-2] + (-1,))
+        return flat.take(self.gather, axis=-1) * self.coef
 
 
-class _XSolver:
-    """Solve of (sigma I + rho A^T A) x = rhs, rebuilt in O(n r^2) on each rho change.
+class _Cone:
+    """The cone rows of a standard form (nonnegative rows, then PSD blocks) and
+    the Nesterov-Todd scaling W of a pair s, z in their interior.
 
-    With A a _RowSplit, sigma I + rho A^T A = Delta + rho Z Z^T, where the
-    diagonal Delta = sigma + rho d holds the one-entry rows' squares d.  On
-    the columns F that a one-entry row touches, x_F = Delta_F^-1 (rhs_F -
-    rho Z_F p) with p = Z^T x, which is Woodbury's formula.  The other
-    columns T (the energy-efficiency auxiliaries of the design programs)
-    have Delta = sigma, where that formula's cancellation loses digits in
-    proportion to rho / sigma, so x_T is kept as an unknown beside p:
-
-        (I + rho Z_F^T Delta_F^-1 Z_F) p - Z_T^T x_T = Z_F^T Delta_F^-1 rhs_F
-        rho Z_T p + sigma x_T                        = rhs_T
-
-    an (r + |T|)-square system: the r x r capacitance matrix bordered by
-    the columns T.  Its solution operator is formed once per rho.
+    lam = W z = W^-T s.  On the nonnegative rows W = diag(d), d = sqrt(s / z).
+    On a PSD block W z = R^H Z R and W^-T s = R^-1 S R^-H, both the diagonal
+    matrix of the block's lam, so lam o u (the Jordan product) is u times
+    (lam_i + lam_j) / 2 on each coordinate of pair (i, j).
     """
 
-    def __init__(self, A):
-        self.n = A.shape[1]
-        self.d = np.bincount(A.cols1, weights=A.vals1 ** 2, minlength=self.n)
-        self.T = np.flatnonzero(self.d == 0)
-        self.Z = A.Z
-        self.rho = None
+    def __init__(self, form):
+        self.q, self.m = form.n_nonneg, form.A.shape[0] - form.n_zero
+        kinds = {}
+        for sl, n, cplx in zip(form.psd_slices, form.psd_sides, form.psd_complex):
+            kinds.setdefault((n, cplx), []).append(sl.start - form.n_zero)
+        self.groups = [_Group(n, cplx, starts) for (n, cplx), starts in kinds.items()]
+        self.degree = self.q + sum(g.rows.shape[0] * g.w**2 * g.n for g in self.groups)
+        self.d = np.ones(self.q)
+        self.e = self._rows(1.0, lambda g: g.vecs(np.eye(g.n)))
 
-    def set_rho(self, rho):
-        self.rho = rho
-        r, t = self.Z.shape[1], self.T.size
-        delta = SIGMA + rho * self.d
-        Zd = self.Z / delta[:, None]
-        Zd[self.T] = 0.0   # Z_F Delta_F^-1
-        Z_T = self.Z[self.T]
-        bordered = np.block([[np.eye(r) + rho * (self.Z.T @ Zd), -Z_T.T],
-                             [rho * Z_T, SIGMA * np.eye(t)]])
-        gather = np.zeros((r + t, self.n))
-        gather[:r] = Zd.T
-        gather[r + np.arange(t), self.T] = 1.0
-        # rhs -> (p, x_T)
-        self.to_border = np.linalg.solve(bordered, gather)
-        self.inv_delta = 1.0 / delta
-        self.back = rho * Zd
+    def _rows(self, nonneg, block):
+        out = np.empty(self.m)
+        out[: self.q] = nonneg
+        for g in self.groups:
+            out[g.rows] = block(g)
+        return out
 
-    def solve(self, rhs):
-        r = self.Z.shape[1]
-        border = self.to_border @ rhs
-        x = rhs * self.inv_delta - self.back @ border[:r]
-        x[self.T] = border[r:]
-        return x
+    def rescale(self, s_t, z_t):
+        """Move W to the scaling of W^T s_t and W^-1 z_t (s_t, z_t in lam's coordinates)."""
+        for g in self.groups:
+            Ls = np.linalg.cholesky(g.mats(s_t[g.rows]))
+            Lz = np.linalg.cholesky(g.mats(z_t[g.rows]))
+            _, g.lam, Vh = np.linalg.svd(_herm(Lz) @ Ls)
+            root = np.sqrt(g.lam)
+            g.R = g.R @ (Ls @ _herm(Vh) / root[:, None, :])
+            g.Rinv = (root[:, :, None] * (Vh @ np.linalg.inv(Ls))) @ g.Rinv
+        self.lam_nn = np.sqrt(s_t[: self.q] * z_t[: self.q])
+        self.d = self.d * np.sqrt(s_t[: self.q] / z_t[: self.q])
+        self.lam = self._rows(self.lam_nn, lambda g: g.vecs(g.lam[:, :, None] * np.eye(g.n)))
+        self.lam_fac = self._rows(self.lam_nn, lambda g: 0.5 * (g.lam[:, g.ia] + g.lam[:, g.ib]))
+
+    def _congruent(self, v, d, L):
+        """d v on the nonnegative rows, L X L^H on each block X, column by column of v."""
+        V = v.reshape(self.m, -1)
+        out = np.empty(V.shape)
+        out[: self.q] = V[: self.q] * d[:, None]
+        for g in self.groups:
+            Lg = L(g)[:, None]
+            X = g.mats(np.swapaxes(V[g.rows], 1, 2))
+            out[g.rows] = np.swapaxes(g.vecs(Lg @ X @ _herm(Lg)), 1, 2)
+        return out.reshape(v.shape)
+
+    def t(self, v):
+        """W^T v."""
+        return self._congruent(v, self.d, lambda g: g.R)
+
+    def inv_t(self, v):
+        """W^-T v (v a vector or a matrix of columns)."""
+        return self._congruent(v, 1.0 / self.d, lambda g: g.Rinv)
+
+    def inv(self, v):
+        """W^-1 v."""
+        return self._congruent(v, 1.0 / self.d, lambda g: _herm(g.Rinv))
+
+    def product(self, u, v):
+        """The Jordan product u o v (U V + V U) / 2, with V U = (U V)^H."""
+        def block(g):
+            P = g.mats(u[g.rows]) @ g.mats(v[g.rows])
+            return g.vecs(0.5 * (P + _herm(P)))
+        return self._rows(u[: self.q] * v[: self.q], block)
+
+    def max_step(self, *us):
+        """Largest t with lam + t u in K for every u (inf when every t is)."""
+        u = np.stack(us)
+        worst = np.max(-u[:, : self.q] / self.lam_nn, initial=0.0)
+        for g in self.groups:
+            root = np.sqrt(g.lam)
+            low = np.linalg.eigvalsh(g.mats(u[:, g.rows]) / (root[:, :, None] * root[:, None, :]))
+            worst = max(worst, -low.min())
+        return 1.0 / worst if worst > 0 else np.inf
+
+
+def project_cone(v, form):
+    """Euclidean projection onto K = {0}^p x R+^q x PSD(m_1) x ..., blocks in coordinates."""
+    cone, v_k = _Cone(form), v[form.n_zero:]
+
+    def clip(g):
+        w, V = np.linalg.eigh(g.mats(v_k[g.rows]))
+        return g.vecs((V * np.maximum(w, 0.0)[:, None, :]) @ _herm(V))
+
+    return np.concatenate([np.zeros(form.n_zero),
+                           cone._rows(np.maximum(v_k[: cone.q], 0.0), clip)])
+
+
+def _cho_solve(U, r):
+    return scipy.linalg.lapack.dpotrs(U, r, lower=0)[0]
+
+
+class _Newton:
+    """Solver of [0 A0^T G^T; A0 0 0; G 0 -W^T W] (dx, dy, dz) = (rx, ry, rz).
+
+    Given t = W^-T rz, returns dx, dy and W dz = Gt dx - t, Gt = W^-T G: dx, dy
+    solve [H A0^T; A0 0] = (rx + Gt^T t, ry), H = Gt^T Gt, through U^T U = H +
+    A0^T A0 and its Schur complement.  U, the R of [Gt; A0], has the square
+    root of the condition number of H, which reaches 1e16 near the optimum.
+    """
+
+    def __init__(self, Gt, A0):
+        self.Gt, self.A0 = Gt, A0
+        self.U = np.linalg.qr(np.vstack([Gt, A0]), mode="r")
+        d = np.abs(np.diagonal(self.U))
+        if not d.min() > 1e-15 * d.max():
+            raise np.linalg.LinAlgError("singular Newton matrix")
+        if A0.shape[0]:
+            self.Y = _cho_solve(self.U, A0.T)
+            self.S = np.linalg.cholesky(A0 @ self.Y).T
+
+    def solve(self, rx, ry, t):
+        u = _cho_solve(self.U, rx + self.Gt.T @ t + self.A0.T @ ry)
+        dy = np.zeros(0)
+        if self.A0.shape[0]:
+            dy = _cho_solve(self.S, self.A0 @ u - ry)
+            u = u - self.Y @ dy
+        return u, dy, self.Gt @ u - t
+
+
+def _interior_point(form, A, b, c, tol, max_iter):
+    """Homogeneous self-dual path following on min c.x, A x + s = b, s in K (A dense).
+
+    Returns (x, s, y, status, iterations, (primal, dual, gap)): the iterate
+    divided by tau, for "infeasible" the dual ray normalized to b.y = -1, and
+    for "max_iter" the iterate of smallest residuals and gap.
+    """
+    p = form.n_zero
+    A0, G, b0, h = A[:p], A[p:], b[:p], b[p:]
+    cone = _Cone(form)
+    norm_b, norm_c = max(1.0, np.linalg.norm(b)), max(1.0, np.linalg.norm(c))
+
+    # start (conelp's): x minimizes ||G x - h|| on A0 x = b0, (y, z) minimizes
+    # ||z|| on A^T (y, z) + c = 0; both are projected onto K and moved inside
+    newton = _Newton(G, A0)
+    x = newton.solve(np.zeros(A.shape[1]), b0, h)[0]
+    s = project_cone(b - A @ x, form)[p:] + cone.e
+    _, y, z = newton.solve(-c, np.zeros(p), np.zeros(h.size))
+    z = project_cone(np.concatenate([np.zeros(p), z]), form)[p:] + cone.e
+    cone.rescale(s, z)
+    tau = kappa = 1.0
+
+    status, best = "max_iter", (np.inf,)
+    for it in range(max_iter + 1):
+        s, z = cone.t(cone.lam), cone.inv(cone.lam)
+        r_x = A0.T @ y + G.T @ z + c * tau
+        r_y = A0 @ x - b0 * tau
+        r_z = G @ x + s - h * tau
+        cx, by = c @ x, b0 @ y + h @ z
+        r_tau = kappa + cx + by
+        gap = s @ z
+        measures = (np.hypot(np.linalg.norm(r_y), np.linalg.norm(r_z)) / tau / norm_b,
+                    np.linalg.norm(r_x) / tau / norm_c,
+                    gap / tau**2 / (1.0 + abs(cx / tau) + abs(by / tau)))
+        if max(measures) <= tol:
+            status = "optimal"
+        elif by < 0 and np.linalg.norm(A0.T @ y + G.T @ z) / norm_c <= -by * tol:
+            status, tau = "infeasible", -by
+        if status != "max_iter" or max(measures) < best[0]:
+            best = (max(measures), measures, x / tau, np.concatenate([np.zeros(p), s]) / tau,
+                    np.concatenate([y, z]) / tau)
+        if status != "max_iter" or it == max_iter:
+            break
+        mu = (gap + tau * kappa) / (cone.degree + 1)
+        try:
+            newton = _Newton(cone.inv_t(G), A0)
+        except np.linalg.LinAlgError:
+            break
+        h_t = cone.inv_t(h)
+        x1, y1, z1 = newton.solve(c, -b0, -h_t)
+        q1 = c @ x1 + b0 @ y1 + h_t @ z1 + kappa / tau
+
+        def embedded(e_x, e_y, e_z, e_tau, d_s, d_kappa):
+            # dx, dy, W dz, W^-T ds, dtau, dkappa: the embedding's rows = e,
+            # lam o (W dz + W^-T ds) = d_s and kappa dtau + tau dkappa = d_kappa
+            ds_t = d_s / cone.lam_fac
+            dx, dy, dz = newton.solve(e_x, e_y, cone.inv_t(e_z) - ds_t)
+            dtau = (c @ dx + b0 @ dy + h_t @ dz - e_tau + d_kappa / tau) / q1
+            dx, dy, dz = dx - dtau * x1, dy - dtau * y1, dz - dtau * z1
+            return [dx, dy, dz, ds_t - dz, dtau, (d_kappa - kappa * dtau) / tau]
+
+        def direction(eta, d_s, d_kappa):
+            # residuals reduced by the factor 1 - eta; one refinement step
+            rhs = (-eta * r_x, -eta * r_y, -eta * r_z, -eta * r_tau)
+            d = embedded(*rhs, d_s, d_kappa)
+            dx, dy, dz, ds, dtau, dkappa = d
+            dz, ds = cone.inv(dz), cone.t(ds)
+            fix = embedded(rhs[0] - A0.T @ dy - G.T @ dz - c * dtau,
+                           rhs[1] - A0 @ dx + b0 * dtau,
+                           rhs[2] - G @ dx - ds + h * dtau,
+                           rhs[3] - dkappa - c @ dx - b0 @ dy - h @ dz, 0.0, 0.0)
+            return [u + v for u, v in zip(d, fix)]
+
+        def step(dz, ds, dtau, dkappa):
+            return min([cone.max_step(ds, dz)]
+                       + [-v / dv for v, dv in ((tau, dtau), (kappa, dkappa)) if dv < 0])
+
+        lam_sq = cone.lam * cone.lam_fac
+        pred = direction(1.0, -lam_sq, -tau * kappa)
+        sigma = (1.0 - min(1.0, step(*pred[2:]))) ** EXPON
+        d_s = -lam_sq + sigma * mu * cone.e - cone.product(pred[3], pred[2])
+        dx, dy, dz, ds, dtau, dkappa = direction(
+            1.0 - sigma, d_s, -tau * kappa + sigma * mu - pred[4] * pred[5])
+        alpha = min(1.0, STEP * step(dz, ds, dtau, dkappa))
+        if alpha < MIN_STEP:
+            break
+        x, y = x + alpha * dx, y + alpha * dy
+        tau, kappa = tau + alpha * dtau, kappa + alpha * dkappa
+        try:
+            cone.rescale(cone.lam + alpha * ds, cone.lam + alpha * dz)
+        except np.linalg.LinAlgError:
+            break
+    return best[2], best[3], best[4], status, it, best[1]
 
 
 def restrict(program, form, A, D, E):
@@ -417,12 +483,9 @@ def restrict(program, form, A, D, E):
     A restricted variable V = U Z U^H + a (I - U U^H) keeps V's coordinates
     as Phi @ (coords(Z), a) (model.subspace_isometry) and shares one column
     scale, the geometric mean of V's E; D and every other column's E stay.
-    So the restricted columns are A diag(e / E) Phi, and with D uniform on
-    a block the restricted program's residuals and steps have the norms of
-    the full program's for iterates inside the subspace.  V's own PSD rows
+    So the restricted columns are A diag(e / E) Phi.  V's own PSD rows
     become the PSD block of Z plus a nonnegative row for a, written as the
-    one-entry rows -w D e they are (Phi^T (-w D e Phi) would leave residue
-    that _RowSplit counts as entries).
+    exact one-entry rows -w D e they are.
 
     Returns (rform, A_r, D_r, E_r, cols, rows): the restricted standard
     form (unscaled), its equilibrated matrix and scales, and the isometries
@@ -510,13 +573,16 @@ def restrict(program, form, A, D, E):
     return rform, A_r, D_r, E_r, cols, rows
 
 
-def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000):
+def solve(program, tol=1e-8, max_iter=100):
     """Solve a ConicProgram; returns a ConicSolution.
 
-    warm_start: optional (x, s, y) triple in original (unscaled) coordinates,
-    shapes must match the assembled problem or it is ignored.  A program
-    with restrictions is solved restricted (see restrict); the warm start,
-    the solution's x, s and y and its assignments are in full coordinates.
+    "optimal": the relative primal and dual residuals and the relative
+    duality gap of the equilibrated program are at most tol.  "infeasible":
+    y holds a dual ray, A^T y ~ 0 with y in K* and b . y = -1.  "max_iter":
+    the solve stopped uncertified, at max_iter Newton steps or at a step it
+    could not form.  Restrictions are applied (see restrict); x, s, y and the
+    assignments are in full coordinates.  Dense data above MAX_DENSE
+    entries are refused.
     """
     full = assemble(program)
     A, b, c, D, E = ruiz_equilibrate(full)
@@ -524,85 +590,16 @@ def solve(program, tol=1e-6, max_iter=50000, warm_start=None, infeas_after=5000)
     if program.restrictions:
         form, A, D, E, cols, rows = restrict(program, full, A, D, E)
         b, c = D * form.b, E * form.c
-    m, n = A.shape
-    b0, c0 = form.b, form.c
-    norm_b = 1.0 + np.linalg.norm(b0)
-    norm_c = 1.0 + np.linalg.norm(c0)
-
-    rho = RHO
-    x = np.zeros(n)
-    s = np.zeros(m)
-    u = np.zeros(m)
-    if warm_start is not None:
-        wx, ws, wy = warm_start
-        if wx.shape == (full.n_x,) and ws.shape == wy.shape == (full.A.shape[0],):
-            if cols is not None:
-                wx, ws, wy = cols.T @ wx, rows.T @ ws, rows.T @ wy
-            x = wx / E
-            s = D * ws
-            u = (wy / D) / rho
-
-    op = _RowSplit(A)
-    xsolver = _XSolver(op)
-    xsolver.set_rho(rho)
-
-    status = "max_iter"
-    it = rho_changes = 0
-    pri = dual = gap = np.inf
-    y_prev_check = None
-    for it in range(1, max_iter + 1):
-        rhs = SIGMA * x - c + rho * op.tdot(b - s - u)
-        x_new = xsolver.solve(rhs)
-        Ax = op.dot(x_new)
-        zeta = ALPHA * Ax - (1.0 - ALPHA) * (s - b)
-        s = project_cone(b - zeta - u, form)
-        u = u + zeta + s - b
-        x = x_new
-
-        if it % CHECK_EVERY == 0 or it == max_iter:
-            # unscaled residuals: A0 = diag(1/D) A diag(1/E), y0 = rho D u
-            x_orig = E * x
-            y_orig = rho * (D * u)
-            pri = np.linalg.norm((Ax + s - b) / D) / norm_b
-            dual = np.linalg.norm((c + rho * op.tdot(u)) / E) / norm_c
-            cx = c0 @ x_orig
-            by = b0 @ y_orig
-            gap = abs(cx + by) / (1.0 + abs(cx) + abs(by))
-            if pri <= tol and dual <= tol and gap <= tol:
-                status = "optimal"
-                break
-            if it >= infeas_after and y_prev_check is not None and pri > 1e3 * tol:
-                # project onto K* = R^p x R+^q x PSD: the zero rows are free
-                step = y_orig - y_prev_check
-                dy = project_cone(step, form)
-                dy[: form.n_zero] = step[: form.n_zero]
-                ndy = np.linalg.norm(dy)
-                if ndy > 0:
-                    if (np.linalg.norm(op.tdot(dy / D) / E) <= 1e-7 * ndy
-                            and b0 @ dy < -1e-9 * ndy):
-                        status = "infeasible"
-                        break
-            y_prev_check = y_orig
-            # adaptive step-size: rebalance the two residuals occasionally
-            if it % (CHECK_EVERY * 8) == 0 and it < max_iter // 2:
-                if pri > 10.0 * dual and rho < 1e6:
-                    rho *= 2.0
-                    u /= 2.0
-                elif dual > 10.0 * pri and rho > 1e-6:
-                    rho /= 2.0
-                    u *= 2.0
-                if rho != xsolver.rho:
-                    rho_changes += 1
-                    xsolver.set_rho(rho)
-
-    x_orig = E * x
-    s_orig = s / D
-    y_orig = rho * (D * u)
+    if A.shape[0] * A.shape[1] > MAX_DENSE:
+        raise InvalidArgumentError(f"program of {A.shape[0]} x {A.shape[1]} is too large"
+                                   " for the dense interior-point solver")
+    x, s, y, status, it, (pri, dual, gap) = _interior_point(form, A.toarray(), b, c, tol,
+                                                            max_iter)
+    x, s, y = E * x, s / D, D * y
     if cols is not None:
-        x_orig, s_orig, y_orig = cols @ x_orig, rows @ s_orig, rows @ y_orig
-    assignments = program.split_solution(x_orig, full.offsets)
-    objective = float(full.c @ x_orig + 0.0) + program.objective.const
+        x, s, y = cols @ x, rows @ s, rows @ y
+    assignments = program.split_solution(x, full.offsets)
+    objective = float(full.c @ x + 0.0) + program.objective.const
     return ConicSolution(status=status, assignments=assignments, objective=objective,
                          primal_residual=float(pri), dual_residual=float(dual),
-                         duality_gap=float(gap), iterations=it, rho_changes=rho_changes,
-                         x=x_orig, y=y_orig, s=s_orig)
+                         duality_gap=float(gap), iterations=it, x=x, y=y, s=s)

@@ -55,11 +55,11 @@ EE_CHORDS = 64
 
 @dataclass(frozen=True)
 class ScaOptions:
-    gamma: float = 1e-3
+    gamma: float = 0.1
     max_iter: int = 100
     rank_tol: float = 1e-6
-    sdp_tol: float = 1e-4
-    sdp_max_iter: int = 3000
+    sdp_tol: float = 1e-10
+    sdp_max_iter: int = 100
 
     def __post_init__(self):
         if (self.gamma <= 0 or self.max_iter < 1 or self.sdp_max_iter < 1
@@ -76,7 +76,6 @@ class SolveRecord:
     primal_residual: float
     dual_residual: float
     duality_gap: float
-    rho_changes: int
 
 
 @dataclass
@@ -87,12 +86,14 @@ class ScaTrace:
     achieved/threshold - 1; all should stay above -sdp_tol at accepted
     iterates.  solves holds one SolveRecord per subproblem solve, including
     a last one that stopped the run; a "max_iter" status marks an objective
-    that the solver did not certify.  gammas holds the rank-penalty weight
-    each subproblem was built with and polish_scales the uniform scale
-    _polish applied to its iterate, one entry per objective.
+    that the solver did not certify.  bounds holds the design bound of each
+    accepted (polished) iterate, gammas the rank-penalty weight each
+    subproblem was built with and polish_scales the uniform scale _polish
+    applied to its iterate, one entry per objective.
     """
 
     objectives: list = field(default_factory=list)
+    bounds: list = field(default_factory=list)
     rank_residuals: list = field(default_factory=list)
     slacks: list = field(default_factory=list)
     solves: list = field(default_factory=list)
@@ -320,7 +321,7 @@ class ScaState:
     basis: np.ndarray = None     # point target only: see point_subspace
     d_scale: np.ndarray = None   # per-location-parameter congruence scaling
     mu_scale: float = 1.0
-    gamma: float = 1e-3
+    gamma: float = 0.1
     chords: list = None          # per-user (intercepts, slopes)
 
     def refresh(self, scenario):
@@ -344,6 +345,9 @@ def _add_constraint_block(prog, state, scenario, w_vars):
     """Power, SINR, and chord-encoded energy-efficiency constraints.
 
     The EE row charges metrics.consumed_power as the affine term it is.
+    User k's received signal power sum_i Re Tr(H_k W_i) is one scalar r_k,
+    fixed by one equality row, so each of its chords a + m (noise + r_k) - t_k
+    is a two-entry row.
     """
     channels = state.channels
     K = channels.n_users
@@ -369,12 +373,15 @@ def _add_constraint_block(prog, state, scenario, w_vars):
         for k in range(K):
             rs = state.rates[k]
             Hk = channels.outer(k)
-            u_expr = LinExpr(scenario.comm_noise)
+            received = prog.add_scalar_var(f"r{k}")
+            u_expr = -scalar_term(received)
             for var in w_vars:
                 u_expr = u_expr + real_trace(Hk, var)
+            prog.add_eq(u_expr)
             intercepts, slopes = state.chords[k]
             for a, m in zip(intercepts, slopes):
-                prog.add_ineq(LinExpr(a) + u_expr * m - scalar_term(t_vars[k]))
+                prog.add_ineq(LinExpr(a + m * scenario.comm_noise) + scalar_term(received, m)
+                              - scalar_term(t_vars[k]))
             ee = ee + scalar_term(t_vars[k]) - rs.w_prev + rs.c * rs.interf_prev
             for i, var in enumerate(w_vars):
                 if i != k:
@@ -557,11 +564,12 @@ def _polish(scenario, channels, W_list):
 
     Both location bounds improve monotonically under a uniform scale-up
     (the information matrices are linear in the covariance), while a
-    first-order subproblem solve can stall well inside the power budget or
-    leave its binding rows violated at the solver-tolerance level.  The
-    power slack is linear decreasing in the scale, the rate term concave
-    and the SINR slacks increasing (the noise term does not scale), so the
-    feasible scales form an interval and a bisection finds its upper end.
+    subproblem solution sits inside the true energy-efficiency edge (the
+    chord encoding is conservative) or leaves its binding rows violated at
+    the solver-tolerance level.  The power slack is linear decreasing in
+    the scale, the rate term concave and the SINR slacks increasing (the
+    noise term does not scale), so the feasible scales form an interval
+    and a bisection finds its upper end.
     An iterate infeasible at scale 1 is first shrunk to the upper end in
     [0.9, 1], which repairs power and energy-efficiency rows; whether
     shrunk or not, it is then grown over [1, P / Tr], which repairs SINR
@@ -617,24 +625,32 @@ def _design_bound(scenario, W_list):
 
 
 def _sca_loop(scenario, options, state, build):
+    """Solve subproblems from state until the objective settles at a rank-one iterate.
+
+    Each subproblem is solved exactly, so each step is a majorization-
+    minimization step of the penalized objective.  After an iteration
+    whose most rank-deficient W_k has an extract_beamformer residual above
+    rank_tol, gamma is halved (down to GAMMA_FLOOR): the continuation that
+    drives every W_k to rank one within the iteration cap.  The run
+    converges when the objective changes by at most TOL at a rank-one
+    iterate.  With a finite rank_tol the covariances returned are the
+    rank-one w_k w_k^H of the beamformers returned, the design the result
+    table rates; with rank_tol = inf (the relaxation) they are the solved
+    ones.
+    """
     trace = ScaTrace()
     t_start = time.monotonic()
     K = state.channels.n_users
-    warm = None
     prev_obj = np.inf
-    stall = 0
-    for it in range(options.max_iter):
+    for _ in range(options.max_iter):
         state.refresh(scenario)
         prog = build(state, scenario)
-        sol = solve(prog, tol=options.sdp_tol, max_iter=options.sdp_max_iter,
-                    warm_start=warm)
+        sol = solve(prog, tol=options.sdp_tol, max_iter=options.sdp_max_iter)
         trace.solves.append(SolveRecord(sol.status, sol.iterations, sol.primal_residual,
-                                        sol.dual_residual, sol.duality_gap,
-                                        sol.rho_changes))
-        if sol.status == "infeasible" or (not sol.optimal and sol.status != "max_iter"):
+                                        sol.dual_residual, sol.duality_gap))
+        if sol.status == "infeasible":
             trace.status = "degraded"
             break
-        warm = (sol.x, sol.s, sol.y)
         W_new = [_psd_cleanup(sol.assignments[f"W{k}"]) for k in range(K)]
         W_polished = _polish(scenario, state.channels, W_new)
         obj = sol.objective
@@ -643,27 +659,16 @@ def _sca_loop(scenario, options, state, build):
         total = _total_trace(W_new)
         trace.polish_scales.append(_total_trace(W_polished) / total if total > 0 else 1.0)
         W_new = W_polished
-        rr = rank_residual(W_new)
-        trace.rank_residuals.append(rr)
+        trace.bounds.append(_design_bound(scenario, W_new))
+        trace.rank_residuals.append(rank_residual(W_new))
         trace.slacks.append(evaluate_slacks(scenario, state.channels, W_new))
         state.W_prev = W_new
-        stall = stall + 1 if (trace.rank_residuals[0] > 0 and it > 0 and
-                              rr > 0.9 * trace.rank_residuals[-2]) else 0
-        if stall >= 5 and state.gamma > GAMMA_FLOOR:
-            state.gamma = max(state.gamma * 0.5, GAMMA_FLOOR)
-            stall = 0
-        if abs(prev_obj - obj) <= TOL * max(1.0, abs(obj)):
-            if rr <= options.rank_tol:
-                trace.status = "converged"
-                break
-            if state.gamma > GAMMA_FLOOR:
-                # objective stalled before the iterate went rank one:
-                # tighten the penalty and keep iterating
-                state.gamma = max(state.gamma * 0.5, GAMMA_FLOOR)
-                prev_obj = np.inf
-                continue
+        rank_one = max(rank_residual([W]) for W in W_new) <= options.rank_tol
+        if rank_one and abs(prev_obj - obj) <= TOL * max(1.0, abs(obj)):
             trace.status = "converged"
             break
+        if not rank_one:
+            state.gamma = max(state.gamma * 0.5, GAMMA_FLOOR)
         prev_obj = obj
     else:
         trace.status = "max_iter"
@@ -671,6 +676,8 @@ def _sca_loop(scenario, options, state, build):
         raise ScenarioInfeasibleError("no feasible iterate produced", violated="subproblem")
     W_list = state.W_prev
     w_cols = [extract_beamformer(W, options.rank_tol) for W in W_list]
+    if np.isfinite(options.rank_tol):
+        W_list = [np.outer(w, w.conj()) for w in w_cols]
     W = np.stack(w_cols, axis=1)
     bound = _design_bound(scenario, W_list)
     trace.wall_time = time.monotonic() - t_start

@@ -247,6 +247,7 @@ def test_criterion_09_orderings_and_tradeoffs():
     # achieved bound nondecreasing in the energy-efficiency threshold
     table_ee = harness.run_sweep(_sweep_config("ee_threshold", [2.0, 2.5, 4.0],
                                                ("digital",)))
+    assert not table_ee.select(metric="status", arch="none")
     ee_vals = [v for _, v in table_ee.values("bound_trace", arch="digital")]
     ee_ok = bool(np.all(np.diff(ee_vals) >= -1e-6 * np.abs(ee_vals[:-1])))
 
@@ -254,6 +255,7 @@ def test_criterion_09_orderings_and_tradeoffs():
     d_r = geometry.rayleigh_distance(_scenario().geom)
     vals = [0.5, 0.8 * d_r, 1.2 * d_r, 2.0]
     table_d = harness.run_sweep(_sweep_config("target_distance", vals, ("digital",)))
+    assert not table_d.select(metric="status", arch="none")
     bd = dict(table_d.values("bound_distance", arch="digital"))
     seq = [bd[v] for v in sorted(bd)]
     dist_ok = bool(np.all(np.diff(seq) >= -1e-6 * np.abs(seq[:-1])))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from nfisac import bounds, config, geometry, metrics, sca
+from nfisac import bounds, config, geometry, harness, metrics, sca
 from nfisac.conic import ConicProgram, LinExpr, real_trace, solve, solver
 from nfisac.errors import (
     InvalidArgumentError,
@@ -138,7 +138,7 @@ def _min_power_sdp(scn, channels):
             e = e + real_trace(scale * channels.outer(k), var)
         prog.add_ineq(e)
     prog.add_ineq(LinExpr(scn.power_budget) - obj)
-    sol = solve(prog, tol=1e-8)
+    sol = solve(prog, tol=1e-10)
     assert sol.optimal
     return [sca._psd_cleanup(sol.assignments[f"W{k}"]) for k in range(channels.n_users)]
 
@@ -332,8 +332,7 @@ def test_point_sca_bound_improves_with_power():
 
 
 def test_point_sca_records_each_solve(monkeypatch):
-    # one record per SCA iteration, holding what solve returned; the cap of
-    # 200 ADMM iterations makes some subproblems stop at max_iter
+    # one record per SCA iteration, holding what solve returned
     returned = []
     conic_solve = sca.solve
 
@@ -343,20 +342,32 @@ def test_point_sca_records_each_solve(monkeypatch):
         return sol
 
     monkeypatch.setattr(sca, "solve", recording_solve)
-    opts = sca.ScaOptions(max_iter=3, sdp_max_iter=200)
+    opts = sca.ScaOptions(max_iter=3)
     _, _, trace, _ = sca.solve_point_sca(_small_scenario(sinr_threshold=3.0), opts)
     assert len(trace.solves) == len(trace.objectives) == len(returned) == 3
     for rec, sol in zip(trace.solves, returned):
         assert rec == sca.SolveRecord(sol.status, sol.iterations, sol.primal_residual,
-                                      sol.dual_residual, sol.duality_gap, sol.rho_changes)
-    assert "max_iter" in [rec.status for rec in trace.solves]
+                                      sol.dual_residual, sol.duality_gap)
+        assert rec.status == "optimal" and rec.iterations < opts.sdp_max_iter
+
+
+def test_desk_design_descends_on_exact_steps():
+    # the desk design of a sweep: every subproblem solved to optimality,
+    # and the bound of each accepted iterate no larger than the last
+    scn = config.config_to_scenario(config.default_config("desk"))
+    _, W_list, trace, bound = sca.solve_point_sca(scn, harness._sweep_options(scn))
+    assert [rec.status for rec in trace.solves] == ["optimal"] * len(trace.solves)
+    assert len(trace.bounds) == len(trace.objectives) == 12
+    assert all(b <= a for a, b in zip(trace.bounds, trace.bounds[1:]))
+    assert trace.bounds[-1] == pytest.approx(bound, rel=1e-6)
+    assert sca.rank_residual(W_list) <= 1e-12
 
 
 class _FirstSubproblem(Exception):
     pass
 
 
-def _first_point_subproblem(monkeypatch, scn):
+def _first_point_subproblem(monkeypatch, scn, options=None):
     """The first SCA subproblem solve_point_sca builds for scn, and its solver options."""
     programs = []
 
@@ -367,7 +378,7 @@ def _first_point_subproblem(monkeypatch, scn):
     with monkeypatch.context() as m:
         m.setattr(sca, "solve", first_program)
         with pytest.raises(_FirstSubproblem):
-            sca.solve_point_sca(scn)
+            sca.solve_point_sca(scn, options)
     return programs[0]
 
 
@@ -394,20 +405,24 @@ def test_point_subspace_spans_information_and_channels(scale):
         assert np.linalg.norm(h - P @ h) <= 1e-12 * np.linalg.norm(h)
 
 
+#: the optimum of the first desk subproblem at gamma = 1e-3, from a
+#: log-barrier reference
+DESK_FIRST_OPTIMUM = 0.632575
+REFERENCE_OPTIONS = sca.ScaOptions(gamma=1e-3)
+
+
 def test_restricted_desk_subproblem_takes_the_full_path(monkeypatch):
-    # the first desk subproblem at the design's 2,500-iteration cap: the
-    # restriction keeps the ADMM path of the full program
+    # the first desk subproblem: the restriction keeps the full program's
+    # optimum, the known one
     scn = config.config_to_scenario(config.default_config("desk"))
-    prog, kwargs = _first_point_subproblem(monkeypatch, scn)
+    prog, kwargs = _first_point_subproblem(monkeypatch, scn, REFERENCE_OPTIONS)
     assert set(prog.restrictions) == {"W0", "W1"}
-    options = dict(kwargs, max_iter=2500)
-    restricted = solve(prog, **options)
+    restricted = solve(prog, **kwargs)
     prog.restrictions = {}
-    full = solve(prog, **options)
-    assert restricted.status == full.status == "max_iter"
-    assert restricted.iterations == full.iterations
-    assert restricted.rho_changes == full.rho_changes
+    full = solve(prog, **kwargs)
+    assert restricted.status == full.status == "optimal"
     assert restricted.objective == pytest.approx(full.objective, rel=1e-6)
+    assert restricted.objective == pytest.approx(DESK_FIRST_OPTIMUM, rel=1e-5)
     for k in range(2):
         W, V = restricted.assignments[f"W{k}"], full.assignments[f"W{k}"]
         assert np.linalg.norm(W - V) <= 1e-6 * np.linalg.norm(V)
@@ -415,8 +430,59 @@ def test_restricted_desk_subproblem_takes_the_full_path(monkeypatch):
     assert restricted.s.shape == restricted.y.shape == full.s.shape
 
 
+def test_desk_subproblem_optimum_is_unit_free(monkeypatch):
+    # channels scaled by 1e-4 and the noise by 1e-8: the SINR and EE rows
+    # scale, the design they admit does not
+    scn = config.config_to_scenario(config.default_config("desk"))
+    small = geometry.ChannelSet(vectors=tuple(1e-4 * h for h in scn.channels().vectors))
+    scaled = replace(scn, comm_noise=1e-8 * scn.comm_noise)
+    channels = Scenario.channels
+    monkeypatch.setattr(Scenario, "channels",
+                        lambda self: small if self is scaled else channels(self))
+    values = []
+    for s in (scn, scaled):
+        prog, kwargs = _first_point_subproblem(monkeypatch, s, REFERENCE_OPTIONS)
+        sol = solve(prog, **kwargs)
+        assert sol.optimal
+        values.append(sol.objective)
+    assert values[1] == pytest.approx(values[0], rel=1e-6)
+    assert values[0] == pytest.approx(DESK_FIRST_OPTIMUM, rel=1e-5)
+
+
+def test_ee_chords_on_a_received_power_scalar_keep_the_optimum(monkeypatch):
+    # each chord of user k written over the whole functional
+    # sum_i Re Tr(H_k W_i), as before the received-power scalar r_k: the
+    # feasible set, and so the optimum, is the same
+    scn = config.config_to_scenario(config.default_config("desk"))
+    prog, kwargs = _first_point_subproblem(monkeypatch, scn)
+    wide = ConicProgram()
+    wide.variables = {n: v for n, v in prog.variables.items() if not n.startswith("r")}
+    wide.objective, wide.psd_blocks = prog.objective, prog.psd_blocks
+    wide.restrictions = prog.restrictions
+    received = dict(zip(("r0", "r1"), prog.eq_constraints))
+    for e in prog.ineq_constraints:
+        r = next((n for n in received if n in e.terms), None)
+        if r is None:
+            wide.ineq_constraints.append(e)
+            continue
+        m = e.terms[r][0]
+        functional = LinExpr(0.0, {n: c for n, c in received[r].terms.items() if n != r})
+        rest = LinExpr(e.const, {n: c for n, c in e.terms.items() if n != r})
+        wide.ineq_constraints.append(rest + functional * m)
+    assert len(wide.ineq_constraints) == len(prog.ineq_constraints)
+    assert wide.eq_constraints == []
+    # the 128 chord rows, after the power and SINR rows: two entries each,
+    # against the whole functional
+    counts = [np.diff(solver.assemble(p).A.indptr)[len(p.eq_constraints):][3:131]
+              for p in (prog, wide)]
+    assert set(counts[0]) == {2} and min(counts[1]) > 500
+    narrow, full = solve(prog, **kwargs), solve(wide, **kwargs)
+    assert narrow.optimal and full.optimal
+    assert narrow.objective == pytest.approx(full.objective, rel=1e-6)
+
+
 def test_paper_subproblem_restricts_to_seven_dimensions(monkeypatch):
-    # the first paper subproblem restricted to m = K + 3 = 7; no ADMM runs
+    # the first paper subproblem restricted to m = K + 3 = 7; nothing is solved
     scn = config.config_to_scenario(config.default_config("paper"))
     prog, _ = _first_point_subproblem(monkeypatch, scn)
     form, (rform, A_r, D_r, E_r, cols, rows) = _restricted(prog)
@@ -424,7 +490,8 @@ def test_paper_subproblem_restricts_to_seven_dimensions(monkeypatch):
     assert rform.psd_sides == [7, 7, 7, 7, 2, 4, 4]
     assert rform.psd_complex == [True] * 4 + [False] * 3
     assert rform.n_nonneg == form.n_nonneg + 4    # one complement row per W_k
-    assert A_r.shape == (rform.psd_slices[-1].stop, 4 * 50 + 3 + 3 + 4)
+    # 50 columns per W_k, Xi, U, and the EE auxiliaries t_k and r_k
+    assert A_r.shape == (rform.psd_slices[-1].stop, 4 * 50 + 3 + 3 + 4 + 4)
     assert cols.shape == (form.n_x, A_r.shape[1]) and rows.shape == (form.A.shape[0],
                                                                      A_r.shape[0])
     np.testing.assert_allclose((cols.T @ cols).toarray(), np.eye(cols.shape[1]), atol=1e-12)
@@ -443,35 +510,8 @@ def test_square_basis_has_no_complement_row(monkeypatch):
     restricted = solve(prog, **kwargs)
     prog.restrictions = {}
     full = solve(prog, **kwargs)
-    assert (restricted.status, restricted.iterations) == (full.status, full.iterations)
+    assert restricted.status == full.status == "optimal"
     assert restricted.objective == pytest.approx(full.objective, rel=1e-6)
-
-
-def test_paper_subproblem_x_update_is_low_rank(monkeypatch):
-    # the first paper-scale subproblem has n_x = 16,394; its ADMM x-update
-    # is built from the rank of the multi-entry rows, without A^T A
-    programs = []
-
-    def first_program(prog, **kwargs):
-        programs.append(prog)
-        raise _FirstSubproblem
-
-    monkeypatch.setattr(sca, "solve", first_program)
-    with pytest.raises(_FirstSubproblem):
-        sca.solve_point_sca(config.config_to_scenario(config.default_config("paper")))
-    A = solver.ruiz_equilibrate(solver.assemble(programs[0]))[0]
-    op = solver._RowSplit(A)
-    assert A.shape[1] == 16394
-    assert (op.rows.size, op.Z.shape[1]) == (271, 21)
-    xs = solver._XSolver(op)
-    assert xs.T.size == 4   # one energy-efficiency auxiliary per user
-    rng = np.random.default_rng(3)
-    for rho in (1.0, 1e3):
-        xs.set_rho(rho)
-        rhs = rng.standard_normal(A.shape[1])
-        x = xs.solve(rhs)
-        residual = solver.SIGMA * x + rho * (A.T @ (A @ x)) - rhs
-        assert np.linalg.norm(residual) < 1e-12 * np.linalg.norm(rhs)
 
 
 def test_point_sca_requires_point_target():
