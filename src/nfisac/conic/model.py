@@ -109,23 +109,6 @@ def matrix_to_params(var, M):
                        minlength=var.n_params)
 
 
-def subspace_isometry(U, hermitian):
-    """Phi with coordinates of U Z U^H + a (I - U U^H) / sqrt(n - m) = Phi @ (coords(Z), a).
-
-    U is n x m with orthonormal columns.  U Z U^H and the complement
-    projector are orthogonal under the Frobenius inner product, and the
-    projector has norm sqrt(n - m), so Phi's columns are orthonormal.  A
-    square U has no complement, and Phi no a column.
-    """
-    n, m = U.shape
-    big, small = MatrixVar("V", n, hermitian), MatrixVar("Z", m, hermitian)
-    cols = [matrix_to_params(big, U @ params_to_matrix(small, e) @ U.conj().T)
-            for e in np.eye(small.n_params)]
-    if m < n:
-        cols.append(matrix_to_params(big, np.eye(n) - U @ U.conj().T) / np.sqrt(n - m))
-    return np.column_stack(cols)
-
-
 def trace_coefficients(var, C):
     """Coefficient vector g with Re Tr(C V) = g . params(V)."""
     C = np.asarray(C)
@@ -273,7 +256,6 @@ class ConicProgram:
         self.eq_constraints = []    # LinExpr == 0
         self.ineq_constraints = []  # LinExpr >= 0
         self.psd_blocks = []
-        self.restrictions = {}      # name -> (U, index of V's block), see psd_var
 
     # -- declaration ------------------------------------------------------
     def add_matrix_var(self, name, side, hermitian=True):
@@ -328,32 +310,12 @@ class ConicProgram:
         self.psd_blocks.append(block)
         return block
 
-    def psd_var(self, var, basis=None):
-        """Constrain a declared matrix variable V to be PSD.
-
-        With an n x m basis U (orthonormal columns, real for a real
-        symmetric V), solve with V = U Z U^H + a (I - U U^H), Z PSD and
-        a >= 0, in place of V PSD.  The restriction loses nothing when every
-        datum that sees V maps that subspace to itself, as a
-        Fisher-information or channel matrix whose row and column spaces
-        lie in span U, and the identity, do.  solver.solve applies it after
-        equilibration; solutions stay in V's coordinates.
-        """
+    def psd_var(self, var):
+        """Constrain a declared matrix variable to be PSD, as its own block."""
         if self.variables.get(var.name) is not var:
             raise InvalidArgumentError(f"{var.name!r} is not a variable of this program")
-        if basis is not None:
-            U = np.asarray(basis)
-            if U.ndim != 2 or U.shape[0] != var.side or not 0 < U.shape[1] <= var.side:
-                raise InvalidArgumentError(f"basis shape {U.shape} does not fit side {var.side}")
-            if not var.hermitian and np.iscomplexobj(U):
-                raise InvalidArgumentError("complex basis for a real symmetric variable")
-            if np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])) > 1e-10:
-                raise InvalidArgumentError("basis columns are not orthonormal")
-        block = self.add_psd_block(
+        return self.add_psd_block(
             PsdBlock(f"psd:{var.name}", var.side, complex_valued=var.hermitian).add_var(var))
-        if basis is not None:
-            self.restrictions[var.name] = (U, len(self.psd_blocks) - 1)
-        return block
 
     def _check_expr(self, expr):
         for name in expr.terms:

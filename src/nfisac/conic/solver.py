@@ -12,16 +12,15 @@ block, whose rows then have the dot products of its realification (a
 complex block of side n counts as a real one of side 2n).  In these
 coordinates the PSD cone is self-dual under the plain dot product.
 
-The data are Ruiz-equilibrated with one uniform row scale per PSD block;
-restrict then applies the program's subspace restrictions (see psd_var),
-which keep the optimum (Permenter and Parrilo, Math. Programming 2020):
-the desk point-target subproblem is 209 x 62 instead of 669 x 522.  The
-result is solved by a dense path-following method on its homogeneous
+solve takes one path: assemble, ruiz_equilibrate (one uniform row scale
+per PSD block), then a dense path-following method on the homogeneous
 self-dual embedding, as CVXOPT's conelp (Vandenberghe, "The CVXOPT linear
 and quadratic cone program solvers", 2010): Nesterov-Todd scaling,
 Mehrotra's predictor-corrector with one step of iterative refinement, and
 a Newton matrix of the size of x factored once per iteration.  Primal
 infeasibility is declared from the dual ray the embedding converges to.
+A program is solved as it is built: reducing it to a subspace its data
+see is the builder's work (sca.build_point_subproblem).
 """
 
 from dataclasses import dataclass
@@ -204,6 +203,9 @@ def ruiz_equilibrate(form):
 
 @dataclass
 class ConicSolution:
+    """A solve's end: status (see solve), the variables' values, and the
+    unscaled x, s and y of assemble's standard form of the program."""
+
     status: str
     assignments: dict
     objective: float
@@ -477,102 +479,6 @@ def _interior_point(form, A, b, c, tol, max_iter):
     return best[2], best[3], best[4], status, it, best[1]
 
 
-def restrict(program, form, A, D, E):
-    """The equilibrated program restricted to the subspaces of program.restrictions.
-
-    A restricted variable V = U Z U^H + a (I - U U^H) keeps V's coordinates
-    as Phi @ (coords(Z), a) (model.subspace_isometry) and shares one column
-    scale, the geometric mean of V's E; D and every other column's E stay.
-    So the restricted columns are A diag(e / E) Phi.  V's own PSD rows
-    become the PSD block of Z plus a nonnegative row for a, written as the
-    exact one-entry rows -w D e they are.
-
-    Returns (rform, A_r, D_r, E_r, cols, rows): the restricted standard
-    form (unscaled), its equilibrated matrix and scales, and the isometries
-    with x = cols @ x_r and s = rows @ s_r (y likewise) in full coordinates.
-    """
-    n_rows = A.shape[0]
-    blocks, E_r, offsets, phis = [], [], {}, {}
-    pos = 0
-    for name, var in program.variables.items():
-        sl = form.offsets[name]
-        if name in program.restrictions:
-            Phi = mdl.subspace_isometry(program.restrictions[name][0], var.hermitian)
-            e = np.exp(np.mean(np.log(E[sl])))
-            phis[name] = (Phi, e)
-            blocks.append(Phi)
-            E_r.append(np.full(Phi.shape[1], e))
-        else:
-            blocks.append(scipy.sparse.identity(sl.stop - sl.start))
-            E_r.append(E[sl])
-        offsets[name] = slice(pos, pos + blocks[-1].shape[1])
-        pos = offsets[name].stop
-    cols = scipy.sparse.block_diag(blocks, format="csr")
-    E_r = np.concatenate(E_r)
-
-    own_blocks = {j: name for name, (_, j) in program.restrictions.items()}
-    n_cone = form.n_zero + form.n_nonneg
-    n_alpha = sum(U.shape[1] < U.shape[0] for U, _ in program.restrictions.values())
-    # the restricted row of every full row kept as it is, and V's own rows
-    kept_full, kept_r = [np.arange(n_cone)], [np.arange(n_cone)]
-    own_r, own_c, own_v, own_src = [], [], [], []   # V's own rows, exact
-    lift_f, lift_r, lift_v = [], [], []       # the Phi blocks of `rows`
-    alpha_row, row = n_cone, n_cone + n_alpha
-    sides, slices, cplx = [], [], []
-    for j, (sl, side, complex_block) in enumerate(zip(form.psd_slices, form.psd_sides,
-                                                      form.psd_complex)):
-        if j not in own_blocks:
-            kept_full.append(np.arange(sl.start, sl.stop))
-            kept_r.append(row + np.arange(sl.stop - sl.start))
-            side_r = side
-        else:
-            name = own_blocks[j]
-            Phi, e = phis[name]
-            side_r = program.restrictions[name][0].shape[1]
-            targets = row + np.arange(mdl.MatrixVar("Z", side_r, complex_block).n_params)
-            if side_r < side:
-                targets = np.append(targets, alpha_row)
-                alpha_row += 1
-            own_r.append(targets)
-            own_c.append(offsets[name].start + np.arange(targets.size))
-            own_v.append(np.full(targets.size, -block_weight(complex_block) * D[sl.start] * e))
-            f, c = np.nonzero(Phi)
-            lift_f.append(sl.start + f)
-            lift_r.append(targets[c])
-            lift_v.append(Phi[f, c])
-            own_src.append(np.full(targets.size, sl.start))
-        n_block = mdl.MatrixVar("B", side_r, complex_block).n_params
-        sides.append(side_r)
-        slices.append(slice(row, row + n_block))
-        cplx.append(complex_block)
-        row += n_block
-
-    kept_full, kept_r = np.concatenate(kept_full), np.concatenate(kept_r)
-    # the kept rows that see a restricted V (power, SINR, EE, Schur) are
-    # few and dense on its columns, so A diag(e / E) Phi is a dense product
-    A_kept = A[kept_full].tocsc()
-    AP = scipy.sparse.hstack([
-        scipy.sparse.csc_matrix(A_kept[:, sl].toarray()
-                                @ ((phis[name][1] / E[sl])[:, None] * phis[name][0]))
-        if name in phis else A_kept[:, sl] for name, sl in form.offsets.items()]).tocoo()
-    A_r = scipy.sparse.csr_matrix(
-        (np.concatenate([AP.data] + own_v),
-         (np.concatenate([kept_r[AP.row]] + own_r), np.concatenate([AP.col] + own_c))),
-        shape=(row, pos))
-    D_r = np.zeros(row)
-    D_r[np.concatenate([kept_r] + own_r)] = D[np.concatenate([kept_full] + own_src)]
-    rows = scipy.sparse.csr_matrix(
-        (np.concatenate([np.ones(kept_full.size)] + lift_v),
-         (np.concatenate([kept_full] + lift_f), np.concatenate([kept_r] + lift_r))),
-        shape=(n_rows, row))
-    unscaled = scipy.sparse.diags(1.0 / D_r) @ A_r @ scipy.sparse.diags(1.0 / E_r)
-    rform = StandardForm(c=cols.T @ form.c, A=unscaled.tocsr(), b=rows.T @ form.b,
-                         n_zero=form.n_zero, n_nonneg=form.n_nonneg + n_alpha,
-                         psd_sides=sides, psd_slices=slices, psd_complex=cplx,
-                         n_x=pos, offsets=offsets)
-    return rform, A_r, D_r, E_r, cols, rows
-
-
 def solve(program, tol=1e-8, max_iter=100):
     """Solve a ConicProgram; returns a ConicSolution.
 
@@ -580,26 +486,19 @@ def solve(program, tol=1e-8, max_iter=100):
     duality gap of the equilibrated program are at most tol.  "infeasible":
     y holds a dual ray, A^T y ~ 0 with y in K* and b . y = -1.  "max_iter":
     the solve stopped uncertified, at max_iter Newton steps or at a step it
-    could not form.  Restrictions are applied (see restrict); x, s, y and the
-    assignments are in full coordinates.  Dense data above MAX_DENSE
-    entries are refused.
+    could not form.  Programs whose dense A has more than MAX_DENSE entries
+    are refused.
     """
-    full = assemble(program)
-    A, b, c, D, E = ruiz_equilibrate(full)
-    form, cols, rows = full, None, None
-    if program.restrictions:
-        form, A, D, E, cols, rows = restrict(program, full, A, D, E)
-        b, c = D * form.b, E * form.c
-    if A.shape[0] * A.shape[1] > MAX_DENSE:
-        raise InvalidArgumentError(f"program of {A.shape[0]} x {A.shape[1]} is too large"
-                                   " for the dense interior-point solver")
+    form = assemble(program)
+    if form.A.shape[0] * form.A.shape[1] > MAX_DENSE:
+        raise InvalidArgumentError(f"program of {form.A.shape[0]} x {form.A.shape[1]} is too"
+                                   " large for the dense interior-point solver")
+    A, b, c, D, E = ruiz_equilibrate(form)
     x, s, y, status, it, (pri, dual, gap) = _interior_point(form, A.toarray(), b, c, tol,
                                                             max_iter)
     x, s, y = E * x, s / D, D * y
-    if cols is not None:
-        x, s, y = cols @ x, rows @ s, rows @ y
-    assignments = program.split_solution(x, full.offsets)
-    objective = float(full.c @ x + 0.0) + program.objective.const
+    assignments = program.split_solution(x, form.offsets)
+    objective = float(form.c @ x + 0.0) + program.objective.const
     return ConicSolution(status=status, assignments=assignments, objective=objective,
                          primal_residual=float(pri), dual_residual=float(dual),
                          duality_gap=float(gap), iterations=it, x=x, y=y, s=s)

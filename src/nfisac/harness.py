@@ -207,11 +207,11 @@ def _apply_sweep(scn, var, value):
 
 def _sweep_options(scn):
     # the extended objective fights the rank penalty longer, so it gets a
-    # larger iteration allowance at the same per-solve budget
+    # larger SCA iteration allowance
     extended = not isinstance(scn.target, geometry.PointTarget)
     if scn.geom.n_tx <= 16:
-        return sca.ScaOptions(max_iter=48 if extended else 12, sdp_max_iter=2500)
-    return sca.ScaOptions(max_iter=60 if extended else 25, sdp_max_iter=6000)
+        return sca.ScaOptions(max_iter=48 if extended else 12)
+    return sca.ScaOptions(max_iter=60 if extended else 25)
 
 
 def optimize_scenario(scn):

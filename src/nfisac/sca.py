@@ -315,10 +315,10 @@ class ScaState:
 
     W_prev: list
     channels: object
+    basis: np.ndarray            # U, orthonormal columns: W{k} solves for Z_k, W_k = U Z_k U^H
     spectral: list = None
     rates: list = None
     fim_coeffs: dict = None      # point target only
-    basis: np.ndarray = None     # point target only: see point_subspace
     d_scale: np.ndarray = None   # per-location-parameter congruence scaling
     mu_scale: float = 1.0
     gamma: float = 0.1
@@ -331,26 +331,37 @@ class ScaState:
 
 
 def _penalty_expr(state, w_vars, budget):
-    """(1/gamma) sum_k (||W_k||_* - spectral surrogate), normalized by the budget."""
+    """(1/gamma) sum_k (||W_k||_* - spectral surrogate), normalized by the budget.
+
+    Over W_k = U Z_k U^H the nuclear norm is Tr Z_k and the tangent's
+    u^H W_k u is g^H Z_k g, g = U^H u.
+    """
     expr = LinExpr()
     for k, var in enumerate(w_vars):
         s = state.spectral[k]
         uu = np.outer(s.u, s.u.conj())
         const = s.base - float(np.real(np.trace(uu @ s.W_prev)))
-        expr = expr + real_trace(np.eye(var.side), var) - real_trace(uu, var) - const
+        g = state.basis.conj().T @ s.u
+        expr = (expr + real_trace(np.eye(var.side), var)
+                - real_trace(np.outer(g, g.conj()), var) - const)
     return expr * (1.0 / (state.gamma * budget))
 
 
 def _add_constraint_block(prog, state, scenario, w_vars):
-    """Power, SINR, and chord-encoded energy-efficiency constraints.
+    """Power, SINR, and chord-encoded energy-efficiency constraints over W_k = U Z_k U^H.
 
-    The EE row charges metrics.consumed_power as the affine term it is.
-    User k's received signal power sum_i Re Tr(H_k W_i) is one scalar r_k,
-    fixed by one equality row, so each of its chords a + m (noise + r_k) - t_k
-    is a two-entry row.
+    User k's channel enters in noise units, as G_k = U^H H_k U / noise, so
+    the SINR rows and r_k, user k's received signal power over the noise,
+    read the same whatever the scale of the channels.  r_k is fixed by one
+    equality row, so each of its chords (a + m noise) + (m noise) r_k - t_k
+    is a two-entry row.  The EE row charges metrics.consumed_power as the
+    affine term it is.
     """
     channels = state.channels
+    noise = scenario.comm_noise
     K = channels.n_users
+    U = state.basis
+    gains = [np.outer(g, g.conj()) / noise for g in (U.conj().T @ h for h in channels.vectors)]
     total_tr = LinExpr()
     for var in w_vars:
         total_tr = total_tr + real_trace(np.eye(var.side), var)
@@ -358,11 +369,10 @@ def _add_constraint_block(prog, state, scenario, w_vars):
 
     if scenario.sinr_threshold > 0:
         for k in range(K):
-            Hk = channels.outer(k)
-            e = LinExpr(-scenario.comm_noise)
+            e = LinExpr(-1.0)
             for i, var in enumerate(w_vars):
                 scale = 1.0 / scenario.sinr_threshold if i == k else -1.0
-                e = e + real_trace(scale * Hk, var)
+                e = e + real_trace(scale * gains[k], var)
             prog.add_ineq(e)
 
     if scenario.ee_threshold > 0:
@@ -372,20 +382,19 @@ def _add_constraint_block(prog, state, scenario, w_vars):
         ee = ee + total_tr * (-eta_mw / scenario.amplifier_eff)
         for k in range(K):
             rs = state.rates[k]
-            Hk = channels.outer(k)
             received = prog.add_scalar_var(f"r{k}")
             u_expr = -scalar_term(received)
             for var in w_vars:
-                u_expr = u_expr + real_trace(Hk, var)
+                u_expr = u_expr + real_trace(gains[k], var)
             prog.add_eq(u_expr)
             intercepts, slopes = state.chords[k]
             for a, m in zip(intercepts, slopes):
-                prog.add_ineq(LinExpr(a + m * scenario.comm_noise) + scalar_term(received, m)
+                prog.add_ineq(LinExpr(a + m * noise) + scalar_term(received, m * noise)
                               - scalar_term(t_vars[k]))
             ee = ee + scalar_term(t_vars[k]) - rs.w_prev + rs.c * rs.interf_prev
             for i, var in enumerate(w_vars):
                 if i != k:
-                    ee = ee + real_trace(-rs.c * Hk, var)
+                    ee = ee + real_trace(-rs.c * noise * gains[k], var)
         prog.add_ineq(ee)
 
 
@@ -396,12 +405,13 @@ def _xi_entry(xi_var, i, j):
 
 
 def point_subspace(scenario, channels):
-    """Orthonormal basis of span{b_t, d b_t / dr, d b_t / dphi, h_1 ... h_K}.
+    """Orthonormal basis U of span{b_t, d b_t / dr, d b_t / dphi, h_1 ... h_K}.
 
     n x m with m <= K + 3, from an SVD of the normalized vectors truncated
     at numpy's matrix_rank tolerance.  Every information coefficient matrix
-    of bounds.fim_point_coefficients has its row and column spaces in the
-    first three, and the SINR and EE rows see W_k through the channels.
+    C of bounds.fim_point_coefficients has its row and column spaces in the
+    first three, so C = U U^H C U U^H, and the SINR and EE rows see W_k
+    through the channels.  build_point_subproblem works over this U.
     """
     geom, target = scenario.geom, scenario.target
     bt = geometry.steering_vector(geom, target.distance, target.angle)
@@ -422,19 +432,21 @@ def build_point_subproblem(state, scenario):
     initial blocks are O(1); the congruence is undone by weighting the
     epigraph trace with d^(-2), so the objective reads in original units.
 
-    Each W_k is restricted to U Z_k U^H + a_k (I - U U^H), U = state.basis
-    (n x m, see point_subspace), through ConicProgram.psd_var.  Every
-    datum that sees W_k maps that subspace to itself: the information,
-    power, SINR and EE rows, and the penalty's I and u u^H, with u in
-    span U while the previous iterate's largest eigenvalue is Z_k's.  So
-    the restriction loses nothing, and the solver runs on m x m blocks.
+    Each variable W{k} is the m x m Hermitian Z_k of W_k = U Z_k U^H,
+    U = state.basis (n x m, see point_subspace), and every datum enters
+    projected: U^H C U for each information coefficient matrix, and the
+    channels and penalty tangent as the constraint block and penalty
+    project them.  Every datum that sees W_k maps span U to itself, so a
+    W_k with a component outside span U only spends power, and the
+    optimum over Z_k is the optimum over W_k (Permenter and Parrilo,
+    Math. Programming 2020) on an m x m instead of an n x n block.
     """
     prog = ConicProgram()
-    n = scenario.geom.n_tx
+    U = state.basis
     K = state.channels.n_users
-    w_vars = [prog.add_matrix_var(f"W{k}", n) for k in range(K)]
+    w_vars = [prog.add_matrix_var(f"W{k}", U.shape[1]) for k in range(K)]
     for var in w_vars:
-        prog.psd_var(var, basis=state.basis)
+        prog.psd_var(var)
     xi = prog.add_matrix_var("Xi", 2, hermitian=False)
     prog.psd_var(xi)
     u_var = epigraph_trace_inverse(prog, xi, name="U")
@@ -448,6 +460,7 @@ def build_point_subproblem(state, scenario):
     schur = PsdBlock("schur", 4, complex_valued=False)
 
     def covariance_functional(C):
+        C = U.conj().T @ C @ U
         e = LinExpr()
         for var in w_vars:
             e = e + real_trace(C, var)
@@ -474,7 +487,9 @@ def build_extended_subproblem(state, scenario):
     """Conic subproblem of one extended-target iteration.
 
     The Bayesian bound trace is (noise * n_rx / L) * Tr(U) with U the
-    trace-inverse epigraph of sum_k W_k plus the prior regularizer.
+    trace-inverse epigraph of sum_k W_k plus the prior regularizer.  The
+    epigraph sees every direction, so state.basis is the identity and each
+    variable W{k} is W_k itself.
     """
     prog = ConicProgram()
     n = scenario.geom.n_tx
@@ -641,6 +656,7 @@ def _sca_loop(scenario, options, state, build):
     trace = ScaTrace()
     t_start = time.monotonic()
     K = state.channels.n_users
+    U = state.basis
     prev_obj = np.inf
     for _ in range(options.max_iter):
         state.refresh(scenario)
@@ -651,7 +667,7 @@ def _sca_loop(scenario, options, state, build):
         if sol.status == "infeasible":
             trace.status = "degraded"
             break
-        W_new = [_psd_cleanup(sol.assignments[f"W{k}"]) for k in range(K)]
+        W_new = [U @ _psd_cleanup(sol.assignments[f"W{k}"]) @ U.conj().T for k in range(K)]
         W_polished = _polish(scenario, state.channels, W_new)
         obj = sol.objective
         trace.objectives.append(obj)
@@ -718,5 +734,6 @@ def solve_extended_sca(scenario, options=None):
     options = options or ScaOptions()
     channels = scenario.channels()
     state = ScaState(W_prev=init_feasible(scenario, channels), channels=channels,
-                     gamma=options.gamma, chords=_make_chords(scenario, channels))
+                     basis=np.eye(scenario.geom.n_tx), gamma=options.gamma,
+                     chords=_make_chords(scenario, channels))
     return _sca_loop(scenario, options, state, build_extended_subproblem)

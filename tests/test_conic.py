@@ -15,7 +15,6 @@ from nfisac.conic.model import (
     params_to_matrix,
     real_trace,
     scalar_term,
-    subspace_isometry,
     trace_coefficients,
 )
 from nfisac.conic import solver
@@ -201,6 +200,8 @@ def test_psd_block_rejects_misplaced_terms():
     block.set_entry(0, 0, scalar_term(t))
     with pytest.raises(InvalidArgumentError):
         prog.add_psd_block(block.add_var(t))
+    with pytest.raises(InvalidArgumentError):
+        prog.psd_var(MatrixVar("V", 2, False))     # equal to V, but not this program's
     assert prog.psd_blocks == []
     block = PsdBlock("b", 3, complex_valued=False)
     block.add_var(V, offset=1)
@@ -606,122 +607,3 @@ def test_assemble_matches_dense_evaluation():
             np.testing.assert_allclose(
                 coords_to_matrix(s[sl] / solver.block_weight(cplx), side, cplx), M,
                 rtol=0, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# restriction to an invariant subspace
-
-
-def _orthonormal(rng, n, m, hermitian=True):
-    M = rng.standard_normal((n, m)) + (1j * rng.standard_normal((n, m)) if hermitian else 0)
-    return np.linalg.qr(M)[0]
-
-
-@pytest.mark.parametrize("n, m, hermitian", [(6, 2, True), (5, 5, True), (4, 3, False)])
-def test_subspace_isometry_lifts_z_and_complement(n, m, hermitian):
-    rng = np.random.default_rng(n + m)
-    U = _orthonormal(rng, n, m, hermitian)
-    Phi = subspace_isometry(U, hermitian)
-    small = MatrixVar("Z", m, hermitian)
-    assert Phi.shape == (MatrixVar("V", n, hermitian).n_params, small.n_params + (m < n))
-    np.testing.assert_allclose(Phi.T @ Phi, np.eye(Phi.shape[1]), rtol=0, atol=1e-14)
-    z = rng.standard_normal(Phi.shape[1])
-    Z = params_to_matrix(small, z[: small.n_params])
-    expected = U @ Z @ U.conj().T
-    if m < n:
-        expected = expected + z[-1] * (np.eye(n) - U @ U.conj().T) / np.sqrt(n - m)
-    np.testing.assert_allclose(params_to_matrix(MatrixVar("V", n, hermitian), Phi @ z),
-                               expected, rtol=0, atol=1e-14)
-
-
-def test_restrict_rejects_bad_declarations():
-    # psd_var with a basis checks it, and records the block it adds; a
-    # rejected declaration adds no block
-    rng = np.random.default_rng(20)
-    prog = ConicProgram()
-    W = prog.add_matrix_var("W", 4)
-    S = prog.add_matrix_var("S", 4, hermitian=False)
-    U = _orthonormal(rng, 4, 2)
-    for bad in (U[:3], 2.0 * U, np.zeros((4, 0)), U[:, 0]):
-        with pytest.raises(InvalidArgumentError):
-            prog.psd_var(W, basis=bad)
-    with pytest.raises(InvalidArgumentError):
-        prog.psd_var(S, basis=U)                        # complex basis, real variable
-    with pytest.raises(InvalidArgumentError):
-        prog.psd_var(MatrixVar("W", 4, True), basis=U)  # not this program's variable
-    assert prog.psd_blocks == [] and prog.restrictions == {}
-    prog.add_psd_block(PsdBlock("other", 2, complex_valued=False))
-    prog.psd_var(W, basis=U)
-    prog.psd_var(S, basis=_orthonormal(rng, 4, 4, hermitian=False))
-    assert set(prog.restrictions) == {"W", "S"}
-    np.testing.assert_array_equal(prog.restrictions["W"][0], U)
-    assert [j for _, j in prog.restrictions.values()] == [1, 2]
-    assert prog.psd_blocks[1].terms == [("var", "W", 0)]
-    assert prog.psd_blocks[2].terms == [("var", "S", 0)]
-
-
-def _invariant_program(rng, n=6, m=2, hermitian=True, restricted=False):
-    """min Re Tr(C W) + t over W >= 0, Tr W <= 2, Re Tr(G W) >= 1, t >= Re Tr(H W) - 3,
-    with every matrix of the form U X U^H + c (I - U U^H); restricted to U
-    when asked."""
-    U = _orthonormal(rng, n, m, hermitian)
-    P = np.eye(n) - U @ U.conj().T
-
-    def invariant(c):
-        X = _random_hermitian(rng, m)
-        return U @ (X if hermitian else X.real) @ U.conj().T + c * P
-
-    prog = ConicProgram()
-    W = prog.add_matrix_var("W", n, hermitian=hermitian)
-    t = prog.add_scalar_var("t")
-    prog.psd_var(W, basis=U if restricted else None)
-    prog.add_ineq(LinExpr(2.0) - real_trace(np.eye(n), W))
-    G = invariant(0.0)
-    prog.add_ineq(real_trace(G @ G, W) - 1.0)
-    prog.add_ineq(scalar_term(t) - real_trace(invariant(0.5), W) + 3.0)
-    prog.set_objective(real_trace(invariant(3.0) + 4.0 * np.eye(n), W) + scalar_term(t))
-    return prog, W, U
-
-
-@pytest.mark.parametrize("hermitian", [True, False])
-def test_restricted_solve_matches_full_solve(hermitian):
-    full = solve(_invariant_program(np.random.default_rng(21), hermitian=hermitian)[0],
-                 tol=1e-9)
-    prog, W, U = _invariant_program(np.random.default_rng(21), hermitian=hermitian,
-                                    restricted=True)
-    restricted = solve(prog, tol=1e-9)
-    assert full.optimal and restricted.optimal
-    assert restricted.objective == pytest.approx(full.objective, rel=1e-6)
-    np.testing.assert_allclose(restricted.assignments["W"], full.assignments["W"], atol=1e-5)
-    # x, s and y come back in full coordinates: the solution is a KKT point
-    # of the full program
-    form = assemble(prog)
-    assert restricted.x.shape == (form.n_x,)
-    assert restricted.s.shape == restricted.y.shape == (form.A.shape[0],)
-    np.testing.assert_allclose(form.A @ restricted.x + restricted.s, form.b, atol=1e-6)
-    np.testing.assert_allclose(form.A.T @ restricted.y + form.c, 0.0, atol=1e-6)
-
-
-def test_restricted_program_rows_are_exact():
-    # W's own PSD rows become the Z block and one nonnegative row, each an
-    # exact one-entry row; the other rows are A diag(e / E) Phi
-    prog, W, U = _invariant_program(np.random.default_rng(22), restricted=True)
-    form = assemble(prog)
-    A, _, _, D, E = solver.ruiz_equilibrate(form)
-    rform, A_r, D_r, E_r, cols, rows = solver.restrict(prog, form, A, D, E)
-    assert form.psd_sides == [6] and rform.psd_sides == [2]
-    assert (rform.n_zero, rform.n_nonneg) == (form.n_zero, form.n_nonneg + 1)
-    assert A_r.shape == (3 + 1 + 4, 4 + 1 + 1)
-    own = np.r_[3, 4:8]                     # complement row, then the Z block
-    e = np.exp(np.mean(np.log(E[form.offsets["W"]])))
-    np.testing.assert_array_equal(E_r[:5], e)
-    value = -solver.block_weight(True) * D[form.psd_slices[0].start] * e
-    dense = A_r.toarray()
-    np.testing.assert_array_equal(np.diff(A_r.indptr)[own], 1)
-    np.testing.assert_array_equal(dense[own, :5], value * np.eye(5)[[4, 0, 1, 2, 3]])
-    ratio = np.ones(form.n_x)
-    ratio[form.offsets["W"]] = e / E[form.offsets["W"]]
-    np.testing.assert_allclose(dense[:3], (A.toarray() * ratio)[:3] @ cols.toarray(),
-                               rtol=0, atol=1e-14)
-    np.testing.assert_array_equal(D_r[:3], D[:3])
-    np.testing.assert_array_equal(D_r[own], D[form.psd_slices[0].start])

@@ -288,3 +288,16 @@ def test_run_sweep_reports_infeasible_points():
     table = harness.run_sweep(cfg)
     rows = table.select(metric="status")
     assert [(r.arch, r.value) for r in rows] == [("none", 1.0)]
+
+
+@pytest.mark.slow
+def test_paper_design_ends_optimal_and_rank_one():
+    # the paper-scale point-target design (64 antennas, 4 users) a sweep
+    # runs: every subproblem solved to optimality, the last iterate rank
+    # one, and a finite bound
+    scn = config.config_to_scenario(config.default_config("paper"))
+    W, W_list, trace, bound = harness.optimize_scenario(scn)
+    assert [rec.status for rec in trace.solves] == ["optimal"] * len(trace.solves)
+    assert trace.rank_residuals[-1] <= harness._sweep_options(scn).rank_tol
+    assert W.shape == (64, 4) and sca.rank_residual(W_list) <= 1e-12
+    assert np.isfinite(bound) and bound > 0

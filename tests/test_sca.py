@@ -382,12 +382,6 @@ def _first_point_subproblem(monkeypatch, scn, options=None):
     return programs[0]
 
 
-def _restricted(prog):
-    form = solver.assemble(prog)
-    A, _, _, D, E = solver.ruiz_equilibrate(form)
-    return form, solver.restrict(prog, form, A, D, E)
-
-
 @pytest.mark.parametrize("scale", ["desk", "paper"])
 def test_point_subspace_spans_information_and_channels(scale):
     scn = config.config_to_scenario(config.default_config(scale))
@@ -411,23 +405,33 @@ DESK_FIRST_OPTIMUM = 0.632575
 REFERENCE_OPTIONS = sca.ScaOptions(gamma=1e-3)
 
 
-def test_restricted_desk_subproblem_takes_the_full_path(monkeypatch):
-    # the first desk subproblem: the restriction keeps the full program's
-    # optimum, the known one
-    scn = config.config_to_scenario(config.default_config("desk"))
-    prog, kwargs = _first_point_subproblem(monkeypatch, scn, REFERENCE_OPTIONS)
-    assert set(prog.restrictions) == {"W0", "W1"}
-    restricted = solve(prog, **kwargs)
-    prog.restrictions = {}
-    full = solve(prog, **kwargs)
-    assert restricted.status == full.status == "optimal"
-    assert restricted.objective == pytest.approx(full.objective, rel=1e-6)
-    assert restricted.objective == pytest.approx(DESK_FIRST_OPTIMUM, rel=1e-5)
-    for k in range(2):
-        W, V = restricted.assignments[f"W{k}"], full.assignments[f"W{k}"]
-        assert np.linalg.norm(W - V) <= 1e-6 * np.linalg.norm(V)
-    assert restricted.x.shape == full.x.shape
-    assert restricted.s.shape == restricted.y.shape == full.s.shape
+@pytest.mark.parametrize("case", ["desk", "square"])
+def test_point_subproblem_over_its_subspace_keeps_the_optimum(monkeypatch, case):
+    # the first subproblem built over point_subspace and over the identity
+    # (the full space): the same optimum and the same lifted W_k
+    if case == "desk":
+        scn, options = config.config_to_scenario(config.default_config("desk")), REFERENCE_OPTIONS
+    else:
+        # n_tx = K + 3: U is square, a rotation of the full space
+        scn, options = _small_scenario(sinr_threshold=3.0), None
+    n, K = scn.geom.n_tx, scn.channels().n_users
+    U = sca.point_subspace(scn, scn.channels())
+    assert U.shape == (n, min(n, K + 3))
+    results = []
+    for basis in (U, np.eye(n)):
+        monkeypatch.setattr(sca, "point_subspace", lambda *_, basis=basis: basis)
+        prog, kwargs = _first_point_subproblem(monkeypatch, scn, options)
+        assert prog.variables["W0"].side == basis.shape[1]
+        sol = solve(prog, **kwargs)
+        assert sol.optimal
+        results.append((sol.objective, [basis @ sol.assignments[f"W{k}"] @ basis.conj().T
+                                        for k in range(K)]))
+    (reduced, W), (full, V) = results
+    assert reduced == pytest.approx(full, rel=1e-6)
+    if case == "desk":
+        assert reduced == pytest.approx(DESK_FIRST_OPTIMUM, rel=1e-5)
+    for Wk, Vk in zip(W, V):
+        assert np.linalg.norm(Wk - Vk) <= 1e-6 * np.linalg.norm(Vk)
 
 
 def test_desk_subproblem_optimum_is_unit_free(monkeypatch):
@@ -458,7 +462,6 @@ def test_ee_chords_on_a_received_power_scalar_keep_the_optimum(monkeypatch):
     wide = ConicProgram()
     wide.variables = {n: v for n, v in prog.variables.items() if not n.startswith("r")}
     wide.objective, wide.psd_blocks = prog.objective, prog.psd_blocks
-    wide.restrictions = prog.restrictions
     received = dict(zip(("r0", "r1"), prog.eq_constraints))
     for e in prog.ineq_constraints:
         r = next((n for n in received if n in e.terms), None)
@@ -472,46 +475,24 @@ def test_ee_chords_on_a_received_power_scalar_keep_the_optimum(monkeypatch):
     assert len(wide.ineq_constraints) == len(prog.ineq_constraints)
     assert wide.eq_constraints == []
     # the 128 chord rows, after the power and SINR rows: two entries each,
-    # against the whole functional
+    # against the whole functional, K m^2 entries over the Z_k plus t_k
     counts = [np.diff(solver.assemble(p).A.indptr)[len(p.eq_constraints):][3:131]
               for p in (prog, wide)]
-    assert set(counts[0]) == {2} and min(counts[1]) > 500
+    assert set(counts[0]) == {2} and set(counts[1]) == {2 * 5**2 + 1}
     narrow, full = solve(prog, **kwargs), solve(wide, **kwargs)
     assert narrow.optimal and full.optimal
     assert narrow.objective == pytest.approx(full.objective, rel=1e-6)
 
 
 def test_paper_subproblem_restricts_to_seven_dimensions(monkeypatch):
-    # the first paper subproblem restricted to m = K + 3 = 7; nothing is solved
+    # the first paper subproblem is built over m = K + 3 = 7; nothing is solved
     scn = config.config_to_scenario(config.default_config("paper"))
     prog, _ = _first_point_subproblem(monkeypatch, scn)
-    form, (rform, A_r, D_r, E_r, cols, rows) = _restricted(prog)
-    assert form.psd_sides == [64, 64, 64, 64, 2, 4, 4]
-    assert rform.psd_sides == [7, 7, 7, 7, 2, 4, 4]
-    assert rform.psd_complex == [True] * 4 + [False] * 3
-    assert rform.n_nonneg == form.n_nonneg + 4    # one complement row per W_k
-    # 50 columns per W_k, Xi, U, and the EE auxiliaries t_k and r_k
-    assert A_r.shape == (rform.psd_slices[-1].stop, 4 * 50 + 3 + 3 + 4 + 4)
-    assert cols.shape == (form.n_x, A_r.shape[1]) and rows.shape == (form.A.shape[0],
-                                                                     A_r.shape[0])
-    np.testing.assert_allclose((cols.T @ cols).toarray(), np.eye(cols.shape[1]), atol=1e-12)
-    np.testing.assert_allclose((rows.T @ rows).toarray(), np.eye(rows.shape[1]), atol=1e-12)
-
-
-def test_square_basis_has_no_complement_row(monkeypatch):
-    # n_tx = K + 3: U is square, so W_k = U Z_k U^H with no complement
-    scn = _small_scenario(sinr_threshold=3.0)
-    assert sca.point_subspace(scn, scn.channels()).shape == (4, 4)
-    prog, kwargs = _first_point_subproblem(monkeypatch, scn)
-    form, (rform, A_r, *_) = _restricted(prog)
-    assert rform.n_nonneg == form.n_nonneg
-    assert rform.psd_sides == form.psd_sides
-    assert A_r.shape == form.A.shape
-    restricted = solve(prog, **kwargs)
-    prog.restrictions = {}
-    full = solve(prog, **kwargs)
-    assert restricted.status == full.status == "optimal"
-    assert restricted.objective == pytest.approx(full.objective, rel=1e-6)
+    form = solver.assemble(prog)
+    assert form.psd_sides == [7, 7, 7, 7, 2, 4, 4]
+    assert form.psd_complex == [True] * 4 + [False] * 3
+    # 49 columns per Z_k, Xi, U, and the EE auxiliaries t_k and r_k
+    assert form.A.shape == (form.psd_slices[-1].stop, 4 * 49 + 3 + 3 + 4 + 4)
 
 
 def test_point_sca_requires_point_target():
