@@ -200,14 +200,32 @@ def test_psd_block_rejects_misplaced_terms():
     block.set_entry(0, 0, scalar_term(t))
     with pytest.raises(InvalidArgumentError):
         prog.add_psd_block(block.add_var(t))
-    with pytest.raises(InvalidArgumentError):
-        prog.psd_var(MatrixVar("V", 2, False))     # equal to V, but not this program's
     assert prog.psd_blocks == []
     block = PsdBlock("b", 3, complex_valued=False)
     block.add_var(V, offset=1)
     block.set_entry(0, 2, scalar_term(t))
     prog.add_psd_block(block)
     assert assemble(prog).A.shape[0] == 6
+
+
+def test_restrict_rejects_bad_declarations():
+    # psd_var takes only this program's own variables, records the block it
+    # adds, and a rejected declaration adds no block
+    prog = ConicProgram()
+    W = prog.add_matrix_var("W", 4)
+    S = prog.add_matrix_var("S", 4, hermitian=False)
+    with pytest.raises(InvalidArgumentError):
+        prog.psd_var(MatrixVar("W", 4, True))      # equal to W, but not this program's
+    with pytest.raises(InvalidArgumentError):
+        prog.psd_var(MatrixVar("X", 4, True))      # not declared at all
+    assert prog.psd_blocks == []
+    prog.add_psd_block(PsdBlock("other", 2, complex_valued=False))
+    prog.psd_var(W)
+    prog.psd_var(S)
+    assert [b.side for b in prog.psd_blocks] == [2, 4, 4]
+    assert [b.complex_valued for b in prog.psd_blocks] == [False, True, False]
+    assert prog.psd_blocks[1].terms == [("var", "W", 0)]
+    assert prog.psd_blocks[2].terms == [("var", "S", 0)]
 
 
 # ---------------------------------------------------------------------------
