@@ -4,14 +4,23 @@ Exit codes: 0 success, 2 infeasible scenario (the message names the violated
 constraint), 1 internal error.
 """
 
-import argparse
+import os
 import sys
-from dataclasses import replace
 
-import numpy as np
+# One BLAS thread unless the user set one, fixed before numpy loads (later
+# it has no effect): the trial pool (harness.trial_workers) then runs one
+# worker per core instead of one worker beside threaded BLAS.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
-from . import config as config_mod, estimators, geometry, harness, hybrid, sca
-from .errors import InvalidArgumentError, ScenarioInfeasibleError
+import argparse  # noqa: E402
+from dataclasses import replace  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from . import config as config_mod, estimators, geometry, harness, hybrid, sca  # noqa: E402
+from .errors import InvalidArgumentError, ScenarioInfeasibleError  # noqa: E402
 
 
 def _build_parser():

@@ -18,9 +18,19 @@ self-dual embedding, as CVXOPT's conelp (Vandenberghe, "The CVXOPT linear
 and quadratic cone program solvers", 2010): Nesterov-Todd scaling,
 Mehrotra's predictor-corrector with one step of iterative refinement, and
 a Newton matrix of the size of x factored once per iteration.  Primal
-infeasibility is declared from the dual ray the embedding converges to.
-A program is solved as it is built: reducing it to a subspace its data
-see is the builder's work (sca.build_point_subproblem).
+infeasibility is declared from the dual ray the embedding converges to;
+a solve that stalls short of tol and then drifts away (its measures
+DIVERGED times above their best) ends with its best iterate.  A program
+is solved as it is built: reducing it to a subspace its data see is the
+builder's work (sca.build_point_subproblem).
+
+The scaling of a small PSD block (complex up to side 8, real up to side
+5) is applied as an explicit matrix on its rows, built once per Newton
+step from the outer products of the scaling factor's columns, as SDPT3
+does (Toh, Todd and Tutuncu 1999); larger blocks are scaled by
+congruences, two n x n matrix products each.  Every block of the
+point-target subproblems is small, and a Newton step there costs a few
+matrix products instead of a chain of small numpy calls per block.
 """
 
 from dataclasses import dataclass
@@ -39,6 +49,9 @@ STEP = 0.99
 EXPON = 3
 #: a shorter step ends the solve: the iterate is as good as rounding allows
 MIN_STEP = 1e-8
+#: measures this many times above their best so far end the solve: it has
+#: stalled short of tol and left its best iterate, which it returns
+DIVERGED = 1e3
 #: largest dense matrix A (rows times columns) the solver accepts
 MAX_DENSE = 20_000_000
 
@@ -232,21 +245,31 @@ class _Group:
     rows (k, r) are the blocks' rows among the cone rows.  mats reads
     (..., r) rows as (..., n, n) matrices; vecs writes matrices back as rows,
     from their upper triangles.  Coordinate j sits at entry (ia[j], ib[j]).
+
+    explicit: the scaling is applied as an r x r matrix on the rows, 2 r^2
+    flops a column, where that is no more than the congruence L X L^H, two
+    matrix products of 16 n^3 (complex) or 4 n^3 (real) flops: up to side 8
+    for a complex block and side 5 for a real one.  On larger blocks the
+    matrix's r^2 entries and its build outgrow the congruence.
     """
 
     def __init__(self, n, cplx, starts):
         self.n, self.cplx, self.w = n, cplx, block_weight(cplx)
-        r = mdl.MatrixVar("B", n, cplx).n_params
+        r = self.r = mdl.MatrixVar("B", n, cplx).n_params
         self.rows = np.add.outer(np.asarray(starts), np.arange(r))
         index, weight = mdl.coordinate_map(n, cplx)
         self.index, self.to_matrix = index, weight / self.w
         d, (a, b) = np.arange(n), mdl.pair_indices(n)
         self.ia = np.concatenate([d, a, a] if cplx else [d, a])
         self.ib = np.concatenate([d, b, b] if cplx else [d, b])
+        self.antisym = np.arange(r) >= n + a.size
         flat = self.ia * n + self.ib
-        self.gather = 2 * flat + (np.arange(r) >= n + a.size) if cplx else flat
+        self.gather = 2 * flat + self.antisym if cplx else flat
         self.coef = self.w * np.where(self.ia == self.ib, 1.0, SQRT2)
-        self.R = self.Rinv = np.broadcast_to(np.eye(n), (len(starts), n, n))
+        self.explicit = 2 * r * r <= (16 if cplx else 4) * n**3
+        self.sel = _as_slice(self.rows.ravel())
+        self.R = self.Rinv = self.RH = self.RinvH = np.broadcast_to(np.eye(n),
+                                                                    (len(starts), n, n))
 
     def mats(self, v):
         M = v.take(self.index, axis=-1) * self.to_matrix
@@ -257,6 +280,68 @@ class _Group:
         flat = (M.view(float) if self.cplx else M).reshape(M.shape[:-2] + (-1,))
         return flat.take(self.gather, axis=-1) * self.coef
 
+    def operator_terms(self):
+        """Gather indices and weights of the r x r matrix of X -> L X L^H.
+
+        Column j is basis element B_j at entries (a, b), row i the
+        coordinate of entry (c, d): L B_j L^H [c, d] = g_j (F[c, d, a, b] +
+        s_j F[c, d, b, a]) with F[c, d, a, b] = L[c, a] conj L[d, b] (the
+        outer products of L's columns) and (g, s) = (1/2, 1) on the
+        diagonal, (1/sqrt2, 1) on symmetric and (i/sqrt2, -1) on
+        antisymmetric pairs.  The coordinate is sqrt2 (1 on the diagonal)
+        times its real part, or its imaginary part for an antisymmetric
+        pair.  So entry (i, j) is w[0] x[idx[0]] + w[1] x[idx[1]], where x
+        are F's entries as floats (real and imaginary parts) and w real;
+        returns idx and w, both (2, r, r).
+        """
+        n, ia, ib, anti = self.n, self.ia, self.ib, self.antisym
+        cd = (ia * n + ib)[:, None] * n * n
+        # an antisymmetric column's g = i/sqrt2 swaps the part read from F:
+        # Re(i z) = -Im z on a real-part row, Im(i z) = Re z on the others,
+        # where s = -1 falls on the second term
+        idx = 2 * np.stack([cd + ia * n + ib, cd + ib * n + ia]) + (anti[:, None] ^ anti)
+        diag = ia == ib
+        w = np.where(diag, 1.0, SQRT2)[:, None] * np.where(diag, 0.5, 1.0 / SQRT2)
+        signs = np.stack([np.where(anti & ~anti[:, None], -1.0, 1.0),
+                          np.where(anti & anti[:, None], -1.0, 1.0)])
+        return idx, w * signs
+
+    def padded_terms(self, N, first):
+        """The blocks as complex N x N matrices, zero-padded, in floats.
+
+        Returns, each of shape (k, N, N, 2): the row each float entry reads,
+        its weight (0 outside the block and on a real block's imaginary
+        part) and, stacked on a first axis of 2, the positions of its row's
+        and column's lam among the values first + n b + i of block b; and,
+        of shape (k, r), the float entry each row is read back from.
+        """
+        k, n, parts = len(self.rows), self.n, self.index.shape[2]
+        idx, w = np.zeros((k, N, N, 2), int), np.zeros((k, N, N, 2))
+        idx[:, :n, :n, :parts] = self.rows[:, self.index]
+        w[:, :n, :n, :parts] = self.to_matrix
+        at = np.zeros((2, k, N, N, 2), int)
+        own = first + n * np.arange(k)[:, None, None, None]
+        at[0, :, :n, :n] = own + np.arange(n)[:, None, None]
+        at[1, :, :n, :n] = own + np.arange(n)[:, None]
+        entry = (np.arange(k)[:, None] * N + self.ia) * N + self.ib
+        return idx, w, at, 2 * entry + self.antisym
+
+
+def _as_slice(idx):
+    """A slice for consecutive indices (views, not copies), else the indices."""
+    if idx.size and np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        return slice(idx[0], idx[0] + idx.size)
+    return idx
+
+
+def _groups(form):
+    """The PSD blocks of a standard form by side and field, rows counted from the
+    first cone row."""
+    kinds = {}
+    for sl, n, cplx in zip(form.psd_slices, form.psd_sides, form.psd_complex):
+        kinds.setdefault((n, cplx), []).append(sl.start - form.n_zero)
+    return [_Group(n, cplx, starts) for (n, cplx), starts in kinds.items()]
+
 
 class _Cone:
     """The cone rows of a standard form (nonnegative rows, then PSD blocks) and
@@ -266,24 +351,82 @@ class _Cone:
     On a PSD block W z = R^H Z R and W^-T s = R^-1 S R^-H, both the diagonal
     matrix of the block's lam, so lam o u (the Jordan product) is u times
     (lam_i + lam_j) / 2 on each coordinate of pair (i, j).
+
+    W^T and W^-T act on the rows of an explicit group (see _Group) as its
+    matrices T and Tinv, which rescale builds from R and R^-1; W^-1 is
+    Tinv^T.  The Jordan product and the step to the boundary treat all
+    explicit blocks as one zero-padded batch.  The other groups are scaled
+    by congruences with R, R^-1 and their conjugate transposes.
     """
 
     def __init__(self, form):
         self.q, self.m = form.n_nonneg, form.A.shape[0] - form.n_zero
-        kinds = {}
-        for sl, n, cplx in zip(form.psd_slices, form.psd_sides, form.psd_complex):
-            kinds.setdefault((n, cplx), []).append(sl.start - form.n_zero)
-        self.groups = [_Group(n, cplx, starts) for (n, cplx), starts in kinds.items()]
-        self.degree = self.q + sum(g.rows.shape[0] * g.w**2 * g.n for g in self.groups)
-        self.d = np.ones(self.q)
-        self.e = self._rows(1.0, lambda g: g.vecs(np.eye(g.n)))
-
-    def _rows(self, nonneg, block):
-        out = np.empty(self.m)
-        out[: self.q] = nonneg
+        self.groups = _groups(form)
+        self.explicit = [g for g in self.groups if g.explicit]
+        self.congruent = [g for g in self.groups if not g.explicit]
+        self.degree = self.q + sum(len(g.rows) * g.w**2 * g.n for g in self.groups)
+        self.d = self.d_inv = np.ones(self.q)
+        self.e = np.empty(self.m)
+        self.e[: self.q] = 1.0
         for g in self.groups:
-            out[g.rows] = block(g)
-        return out
+            self.e[g.rows] = g.vecs(np.eye(g.n))
+        # lam, all groups' values in order, sits on the diagonal rows, and
+        # each row's lam_fac averages the values of its pair
+        firsts = np.cumsum([0] + [len(g.rows) * g.n for g in self.groups])
+        self.diag_rows = np.concatenate([g.rows[:, : g.n].ravel() for g in self.groups]
+                                        + [np.zeros(0, int)])
+        self.diag_w = np.concatenate([np.full(len(g.rows) * g.n, g.w) for g in self.groups]
+                                     + [np.zeros(0)])
+        self.pair = np.empty((2, self.m - self.q), int)
+        for g, first in zip(self.groups, firsts):
+            own = first + g.n * np.arange(len(g.rows))[:, None]
+            self.pair[:, g.rows - self.q] = own + g.ia, own + g.ib
+        if self.explicit:
+            self._plan_explicit(firsts)
+
+    def _plan_explicit(self, firsts):
+        """Index arrays of the explicit groups: T and Tinv, views of ops, are
+        gathered from F_idx of the groups' F (of their R, then R^-1 blocks,
+        stacked flat); the padded batch is described by _Group.padded_terms
+        with blocks numbered across groups."""
+        N = max(g.n for g in self.explicit)
+        terms = {key: [] for key in ("F_idx", "F_w", "pad_idx", "pad_w", "pad_at", "unpad",
+                                     "coef", "rows")}
+        f0 = blk = 0
+        for g, first in zip(self.groups, firsts):
+            if not g.explicit:
+                continue
+            k = len(g.rows)
+            idx, w = g.operator_terms()
+            b = np.arange(2 * k)[:, None, None]
+            terms["F_idx"].append((idx[:, None] + 2 * (f0 + b * g.n**4)).reshape(2, -1))
+            terms["F_w"].append(np.broadcast_to(w[:, None], (2, 2 * k) + w.shape[1:])
+                                .reshape(2, -1))
+            idx, w, at, entry = g.padded_terms(N, first)
+            terms["pad_idx"].append(idx.ravel())
+            terms["pad_w"].append(w.ravel())
+            terms["pad_at"].append(at.reshape(2, -1))
+            terms["unpad"].append((entry + 2 * N * N * blk).ravel())
+            terms["coef"].append(np.tile(0.5 * g.coef, k))
+            terms["rows"].append(g.rows.ravel())
+            f0, blk = f0 + 2 * k * g.n**4, blk + k
+        for key, v in terms.items():
+            setattr(self, key, np.concatenate(v, axis=-1))
+        self.rows = _as_slice(self.rows)
+        self.pad_shape = (blk, N, N)
+        self.ops = np.empty(self.F_w.shape[1])
+        o = 0
+        for g in self.explicit:
+            size = len(g.rows) * g.r**2
+            g.T, g.Tinv = self.ops[o: o + 2 * size].reshape(2, -1, g.r, g.r)
+            g.T[...] = g.Tinv[...] = np.eye(g.r)   # W = I until the first rescale
+            o += 2 * size
+
+    def _padded(self, v, weights):
+        """The explicit blocks of rows v as the padded (..., K, N, N) batch, its
+        float entries multiplied by weights (pad_w, or pad_scale of rescale)."""
+        M = v.take(self.pad_idx, axis=-1) * weights
+        return M.view(complex).reshape(v.shape[:-1] + self.pad_shape)
 
     def rescale(self, s_t, z_t):
         """Move W to the scaling of W^T s_t and W^-1 z_t (s_t, z_t in lam's coordinates)."""
@@ -294,46 +437,81 @@ class _Cone:
             root = np.sqrt(g.lam)
             g.R = g.R @ (Ls @ _herm(Vh) / root[:, None, :])
             g.Rinv = (root[:, :, None] * (Vh @ np.linalg.inv(Ls))) @ g.Rinv
+        for g in self.congruent:
+            g.RH, g.RinvH = _herm(g.R), _herm(g.Rinv)
         self.lam_nn = np.sqrt(s_t[: self.q] * z_t[: self.q])
         self.d = self.d * np.sqrt(s_t[: self.q] / z_t[: self.q])
-        self.lam = self._rows(self.lam_nn, lambda g: g.vecs(g.lam[:, :, None] * np.eye(g.n)))
-        self.lam_fac = self._rows(self.lam_nn, lambda g: 0.5 * (g.lam[:, g.ia] + g.lam[:, g.ib]))
+        self.d_inv = 1.0 / self.d
+        lam = np.concatenate([g.lam.ravel() for g in self.groups] + [np.zeros(0)])
+        self.lam = np.zeros(self.m)
+        self.lam[: self.q] = self.lam_nn
+        self.lam[self.diag_rows] = self.diag_w * lam
+        self.lam_fac = np.empty(self.m)
+        self.lam_fac[: self.q] = self.lam_nn
+        self.lam_fac[self.q:] = 0.5 * (lam[self.pair[0]] + lam[self.pair[1]])
+        if self.explicit:
+            F = []
+            for g in self.explicit:
+                L = np.concatenate([g.R, g.Rinv])
+                F.append((L[:, :, None, :, None] * L.conj()[:, None, :, None, :]).ravel())
+            F = np.concatenate(F).astype(complex, copy=False).view(float)[self.F_idx]
+            np.multiply(F[0], self.F_w[0], out=self.ops)
+            self.ops += F[1] * self.F_w[1]
+            isq = 1.0 / np.sqrt(lam)
+            self.pad_scale = self.pad_w * isq[self.pad_at[0]] * isq[self.pad_at[1]]
 
-    def _congruent(self, v, d, L):
-        """d v on the nonnegative rows, L X L^H on each block X, column by column of v."""
+    def _scale(self, v, d, op, L):
+        """d v on the nonnegative rows, then, column by column of v, op(g) X on
+        the rows X of each explicit group g and L(g) X L(g)^H on each other
+        block X (L returns both factors)."""
         V = v.reshape(self.m, -1)
         out = np.empty(V.shape)
         out[: self.q] = V[: self.q] * d[:, None]
-        for g in self.groups:
-            Lg = L(g)[:, None]
+        for g in self.explicit:
+            X = V[g.sel].reshape(len(g.rows), g.r, -1)
+            out[g.sel] = (op(g) @ X).reshape(-1, V.shape[1])
+        for g in self.congruent:
+            left, right = L(g)
             X = g.mats(np.swapaxes(V[g.rows], 1, 2))
-            out[g.rows] = np.swapaxes(g.vecs(Lg @ X @ _herm(Lg)), 1, 2)
+            out[g.rows] = np.swapaxes(g.vecs(left[:, None] @ X @ right[:, None]), 1, 2)
         return out.reshape(v.shape)
 
     def t(self, v):
         """W^T v."""
-        return self._congruent(v, self.d, lambda g: g.R)
+        return self._scale(v, self.d, lambda g: g.T, lambda g: (g.R, g.RH))
 
     def inv_t(self, v):
         """W^-T v (v a vector or a matrix of columns)."""
-        return self._congruent(v, 1.0 / self.d, lambda g: g.Rinv)
+        return self._scale(v, self.d_inv, lambda g: g.Tinv, lambda g: (g.Rinv, g.RinvH))
 
     def inv(self, v):
         """W^-1 v."""
-        return self._congruent(v, 1.0 / self.d, lambda g: _herm(g.Rinv))
+        return self._scale(v, self.d_inv, lambda g: np.swapaxes(g.Tinv, 1, 2),
+                           lambda g: (g.RinvH, g.Rinv))
 
     def product(self, u, v):
         """The Jordan product u o v (U V + V U) / 2, with V U = (U V)^H."""
-        def block(g):
+        out = np.empty(self.m)
+        out[: self.q] = u[: self.q] * v[: self.q]
+        if self.explicit:
+            P = self._padded(u, self.pad_w) @ self._padded(v, self.pad_w)
+            out[self.rows] = (P + _herm(P)).view(float).ravel()[self.unpad] * self.coef
+        for g in self.congruent:
             P = g.mats(u[g.rows]) @ g.mats(v[g.rows])
-            return g.vecs(0.5 * (P + _herm(P)))
-        return self._rows(u[: self.q] * v[: self.q], block)
+            out[g.rows] = g.vecs(0.5 * (P + _herm(P)))
+        return out
 
     def max_step(self, *us):
-        """Largest t with lam + t u in K for every u (inf when every t is)."""
+        """Largest t with lam + t u in K for every u (inf when every t is).
+
+        Each block bounds t by its smallest eigenvalue after scaling by
+        lam^-1/2 on both sides; the padding of the explicit blocks adds
+        eigenvalues 0, which bound nothing."""
         u = np.stack(us)
         worst = np.max(-u[:, : self.q] / self.lam_nn, initial=0.0)
-        for g in self.groups:
+        if self.explicit:
+            worst = max(worst, -np.linalg.eigvalsh(self._padded(u, self.pad_scale)).min())
+        for g in self.congruent:
             root = np.sqrt(g.lam)
             low = np.linalg.eigvalsh(g.mats(u[:, g.rows]) / (root[:, :, None] * root[:, None, :]))
             worst = max(worst, -low.min())
@@ -342,14 +520,13 @@ class _Cone:
 
 def project_cone(v, form):
     """Euclidean projection onto K = {0}^p x R+^q x PSD(m_1) x ..., blocks in coordinates."""
-    cone, v_k = _Cone(form), v[form.n_zero:]
-
-    def clip(g):
-        w, V = np.linalg.eigh(g.mats(v_k[g.rows]))
-        return g.vecs((V * np.maximum(w, 0.0)[:, None, :]) @ _herm(V))
-
-    return np.concatenate([np.zeros(form.n_zero),
-                           cone._rows(np.maximum(v_k[: cone.q], 0.0), clip)])
+    p, q = form.n_zero, form.n_nonneg
+    out = np.zeros(v.size)
+    out[p: p + q] = np.maximum(v[p: p + q], 0.0)
+    for g in _groups(form):
+        w, V = np.linalg.eigh(g.mats(v[p + g.rows]))
+        out[p + g.rows] = g.vecs((V * np.maximum(w, 0.0)[:, None, :]) @ _herm(V))
+    return out
 
 
 def _cho_solve(U, r):
@@ -389,10 +566,13 @@ def _interior_point(form, A, b, c, tol, max_iter):
 
     Returns (x, s, y, status, iterations, (primal, dual, gap)): the iterate
     divided by tau, for "infeasible" the dual ray normalized to b.y = -1, and
-    for "max_iter" the iterate of smallest residuals and gap.
+    for "max_iter" the iterate of smallest residuals and gap.  A "max_iter"
+    solve also ends once its largest measure exceeds DIVERGED times the
+    smallest so far.
     """
     p = form.n_zero
     A0, G, b0, h = A[:p], A[p:], b[:p], b[p:]
+    Gh = np.column_stack([G, h])
     cone = _Cone(form)
     norm_b, norm_c = max(1.0, np.linalg.norm(b)), max(1.0, np.linalg.norm(c))
 
@@ -425,14 +605,15 @@ def _interior_point(form, A, b, c, tol, max_iter):
         if status != "max_iter" or max(measures) < best[0]:
             best = (max(measures), measures, x / tau, np.concatenate([np.zeros(p), s]) / tau,
                     np.concatenate([y, z]) / tau)
-        if status != "max_iter" or it == max_iter:
+        if status != "max_iter" or it == max_iter or max(measures) > DIVERGED * best[0]:
             break
         mu = (gap + tau * kappa) / (cone.degree + 1)
+        Gh_t = cone.inv_t(Gh)
+        h_t = Gh_t[:, -1].copy()   # contiguous, so its dot products round as h's did
         try:
-            newton = _Newton(cone.inv_t(G), A0)
+            newton = _Newton(Gh_t[:, :-1], A0)
         except np.linalg.LinAlgError:
             break
-        h_t = cone.inv_t(h)
         x1, y1, z1 = newton.solve(c, -b0, -h_t)
         q1 = c @ x1 + b0 @ y1 + h_t @ z1 + kappa / tau
 

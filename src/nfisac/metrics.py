@@ -18,12 +18,11 @@ def sinrs(channels, covs, noise_power):
         raise InvalidArgumentError("noise power must be positive")
     if len(covs) != channels.n_users:
         raise InvalidArgumentError("need one covariance per user")
-    out = np.empty(channels.n_users)
-    for k in range(channels.n_users):
-        hk = channels.outer(k)
-        terms = np.array([np.real(np.trace(hk @ wi)) for wi in covs])
-        out[k] = terms[k] / (terms.sum() - terms[k] + noise_power)
-    return out
+    h = np.stack(channels.vectors)
+    # terms[k, i] = h_k^H W_i h_k = Tr(H_k W_i)
+    terms = np.einsum("kn,inm,km->ki", h.conj(), np.asarray(covs), h).real
+    signal = np.diagonal(terms)
+    return signal / (terms.sum(axis=1) - signal + noise_power)
 
 
 def sum_rate(sinrs):

@@ -328,6 +328,68 @@ def test_project_cone_is_idempotent():
                                    atol=1e-12 * np.abs(p).max())
 
 
+def _scaling_form():
+    # blocks the cone scales explicitly (complex 5 twice, real 4 and 2) and
+    # one it scales by congruences (complex 9, above side 8), not adjacent
+    prog = ConicProgram()
+    t = prog.add_scalar_var("t")
+    prog.add_eq(scalar_term(t))
+    for _ in range(3):
+        prog.add_ineq(scalar_term(t))
+    for k, (side, hermitian) in enumerate([(5, True), (9, True), (4, False), (5, True),
+                                           (2, False)]):
+        prog.psd_var(prog.add_matrix_var(f"V{k}", side, hermitian=hermitian))
+    return assemble(prog)
+
+
+def _cone_interior(rng, form, cone):
+    v = _cone_point(rng, form, range(len(form.psd_sides)))[form.n_zero:]
+    v[: form.n_nonneg] = np.abs(v[: form.n_nonneg])
+    return v + cone.e
+
+
+def _assert_rel(actual, expected, rel=1e-10):
+    assert np.linalg.norm(actual - expected) <= rel * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("make_form, groups", [
+    (_scaling_form, [(5, True, True), (9, True, False), (4, False, True), (2, False, True)]),
+    (_cone_form, [(3, False, True), (1, False, True), (2, True, True), (5, True, True)]),
+], ids=["mixed", "explicit"])
+def test_cone_scaling_explicit_and_congruence_blocks(make_form, groups):
+    # the Nesterov-Todd scaling of a random interior pair, applied as
+    # explicit row operators on small blocks and as congruences on large
+    # ones, against its defining identities and block by block
+    form = make_form()
+    cone = solver._Cone(form)
+    assert [(g.n, g.cplx, g.explicit) for g in cone.groups] == groups
+    rng = np.random.default_rng(21)
+    s, z = _cone_interior(rng, form, cone), _cone_interior(rng, form, cone)
+    cone.rescale(s, z)
+    _assert_rel(cone.inv_t(s), cone.lam)            # W^-T s = lam
+    _assert_rel(cone.inv(cone.lam), z)              # W z = lam
+    u, v = rng.standard_normal((2, cone.m))
+    _assert_rel(cone.t(cone.inv_t(v)), v)
+    assert u @ cone.inv_t(v) == pytest.approx(cone.inv(u) @ v, rel=1e-10)
+    V = rng.standard_normal((cone.m, 3))
+    _assert_rel(cone.inv_t(V)[:, 1], cone.inv_t(V[:, 1]))
+    uv = cone.product(u, v)
+    _assert_rel(uv[: cone.q], u[: cone.q] * v[: cone.q])
+    for g in cone.groups:
+        X = g.mats(v[g.rows])
+        _assert_rel(cone.t(v)[g.rows], g.vecs(g.R @ X @ g.R.conj().swapaxes(1, 2)))
+        _assert_rel(cone.inv_t(v)[g.rows], g.vecs(g.Rinv @ X @ g.Rinv.conj().swapaxes(1, 2)))
+        P = g.mats(u[g.rows]) @ X
+        _assert_rel(uv[g.rows], g.vecs(0.5 * (P + P.conj().swapaxes(1, 2))))
+    # lam + t u reaches the boundary at t = max_step(u)
+    step = cone.max_step(u)
+    edge = cone.lam + step * u
+    low = [edge[: cone.q].min()] + [np.linalg.eigvalsh(g.mats(edge[g.rows])).min()
+                                    for g in cone.groups]
+    assert abs(min(low)) <= 1e-10 * np.abs(cone.lam).max()
+    assert cone.max_step(u, 2.0 * u) == pytest.approx(0.5 * step, rel=1e-12)
+
+
 def _single_block_form(side):
     prog = ConicProgram()
     prog.psd_var(prog.add_matrix_var("W", side))

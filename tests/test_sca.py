@@ -543,6 +543,40 @@ def test_extended_penalized_run_is_rank_one_and_feasible():
     assert W.shape == (4, 1)
 
 
+def test_stalled_extended_solve_stops_at_its_best_iterate(monkeypatch):
+    # the 8-antenna desk extended target's subproblems stall short of
+    # sdp_tol; the third one's measures climb far above their best after
+    # about 28 Newton steps.  The solve ends max_iter within 10 steps of its
+    # best iterate and returns that iterate's residuals.
+    cfg = config.loads_config('{"geometry": {"n_tx": 8, "n_rx": 8}, "target": '
+                              '{"kind": "extended", "prior_variance": 1.0}}', scale="desk")
+    programs = []
+
+    def third_program(prog, **kwargs):
+        programs.append((prog, kwargs))
+        if len(programs) == 3:
+            raise _FirstSubproblem
+        return solve(prog, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(sca, "solve", third_program)
+        with pytest.raises(_FirstSubproblem):
+            sca.solve_extended_sca(config.config_to_scenario(cfg))
+    prog, kwargs = programs[2]
+
+    def measures(sol):
+        return sol.primal_residual, sol.dual_residual, sol.duality_gap
+
+    sol = solve(prog, **kwargs)
+    assert sol.status == "max_iter" and sol.iterations < kwargs["max_iter"]
+    assert max(measures(sol)) < 1e-8
+    # capped 10 steps earlier it has not reached that best; capped one step
+    # earlier it has, so the last iterate was not it
+    early = solve(prog, **dict(kwargs, max_iter=sol.iterations - 10))
+    assert max(measures(early)) > max(measures(sol))
+    assert measures(solve(prog, **dict(kwargs, max_iter=sol.iterations - 1))) == measures(sol)
+
+
 def test_extended_requires_extended_target():
     with pytest.raises(InvalidArgumentError):
         sca.solve_extended_sca(_small_scenario())
