@@ -13,3 +13,6 @@ Subpackages and modules:
 """
 
 __version__ = "0.1.0"
+
+#: BLAS thread-count variables, in the order read; here, where numpy is not loaded
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -101,17 +101,13 @@ class ExtendedTarget:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Per-user channel vectors h_k and their rank-one outer products."""
+    """Per-user channel vectors h_k."""
 
     vectors: tuple  # of complex (n_tx,) arrays
 
     @property
     def n_users(self):
         return len(self.vectors)
-
-    def outer(self, k):
-        h = self.vectors[k]
-        return np.outer(h, h.conj())
 
 
 def element_offsets(n):

@@ -14,16 +14,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bounds, config as config_mod, estimators, geometry, hybrid, metrics, sca
-from .errors import InvalidArgumentError, RankViolationError, ScenarioInfeasibleError
+from . import (BLAS_THREAD_VARS, bounds, config as config_mod, estimators, geometry, hybrid,
+               metrics, sca)
+from .errors import (InvalidArgumentError, RankViolationError, ScenarioInfeasibleError,
+                     SingularInformationError, UnidentifiableParametersError)
 from .units import dbm_to_mw
 
 SCHEMA_VERSION = 1
 
 COLUMNS = ("sweep_var", "sweep_value", "arch", "metric", "value", "trials", "stderr")
-
-#: environment variables that set the BLAS thread count, in the order read
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -288,11 +287,13 @@ def run_sweep(cfg):
     """Optimize/factorize/evaluate over the swept variable and architectures.
 
     Failures at one sweep point append a status row (value 1) and the sweep
-    continues.  For the energy-efficiency sweep the values are processed
-    from the tightest threshold down and the best design found so far is
-    carried along: a design feasible at a tighter threshold stays feasible
-    at a looser one, which keeps the reported bound curve monotone even
-    when individual optimizer runs stop early.
+    continues; so does an architecture whose design puts no power on the
+    target (so has no bound), under that architecture's name.  For the
+    energy-efficiency sweep the values are processed from the tightest
+    threshold down and the best design found so far is carried along: a
+    design feasible at a tighter threshold stays feasible at a looser one,
+    which keeps the reported bound curve monotone even when individual
+    optimizer runs stop early.
     """
     base = config_mod.config_to_scenario(cfg)
     var = cfg.sweep.get("variable", "none")
@@ -316,15 +317,21 @@ def run_sweep(cfg):
             table.append(var, value, "none", "status", 1.0)
             continue
         for arch in cfg.architectures:
-            if arch == "digital":
-                _evaluate_design(table, scn, channels, var, value, arch, W_cols)
-            else:
+            W_h, extra_rows = W_cols, ()
+            if arch != "digital":
                 fac = hybrid.factorize(W_cols, scn.geom.n_rf,
                                        power=float(np.linalg.norm(W_cols) ** 2),
                                        architecture=arch)
                 W_h = fac.analog @ fac.digital
-                _evaluate_design(table, scn, channels, var, value, arch, W_h,
-                                 extra_rows=[("factorization_residual", fac.residual)])
+                extra_rows = [("factorization_residual", fac.residual)]
+            try:
+                _evaluate_design(table, scn, channels, var, value, arch, W_h, extra_rows)
+            except (SingularInformationError, UnidentifiableParametersError):
+                table.append(var, value, arch, "status", 1.0)
         if cfg.trials > 0 and isinstance(scn.target, geometry.PointTarget):
-            estimator_trial_rows(table, scn, var, value, W_cols, cfg.trials, cfg.seed)
+            try:
+                estimator_trial_rows(table, scn, var, value, W_cols, cfg.trials, cfg.seed)
+            except (SingularInformationError, UnidentifiableParametersError):
+                if "digital" not in cfg.architectures:
+                    table.append(var, value, "digital", "status", 1.0)
     return table

@@ -12,17 +12,23 @@ from .errors import InvalidArgumentError
 from .units import mw_to_w
 
 
-def sinrs(channels, covs, noise_power):
-    """Every user's downlink SINR Tr(H_k W_k) / (sum_{i != k} Tr(H_k W_i) + sigma^2)."""
-    if noise_power <= 0:
-        raise InvalidArgumentError("noise power must be positive")
+def signal_and_interference(channels, covs):
+    """Per-user arrays Tr(H_k W_k) and sum_{i != k} Tr(H_k W_i)."""
     if len(covs) != channels.n_users:
         raise InvalidArgumentError("need one covariance per user")
     h = np.stack(channels.vectors)
     # terms[k, i] = h_k^H W_i h_k = Tr(H_k W_i)
     terms = np.einsum("kn,inm,km->ki", h.conj(), np.asarray(covs), h).real
     signal = np.diagonal(terms)
-    return signal / (terms.sum(axis=1) - signal + noise_power)
+    return signal, terms.sum(axis=1) - signal
+
+
+def sinrs(channels, covs, noise_power):
+    """Every user's downlink SINR Tr(H_k W_k) / (sum_{i != k} Tr(H_k W_i) + sigma^2)."""
+    if noise_power <= 0:
+        raise InvalidArgumentError("noise power must be positive")
+    signal, interference = signal_and_interference(channels, covs)
+    return signal / (interference + noise_power)
 
 
 def sum_rate(sinrs):

@@ -7,7 +7,7 @@ target: minimize the Bayesian bound trace through a single epigraph LMI in
 sum of the W_k.  Both share the constraint block (power, per-user SINR,
 energy efficiency) and a nuclear-norm-minus-spectral-norm penalty that
 drives every W_k to rank one, with the spectral norm replaced by its
-tangent minorant at the previous iterate.
+tangent minorant u^H W_k u, u = spectral_direction(W_prev[k]).
 
 The energy-efficiency constraint contains the concave log of each user's
 total received power.  That term has no affine tangent-from-below at an
@@ -15,9 +15,9 @@ interior point, so it is encoded with an auxiliary scalar bounded above by
 the chords of the log over a fixed geometric grid spanning the reachable
 interval: the chord envelope is a piecewise-linear underestimate of the
 log, so the encoding is conservative, and because the chord set is
-iteration-independent while the interference linearization is tangent, the
-previous iterate stays feasible and the objective sequence is
-nonincreasing.
+iteration-independent while the interference linearization is tangent (at
+W_prev's interference, from metrics.signal_and_interference), the previous
+iterate stays feasible and the objective sequence is nonincreasing.
 """
 
 import time
@@ -101,69 +101,6 @@ class ScaTrace:
     polish_scales: list = field(default_factory=list)
     status: str = "running"
     wall_time: float = 0.0
-
-
-# ---------------------------------------------------------------------------
-# surrogates
-
-
-@dataclass(frozen=True)
-class SpectralSurrogate:
-    """Tangent minorant of the spectral norm at a PSD expansion point."""
-
-    base: float
-    u: np.ndarray
-    W_prev: np.ndarray
-
-    def value(self, W):
-        return self.base + float(np.real(np.trace(np.outer(self.u, self.u.conj()) @ (W - self.W_prev))))
-
-
-def spectral_surrogate(W_prev):
-    W_prev = np.asarray(W_prev)
-    evals, evecs = np.linalg.eigh(0.5 * (W_prev + W_prev.conj().T))
-    lam_max = evals[-1]
-    # deterministic tie-break: smallest index among eigenvalues within 1e-10
-    candidates = np.nonzero(evals >= lam_max - 1e-10 * max(abs(lam_max), 1.0))[0]
-    u = evecs[:, candidates[0]]
-    u = _normalize_phase(u)
-    return SpectralSurrogate(base=float(lam_max), u=u, W_prev=W_prev)
-
-
-@dataclass(frozen=True)
-class RateSurrogate:
-    """Concave minorant of user k's rate at the previous covariance iterate.
-
-    The interference log is linearized (tangent); the total-power log is
-    kept concave here and chord-bounded only inside the conic subproblem.
-    """
-
-    k: int
-    H: tuple  # per-user channel outer products
-    noise: float
-    w_prev: float       # log2 of previous interference-plus-noise
-    c: float            # its derivative, log2(e) / value
-    interf_prev: float
-
-    def interference(self, W_list):
-        return float(sum(np.real(np.trace(self.H[self.k] @ W_list[i]))
-                         for i in range(len(W_list)) if i != self.k))
-
-    def total(self, W_list):
-        return float(sum(np.real(np.trace(self.H[self.k] @ Wi)) for Wi in W_list))
-
-    def value(self, W_list):
-        u = self.total(W_list) + self.noise
-        return float(np.log2(u) - self.w_prev - self.c * (self.interference(W_list) - self.interf_prev))
-
-
-def rate_surrogate(W_prev_list, k, channels, noise):
-    H = tuple(channels.outer(i) for i in range(channels.n_users))
-    interf_prev = float(sum(np.real(np.trace(H[k] @ W_prev_list[i]))
-                            for i in range(len(W_prev_list)) if i != k))
-    v = interf_prev + noise
-    return RateSurrogate(k=k, H=H, noise=noise, w_prev=float(np.log2(v)),
-                         c=LOG2E / v, interf_prev=interf_prev)
 
 
 def chord_envelope(noise, reach, n_chords):
@@ -311,39 +248,37 @@ def _power_scan(scenario, channels, W0):
 
 @dataclass
 class ScaState:
-    """Everything the subproblem builder needs from the previous iterate."""
+    """What the builders read besides the scenario; both tangents come from W_prev."""
 
     W_prev: list
     channels: object
     basis: np.ndarray            # U, orthonormal columns: W{k} solves for Z_k, W_k = U Z_k U^H
-    spectral: list = None
-    rates: list = None
     fim_coeffs: dict = None      # point target only
     d_scale: np.ndarray = None   # per-location-parameter congruence scaling
     mu_scale: float = 1.0
     gamma: float = 0.1
     chords: list = None          # per-user (intercepts, slopes)
 
-    def refresh(self, scenario):
-        self.spectral = [spectral_surrogate(W) for W in self.W_prev]
-        self.rates = [rate_surrogate(self.W_prev, k, self.channels, scenario.comm_noise)
-                      for k in range(self.channels.n_users)]
+
+def spectral_direction(W_prev):
+    """Unit top eigenvector u of W_prev: u^H W u <= ||W||_2, with equality at W_prev."""
+    evals, evecs = np.linalg.eigh(0.5 * (W_prev + W_prev.conj().T))
+    lam_max = evals[-1]
+    # deterministic tie-break: smallest index among eigenvalues within 1e-10
+    candidates = np.nonzero(evals >= lam_max - 1e-10 * max(abs(lam_max), 1.0))[0]
+    return evecs[:, candidates[0]]
 
 
 def _penalty_expr(state, w_vars, budget):
-    """(1/gamma) sum_k (||W_k||_* - spectral surrogate), normalized by the budget.
+    """(1/gamma) sum_k (||W_k||_* - u_k^H W_k u_k), normalized by the budget.
 
-    Over W_k = U Z_k U^H the nuclear norm is Tr Z_k and the tangent's
-    u^H W_k u is g^H Z_k g, g = U^H u.
+    u_k = spectral_direction(W_prev[k]).  Over W_k = U Z_k U^H the term is
+    Tr((I - g g^H) Z_k) with g = U^H u_k.
     """
     expr = LinExpr()
-    for k, var in enumerate(w_vars):
-        s = state.spectral[k]
-        uu = np.outer(s.u, s.u.conj())
-        const = s.base - float(np.real(np.trace(uu @ s.W_prev)))
-        g = state.basis.conj().T @ s.u
-        expr = (expr + real_trace(np.eye(var.side), var)
-                - real_trace(np.outer(g, g.conj()), var) - const)
+    for W, var in zip(state.W_prev, w_vars):
+        g = state.basis.conj().T @ spectral_direction(W)
+        expr = expr + real_trace(np.eye(var.side) - np.outer(g, g.conj()), var)
     return expr * (1.0 / (state.gamma * budget))
 
 
@@ -378,10 +313,11 @@ def _add_constraint_block(prog, state, scenario, w_vars):
     if scenario.ee_threshold > 0:
         eta_mw = scenario.ee_threshold * 1e-3
         t_vars = [prog.add_scalar_var(f"t{k}") for k in range(K)]
+        _, interf = metrics.signal_and_interference(channels, state.W_prev)
+        c = LOG2E / (interf + noise)   # slopes of log2(interference + noise) at W_prev
         ee = LinExpr(-eta_mw * scenario.static_power)
         ee = ee + total_tr * (-eta_mw / scenario.amplifier_eff)
         for k in range(K):
-            rs = state.rates[k]
             received = prog.add_scalar_var(f"r{k}")
             u_expr = -scalar_term(received)
             for var in w_vars:
@@ -391,10 +327,10 @@ def _add_constraint_block(prog, state, scenario, w_vars):
             for a, m in zip(intercepts, slopes):
                 prog.add_ineq(LinExpr(a + m * noise) + scalar_term(received, m * noise)
                               - scalar_term(t_vars[k]))
-            ee = ee + scalar_term(t_vars[k]) - rs.w_prev + rs.c * rs.interf_prev
+            ee = ee + scalar_term(t_vars[k]) - np.log2(interf[k] + noise) + c[k] * interf[k]
             for i, var in enumerate(w_vars):
                 if i != k:
-                    ee = ee + real_trace(-rs.c * noise * gains[k], var)
+                    ee = ee + real_trace(-c[k] * noise * gains[k], var)
         prog.add_ineq(ee)
 
 
@@ -550,13 +486,21 @@ def _normalize_phase(u):
     return u
 
 
-def rank_residual(W_list):
+def _spectra(W_list):
+    return [np.linalg.eigvalsh(0.5 * (W + W.conj().T)) for W in W_list]
+
+
+def _residual(spectra):
+    """(nuclear - spectral) / nuclear norm, summed over the eigenvalue arrays."""
     nuc = lam = 0.0
-    for W in W_list:
-        evals = np.linalg.eigvalsh(0.5 * (W + W.conj().T))
+    for evals in spectra:
         nuc += float(np.sum(np.abs(evals)))
         lam += float(evals[-1])
     return (nuc - lam) / max(nuc, 1e-300)
+
+
+def rank_residual(W_list):
+    return _residual(_spectra(W_list))
 
 
 def evaluate_slacks(scenario, channels, W_list):
@@ -659,7 +603,6 @@ def _sca_loop(scenario, options, state, build):
     U = state.basis
     prev_obj = np.inf
     for _ in range(options.max_iter):
-        state.refresh(scenario)
         prog = build(state, scenario)
         sol = solve(prog, tol=options.sdp_tol, max_iter=options.sdp_max_iter)
         trace.solves.append(SolveRecord(sol.status, sol.iterations, sol.primal_residual,
@@ -676,10 +619,11 @@ def _sca_loop(scenario, options, state, build):
         trace.polish_scales.append(_total_trace(W_polished) / total if total > 0 else 1.0)
         W_new = W_polished
         trace.bounds.append(_design_bound(scenario, W_new))
-        trace.rank_residuals.append(rank_residual(W_new))
+        spectra = _spectra(W_new)
+        trace.rank_residuals.append(_residual(spectra))
         trace.slacks.append(evaluate_slacks(scenario, state.channels, W_new))
         state.W_prev = W_new
-        rank_one = max(rank_residual([W]) for W in W_new) <= options.rank_tol
+        rank_one = max(_residual([e]) for e in spectra) <= options.rank_tol
         if rank_one and abs(prev_obj - obj) <= TOL * max(1.0, abs(obj)):
             trace.status = "converged"
             break

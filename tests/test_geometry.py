@@ -102,17 +102,6 @@ def test_channel_vector_los_only():
     np.testing.assert_allclose(h, beta * geometry.steering_vector(GEOM, 10.0, 0.5), rtol=1e-14)
 
 
-def test_channel_set_outer_products():
-    users = (geometry.UserSpec(distance=5.0, angle=0.1, id=0),
-             geometry.UserSpec(distance=8.0, angle=-0.4, id=1))
-    cs = geometry.build_channels(GEOM, users)
-    assert cs.n_users == 2
-    for k in range(2):
-        H = cs.outer(k)
-        np.testing.assert_allclose(H, H.conj().T)
-        assert np.linalg.matrix_rank(H) == 1
-
-
 def test_invalid_arguments_rejected():
     with pytest.raises(InvalidArgumentError):
         geometry.steering_vector(GEOM, -1.0, 0.0)

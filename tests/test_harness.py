@@ -1,9 +1,10 @@
 import json
+import types
 
 import numpy as np
 import pytest
 
-from nfisac import bounds, config, geometry, harness, sca
+from nfisac import bounds, config, geometry, harness, hybrid, sca
 from nfisac.errors import InvalidArgumentError
 
 SMALL_CFG = json.dumps({
@@ -288,6 +289,34 @@ def test_run_sweep_reports_infeasible_points():
     table = harness.run_sweep(cfg)
     rows = table.select(metric="status")
     assert [(r.arch, r.value) for r in rows] == [("none", 1.0)]
+
+
+def test_run_sweep_reports_target_nulling_designs(monkeypatch):
+    # a design, or a hybrid factorization of it, that puts no power on the
+    # target has no bound: that architecture gets a status row and the sweep
+    # goes on.  A design projected off b_t keeps rounding-level target power
+    # of either sign, so the exact nulls here are zero beams: the digital
+    # design at 20 dBm and every fully-connected factorization.
+    optimize = harness.optimize_scenario
+
+    def nulling(scn):
+        W, W_list, trace, bound = optimize(scn)
+        return (np.zeros_like(W) if scn.power_budget < 150.0 else W), W_list, trace, bound
+
+    def null_factors(W, n_rf, power=None, architecture="fully"):
+        return types.SimpleNamespace(analog=np.zeros((W.shape[0], n_rf)),
+                                     digital=np.zeros((n_rf, W.shape[1])), residual=1.0)
+
+    monkeypatch.setattr(harness, "optimize_scenario", nulling)
+    monkeypatch.setattr(hybrid, "factorize", null_factors)
+    cfg = _small_config(architectures=["digital", "fully"], trials=2,
+                        sweep={"variable": "power_dbm", "values": [20.0, 23.0]})
+    table = harness.run_sweep(cfg)
+    status = {(r.sweep_value, r.arch): r.value for r in table.select(metric="status")}
+    assert status == {(20.0, "digital"): 1.0, (20.0, "fully"): 1.0,
+                      (23.0, "digital"): 0.0, (23.0, "fully"): 1.0}
+    assert [r.sweep_value for r in table.select(metric="bound_trace")] == [23.0]
+    assert [r.sweep_value for r in table.select(metric="mle_rmse_distance")] == [23.0]
 
 
 @pytest.mark.slow

@@ -40,7 +40,7 @@ def _random_psd(rng, n, rank=None):
 
 
 # ---------------------------------------------------------------------------
-# options and surrogates
+# options and tangents
 
 
 def test_options_validation():
@@ -58,32 +58,57 @@ def test_options_validation():
 
 
 def test_spectral_surrogate_is_tangent_minorant():
+    # the built penalty is (1/(gamma P)) (Tr W - u^H W u), u from W_prev:
+    # equal to (1/(gamma P)) (||W||_* - ||W||_2) at W_prev and above it
+    # elsewhere, as u^H W u is a tangent minorant of the spectral norm
     rng = np.random.default_rng(0)
     W_prev = _random_psd(rng, 5)
-    s = sca.spectral_surrogate(W_prev)
-    assert s.value(W_prev) == pytest.approx(np.linalg.eigvalsh(W_prev)[-1], rel=1e-12)
+    gamma, budget = 0.3, 7.0
+    state = sca.ScaState(W_prev=[W_prev], channels=None, basis=np.eye(5), gamma=gamma)
+    prog = ConicProgram()
+    var = prog.add_matrix_var("W0", 5)
+    penalty = sca._penalty_expr(state, [var], budget)
+
+    def gap(W):
+        evals = np.linalg.eigvalsh(W)
+        return (evals.sum() - evals[-1]) / (gamma * budget)
+
+    assert penalty.evaluate({"W0": W_prev}, prog) == pytest.approx(gap(W_prev), rel=1e-12)
     for _ in range(20):
         W = _random_psd(rng, 5)
-        assert s.value(W) <= np.linalg.eigvalsh(W)[-1] + 1e-10
+        assert penalty.evaluate({"W0": W}, prog) >= gap(W) - 1e-10
 
 
 def test_rate_surrogate_is_tangent_minorant():
+    # the EE row's tangent of user k's rate, built from the interference
+    # that metrics.signal_and_interference reads at W_prev: exact there,
+    # below the true rate elsewhere
     scn = _small_scenario(users=(geometry.UserSpec(distance=5.0, angle=0.3, id=0),
                                  geometry.UserSpec(distance=7.0, angle=-0.4, id=1)),
                           frame_length=8)
     channels = scn.channels()
+    noise = scn.comm_noise
     rng = np.random.default_rng(1)
     W_prev = [_random_psd(rng, 4) for _ in range(2)]
+    _, interf_prev = metrics.signal_and_interference(channels, W_prev)
+    for k, h in enumerate(channels.vectors):
+        oracle = sum(np.real(h.conj() @ W @ h) for i, W in enumerate(W_prev) if i != k)
+        assert interf_prev[k] == pytest.approx(oracle, rel=1e-12)
 
     def true_rate(k, W_list):
-        return np.log2(1.0 + metrics.sinrs(channels, W_list, scn.comm_noise)[k])
+        return np.log2(1.0 + metrics.sinrs(channels, W_list, noise)[k])
+
+    def tangent_rate(k, W_list):
+        signal, interf = metrics.signal_and_interference(channels, W_list)
+        v = interf_prev[k] + noise
+        return (np.log2(signal[k] + interf[k] + noise) - np.log2(v)
+                - sca.LOG2E / v * (interf[k] - interf_prev[k]))
 
     for k in range(2):
-        rs = sca.rate_surrogate(W_prev, k, channels, scn.comm_noise)
-        assert rs.value(W_prev) == pytest.approx(true_rate(k, W_prev), rel=1e-10)
+        assert tangent_rate(k, W_prev) == pytest.approx(true_rate(k, W_prev), rel=1e-10)
         for _ in range(15):
             W = [_random_psd(rng, 4) for _ in range(2)]
-            assert rs.value(W) <= true_rate(k, W) + 1e-9
+            assert tangent_rate(k, W) <= true_rate(k, W) + 1e-9
 
 
 def test_chord_envelope_underestimates_log():
@@ -135,7 +160,8 @@ def _min_power_sdp(scn, channels):
         e = LinExpr(-scn.comm_noise)
         for i, var in enumerate(w_vars):
             scale = 1.0 / scn.sinr_threshold if i == k else -1.0
-            e = e + real_trace(scale * channels.outer(k), var)
+            h = channels.vectors[k]
+            e = e + real_trace(scale * np.outer(h, h.conj()), var)
         prog.add_ineq(e)
     prog.add_ineq(LinExpr(scn.power_budget) - obj)
     sol = solve(prog, tol=1e-10)
