@@ -205,8 +205,10 @@ def _apply_sweep(scn, var, value):
 
 
 def _sweep_options(scn):
-    # the extended objective fights the rank penalty longer, so it gets a
-    # larger SCA iteration allowance
+    # a point-target design ends after two iterations where its relaxation
+    # is tight; the extended relaxation is not rank one, so its design
+    # falls back to the rank-penalty continuation and gets a larger SCA
+    # iteration allowance
     extended = not isinstance(scn.target, geometry.PointTarget)
     if scn.geom.n_tx <= 16:
         return sca.ScaOptions(max_iter=48 if extended else 12)
@@ -286,9 +288,10 @@ def estimator_trial_rows(table, scn, var, value, W_cols, trials, seed):
 def run_sweep(cfg):
     """Optimize/factorize/evaluate over the swept variable and architectures.
 
-    Failures at one sweep point append a status row (value 1) and the sweep
-    continues; so does an architecture whose design puts no power on the
-    target (so has no bound), under that architecture's name.  For the
+    Failures at one sweep point, a design the optimizer marks "degraded"
+    among them, append a status row (value 1) and the sweep continues; so
+    does an architecture whose design puts no power on the target (so has
+    no bound), under that architecture's name.  For the
     energy-efficiency sweep the values are processed from the tightest
     threshold down and the best design found so far is carried along: a
     design feasible at a tighter threshold stays feasible at a looser one,
@@ -309,8 +312,12 @@ def run_sweep(cfg):
             scn = _apply_sweep(base, var, value)
             channels = scn.channels()
             W_cols, W_list, trace, bound = optimize_scenario(scn)
-            if var == "ee_threshold" and carried is not None and carried[1] < bound:
-                W_cols, bound = carried
+            degraded = trace.status == "degraded"
+            if var == "ee_threshold" and carried is not None and (degraded or carried[1] < bound):
+                (W_cols, bound), degraded = carried, False
+            if degraded:
+                table.append(var, value, "none", "status", 1.0)
+                continue
             if var == "ee_threshold":
                 carried = (W_cols, bound)
         except (ScenarioInfeasibleError, RankViolationError):

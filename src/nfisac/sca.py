@@ -45,8 +45,10 @@ from .errors import (
 )
 
 LOG2E = float(np.log2(np.e))
-#: relative objective change that counts as a stalled iteration
+#: relative change of the design bound that counts as a stalled iteration
 TOL = 1e-4
+#: rank-penalty weight gamma after the first iterate that is not rank one
+GAMMA_FALLBACK = 0.1
 #: smallest rank-penalty weight gamma reached by halving
 GAMMA_FLOOR = 1e-7
 #: chords of the log in the energy-efficiency encoding, per user
@@ -55,7 +57,7 @@ EE_CHORDS = 64
 
 @dataclass(frozen=True)
 class ScaOptions:
-    gamma: float = 0.1
+    gamma: float = 1e4
     max_iter: int = 100
     rank_tol: float = 1e-6
     sdp_tol: float = 1e-10
@@ -83,13 +85,18 @@ class ScaTrace:
     """Per-iteration record of a run.
 
     Slacks are normalized: power and EE relative to their budgets, SINR as
-    achieved/threshold - 1; all should stay above -sdp_tol at accepted
-    iterates.  solves holds one SolveRecord per subproblem solve, including
-    a last one that stopped the run; a "max_iter" status marks an objective
-    that the solver did not certify.  bounds holds the design bound of each
-    accepted (polished) iterate, gammas the rank-penalty weight each
-    subproblem was built with and polish_scales the uniform scale _polish
-    applied to its iterate, one entry per objective.
+    achieved/threshold - 1; negative means the iterate violates that row
+    even after _polish.  solves holds one SolveRecord per subproblem solve,
+    including a last one that stopped the run; a "max_iter" status marks an
+    objective that the solver did not certify.  bounds holds the design
+    bound of each accepted (polished) iterate, gammas the rank-penalty
+    weight each subproblem was built with and polish_scales the uniform
+    scale _polish applied to its iterate, one entry per objective.
+
+    status: "converged" (the bound settled at a feasible rank-one iterate),
+    "max_iter" (the iteration cap came first) or "degraded": a subproblem
+    was found infeasible, or no rank-one iterate met every constraint, so
+    the design returned is not certified.
     """
 
     objectives: list = field(default_factory=list)
@@ -584,24 +591,32 @@ def _design_bound(scenario, W_list):
 
 
 def _sca_loop(scenario, options, state, build):
-    """Solve subproblems from state until the objective settles at a rank-one iterate.
+    """Solve subproblems from state until the bound settles at a rank-one iterate.
 
     Each subproblem is solved exactly, so each step is a majorization-
-    minimization step of the penalized objective.  After an iteration
-    whose most rank-deficient W_k has an extract_beamformer residual above
-    rank_tol, gamma is halved (down to GAMMA_FLOOR): the continuation that
-    drives every W_k to rank one within the iteration cap.  The run
-    converges when the objective changes by at most TOL at a rank-one
-    iterate.  With a finite rank_tol the covariances returned are the
-    rank-one w_k w_k^H of the beamformers returned, the design the result
-    table rates; with rank_tol = inf (the relaxation) they are the solved
-    ones.
+    minimization step of the penalized objective.  The run starts at
+    options.gamma, by default so large that the penalty barely acts: where
+    the relaxation is tight its solution is already rank one.  After an
+    iteration whose most rank-deficient W_k has an extract_beamformer
+    residual above rank_tol, gamma drops to at most GAMMA_FALLBACK and then
+    halves at each such iteration (down to GAMMA_FLOOR): the continuation
+    that drives every W_k to rank one within the iteration cap.  The run
+    converges at a rank-one iterate that meets every constraint, and whose
+    design has a finite bound, once its bound is within TOL (relative) of
+    the previous iterate's.
+
+    The design returned is that of the rank-one iterate whose design has
+    the least bound, among those that meet every constraint if any does
+    (otherwise the status is "degraded").  With a finite rank_tol its
+    covariances are the rank-one w_k w_k^H of the beamformers returned,
+    the design the result table rates; with rank_tol = inf (the
+    relaxation) they are the solved ones.
     """
     trace = ScaTrace()
     t_start = time.monotonic()
     K = state.channels.n_users
     U = state.basis
-    prev_obj = np.inf
+    best = None   # ((violates a constraint, bound), W, W_list) of the best rank-one iterate
     for _ in range(options.max_iter):
         prog = build(state, scenario)
         sol = solve(prog, tol=options.sdp_tol, max_iter=options.sdp_max_iter)
@@ -612,36 +627,52 @@ def _sca_loop(scenario, options, state, build):
             break
         W_new = [U @ _psd_cleanup(sol.assignments[f"W{k}"]) @ U.conj().T for k in range(K)]
         W_polished = _polish(scenario, state.channels, W_new)
-        obj = sol.objective
-        trace.objectives.append(obj)
+        trace.objectives.append(sol.objective)
         trace.gammas.append(state.gamma)
         total = _total_trace(W_new)
         trace.polish_scales.append(_total_trace(W_polished) / total if total > 0 else 1.0)
         W_new = W_polished
-        trace.bounds.append(_design_bound(scenario, W_new))
+        prev_bound = trace.bounds[-1] if trace.bounds else np.inf
+        bound = _design_bound(scenario, W_new)
+        trace.bounds.append(bound)
         spectra = _spectra(W_new)
         trace.rank_residuals.append(_residual(spectra))
-        trace.slacks.append(evaluate_slacks(scenario, state.channels, W_new))
+        slacks = evaluate_slacks(scenario, state.channels, W_new)
+        trace.slacks.append(slacks)
         state.W_prev = W_new
-        rank_one = max(_residual([e]) for e in spectra) <= options.rank_tol
-        if rank_one and abs(prev_obj - obj) <= TOL * max(1.0, abs(obj)):
+        if max(_residual([e]) for e in spectra) > options.rank_tol:
+            state.gamma = max(min(0.5 * state.gamma, GAMMA_FALLBACK), GAMMA_FLOOR)
+            continue
+        W, W_list = _design(W_new, options.rank_tol)
+        rated = _design_bound(scenario, W_list)
+        feasible = min(slacks.values()) >= 0.0
+        if best is None or (not feasible, rated) < best[0]:
+            best = ((not feasible, rated), W, W_list)
+        if (feasible and np.isfinite(bound) and np.isfinite(rated)
+                and abs(prev_bound - bound) <= TOL * bound):
             trace.status = "converged"
             break
-        if not rank_one:
-            state.gamma = max(state.gamma * 0.5, GAMMA_FLOOR)
-        prev_obj = obj
     else:
         trace.status = "max_iter"
     if not trace.objectives:
         raise ScenarioInfeasibleError("no feasible iterate produced", violated="subproblem")
-    W_list = state.W_prev
-    w_cols = [extract_beamformer(W, options.rank_tol) for W in W_list]
-    if np.isfinite(options.rank_tol):
-        W_list = [np.outer(w, w.conj()) for w in w_cols]
-    W = np.stack(w_cols, axis=1)
-    bound = _design_bound(scenario, W_list)
+    if best is None:
+        residual = max(_residual([e]) for e in _spectra(state.W_prev))
+        raise RankViolationError(f"no iterate is rank one (residual {residual:.3e})",
+                                 residual=residual)
+    (infeasible, bound), W, W_list = best
+    if infeasible:
+        trace.status = "degraded"
     trace.wall_time = time.monotonic() - t_start
     return W, W_list, trace, bound
+
+
+def _design(W_list, rank_tol):
+    """(beamformer columns, covariances) of a rank-one iterate; see _sca_loop."""
+    w_cols = [extract_beamformer(W, rank_tol) for W in W_list]
+    if np.isfinite(rank_tol):
+        W_list = [np.outer(w, w.conj()) for w in w_cols]
+    return np.stack(w_cols, axis=1), W_list
 
 
 def solve_point_sca(scenario, options=None):

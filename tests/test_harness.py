@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nfisac import bounds, config, geometry, harness, hybrid, sca
-from nfisac.errors import InvalidArgumentError
+from nfisac.errors import InvalidArgumentError, SingularInformationError
 
 SMALL_CFG = json.dumps({
     "geometry": {"n_tx": 4, "n_rx": 4, "n_rf": 2, "carrier_freq_hz": 28.0e9},
@@ -294,9 +294,8 @@ def test_run_sweep_reports_infeasible_points():
 def test_run_sweep_reports_target_nulling_designs(monkeypatch):
     # a design, or a hybrid factorization of it, that puts no power on the
     # target has no bound: that architecture gets a status row and the sweep
-    # goes on.  A design projected off b_t keeps rounding-level target power
-    # of either sign, so the exact nulls here are zero beams: the digital
-    # design at 20 dBm and every fully-connected factorization.
+    # goes on.  The nulls here are zero beams: the digital design at 20 dBm
+    # and every fully-connected factorization.
     optimize = harness.optimize_scenario
 
     def nulling(scn):
@@ -319,14 +318,93 @@ def test_run_sweep_reports_target_nulling_designs(monkeypatch):
     assert [r.sweep_value for r in table.select(metric="mle_rmse_distance")] == [23.0]
 
 
+def test_target_hiding_design_has_no_bound_on_either_side():
+    # the desk design at gamma = 10 puts about 1e-17 of the matched beam's
+    # power on the target.  The SCA rates sum_k w_k w_k^H and the table
+    # W W^H, equal up to rounding, so neither may find a bound.
+    scn = config.config_to_scenario(config.default_config("desk"))
+    options = sca.ScaOptions(gamma=10.0, max_iter=11, rank_tol=np.inf)
+    W, _, trace, _ = sca.solve_point_sca(scn, options)
+    assert trace.bounds[-1] == pytest.approx(0.0021387, rel=1e-4)
+    assert sca._design_bound(scn, [np.outer(w, w.conj()) for w in W.T]) == np.inf
+    with pytest.raises(SingularInformationError):
+        harness._evaluate_design(harness.ResultTable(), scn, scn.channels(), "none", 0.0,
+                                 "digital", W)
+
+
+def test_run_sweep_rates_no_design_projected_off_the_target(monkeypatch):
+    # the small design is the matched beam, so projected off b_t only
+    # rounding noise of about 1e-27 mW is left: a status row, not a bound
+    cfg = _small_config(architectures=["digital"])
+    scn = config.config_to_scenario(cfg)
+    bt = geometry.steering_vector(scn.geom, scn.target.distance, scn.target.angle)
+    off = np.eye(scn.geom.n_tx) - np.outer(bt, bt.conj()) / np.linalg.norm(bt) ** 2
+    optimize = harness.optimize_scenario
+
+    def projected(s):
+        W, W_list, trace, bound = optimize(s)
+        return off @ W, W_list, trace, bound
+
+    monkeypatch.setattr(harness, "optimize_scenario", projected)
+    table = harness.run_sweep(cfg)
+    assert [(r.arch, r.value) for r in table.select(metric="status")] == [("digital", 1.0)]
+    assert not table.select(metric="bound_trace")
+
+
+def test_run_sweep_reports_degraded_designs(monkeypatch):
+    # every SCA iterate polished to twice the budget: the design is
+    # "degraded" and gets a status row instead of a rating
+    polish = sca._polish
+    monkeypatch.setattr(sca, "_polish", lambda scn, channels, W_list:
+                        [2.0 * W for W in polish(scn, channels, W_list)])
+    table = harness.run_sweep(_small_config(architectures=["digital"]))
+    assert [(r.arch, r.value) for r in table.select(metric="status")] == [("none", 1.0)]
+    assert len(table.rows) == 1
+
+
+def test_ee_sweep_carries_a_design_past_a_degraded_point(monkeypatch):
+    # the looser threshold's run is degraded: the design of the tighter
+    # one, feasible there too, is rated in its place
+    optimize = harness.optimize_scenario
+
+    def degraded_below_one(scn):
+        W, W_list, trace, bound = optimize(scn)
+        if scn.ee_threshold < 1.0:
+            trace.status = "degraded"
+        return W, W_list, trace, bound
+
+    monkeypatch.setattr(harness, "optimize_scenario", degraded_below_one)
+    table = harness.run_sweep(_small_config(architectures=["digital"], sweep={
+        "variable": "ee_threshold", "values": [0.5, 1.0]}))
+    assert [r.value for r in table.select(metric="status")] == [0.0, 0.0]
+    (_, loose), (_, tight) = table.values("bound_trace")
+    assert loose == tight
+
+
+def test_mle_reaches_the_bound_on_the_desk_design():
+    # the desk sweep's design and trials: the MLE RMSE of each location
+    # parameter within criterion 08's window, [1 - 3 sigma, 2] x root-CRB
+    cfg = config.default_config("desk")
+    scn = config.config_to_scenario(cfg)
+    W, _, _, _ = harness.optimize_scenario(scn)
+    table = harness.ResultTable()
+    harness.estimator_trial_rows(table, scn, "none", 0.0, W, 200, cfg.seed)
+    for name in ("distance", "angle"):
+        (rmse,) = table.select(metric=f"mle_rmse_{name}")
+        (root_crb,) = table.select(metric=f"crb_rmse_{name}")
+        sigma = rmse.stderr / root_crb.value
+        assert 1.0 - 3.0 * sigma <= rmse.value / root_crb.value <= 2.0, name
+
+
 @pytest.mark.slow
 def test_paper_design_ends_optimal_and_rank_one():
     # the paper-scale point-target design (64 antennas, 4 users) a sweep
-    # runs: every subproblem solved to optimality, the last iterate rank
-    # one, and a finite bound
+    # runs: every subproblem solved to optimality, converged on the bound,
+    # the last iterate rank one, and a finite bound
     scn = config.config_to_scenario(config.default_config("paper"))
     W, W_list, trace, bound = harness.optimize_scenario(scn)
     assert [rec.status for rec in trace.solves] == ["optimal"] * len(trace.solves)
+    assert trace.status == "converged"
     assert trace.rank_residuals[-1] <= harness._sweep_options(scn).rank_tol
     assert W.shape == (64, 4) and sca.rank_residual(W_list) <= 1e-12
     assert np.isfinite(bound) and bound > 0

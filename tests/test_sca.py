@@ -350,6 +350,56 @@ def test_point_sca_descends_and_stays_feasible():
     assert W.shape == (4, 1)
 
 
+def test_point_sca_falls_back_when_the_relaxation_is_not_rank_one():
+    # one user, SINR and EE floors: the first iterate at the default gamma
+    # is not rank one, so gamma drops straight to GAMMA_FALLBACK, and the
+    # run still ends rank one and feasible
+    scn = _small_scenario(sinr_threshold=3.0, ee_threshold=1.0)
+    opts = sca.ScaOptions(max_iter=6, sdp_tol=1e-5, sdp_max_iter=20000)
+    _, W_list, trace, bound = sca.solve_point_sca(scn, opts)
+    assert trace.rank_residuals[0] > opts.rank_tol
+    assert trace.gammas[:2] == [sca.ScaOptions().gamma, sca.GAMMA_FALLBACK]
+    assert trace.status == "converged"
+    assert trace.rank_residuals[-1] <= opts.rank_tol
+    assert sca.rank_residual(W_list) <= 1e-12
+    assert min(trace.slacks[-1].values()) >= 0.0
+    assert np.isfinite(bound)
+
+
+def _rescaled_polish(monkeypatch, scales):
+    """Scale the i-th polished iterate by scales[i] (the last scale thereafter)."""
+    polish = sca._polish
+    calls = []
+
+    def rescaled(scenario, channels, W_list):
+        t = scales[min(len(calls), len(scales) - 1)]
+        calls.append(t)
+        return [t * W for W in polish(scenario, channels, W_list)]
+
+    monkeypatch.setattr(sca, "_polish", rescaled)
+
+
+def test_point_sca_returns_its_best_rank_one_iterate(monkeypatch):
+    # iterates after the first are polished to half the power, so their
+    # bound doubles: the design returned is the first iterate's
+    _rescaled_polish(monkeypatch, [1.0, 0.5])
+    _, W_list, trace, bound = sca.solve_point_sca(_small_scenario(), sca.ScaOptions(max_iter=3))
+    assert trace.bounds[1] == pytest.approx(2.0 * trace.bounds[0], rel=1e-6)
+    assert trace.status == "converged" and len(trace.bounds) == 3
+    assert bound == pytest.approx(trace.bounds[0], rel=1e-6)
+    assert sca._total_trace(W_list) == pytest.approx(_small_scenario().power_budget, rel=1e-9)
+
+
+def test_point_sca_marks_a_design_that_breaks_a_floor_degraded(monkeypatch):
+    # every iterate polished to twice the budget: none meets the power row,
+    # so the run cannot converge and ends "degraded" on the best of them
+    _rescaled_polish(monkeypatch, [2.0])
+    _, _, trace, bound = sca.solve_point_sca(_small_scenario(), sca.ScaOptions(max_iter=3))
+    assert all(s["power"] == pytest.approx(-1.0) for s in trace.slacks)
+    assert len(trace.objectives) == 3 and trace.status == "degraded"
+    assert bound == pytest.approx(min(trace.bounds), rel=1e-6)
+
+
 def test_point_sca_bound_improves_with_power():
     opts = sca.ScaOptions(max_iter=4, sdp_max_iter=3000)
     _, _, _, b1 = sca.solve_point_sca(_small_scenario(), opts)
@@ -370,7 +420,7 @@ def test_point_sca_records_each_solve(monkeypatch):
     monkeypatch.setattr(sca, "solve", recording_solve)
     opts = sca.ScaOptions(max_iter=3)
     _, _, trace, _ = sca.solve_point_sca(_small_scenario(sinr_threshold=3.0), opts)
-    assert len(trace.solves) == len(trace.objectives) == len(returned) == 3
+    assert len(trace.solves) == len(trace.objectives) == len(returned) == 2
     for rec, sol in zip(trace.solves, returned):
         assert rec == sca.SolveRecord(sol.status, sol.iterations, sol.primal_residual,
                                       sol.dual_residual, sol.duality_gap)
@@ -378,15 +428,31 @@ def test_point_sca_records_each_solve(monkeypatch):
 
 
 def test_desk_design_descends_on_exact_steps():
-    # the desk design of a sweep: every subproblem solved to optimality,
-    # and the bound of each accepted iterate no larger than the last
+    # the desk design of a sweep on the rank-penalty continuation (started
+    # at GAMMA_FALLBACK): every subproblem solved to optimality, and the
+    # bound of each accepted iterate no larger than the last
     scn = config.config_to_scenario(config.default_config("desk"))
-    _, W_list, trace, bound = sca.solve_point_sca(scn, harness._sweep_options(scn))
+    options = replace(harness._sweep_options(scn), gamma=sca.GAMMA_FALLBACK)
+    _, W_list, trace, bound = sca.solve_point_sca(scn, options)
     assert [rec.status for rec in trace.solves] == ["optimal"] * len(trace.solves)
     assert len(trace.bounds) == len(trace.objectives) == 12
     assert all(b <= a for a, b in zip(trace.bounds, trace.bounds[1:]))
     assert trace.bounds[-1] == pytest.approx(bound, rel=1e-6)
     assert sca.rank_residual(W_list) <= 1e-12
+
+
+def test_desk_design_exits_once_the_relaxation_is_rank_one():
+    # the desk design of a sweep: at the default gamma the first iterate is
+    # already rank one, and one confirming iteration ends the run
+    scn = config.config_to_scenario(config.default_config("desk"))
+    options = harness._sweep_options(scn)
+    _, W_list, trace, bound = sca.solve_point_sca(scn, options)
+    assert trace.status == "converged"
+    assert trace.gammas == [1e4, 1e4]
+    assert max(trace.rank_residuals) <= options.rank_tol
+    assert abs(trace.bounds[1] - trace.bounds[0]) <= sca.TOL * trace.bounds[1]
+    assert bound == pytest.approx(trace.bounds[-1], rel=1e-6)
+    assert min(trace.slacks[-1].values()) >= 0.0
 
 
 class _FirstSubproblem(Exception):
@@ -436,17 +502,17 @@ def test_point_subproblem_over_its_subspace_keeps_the_optimum(monkeypatch, case)
     # the first subproblem built over point_subspace and over the identity
     # (the full space): the same optimum and the same lifted W_k
     if case == "desk":
-        scn, options = config.config_to_scenario(config.default_config("desk")), REFERENCE_OPTIONS
+        scn = config.config_to_scenario(config.default_config("desk"))
     else:
         # n_tx = K + 3: U is square, a rotation of the full space
-        scn, options = _small_scenario(sinr_threshold=3.0), None
+        scn = _small_scenario(sinr_threshold=3.0)
     n, K = scn.geom.n_tx, scn.channels().n_users
     U = sca.point_subspace(scn, scn.channels())
     assert U.shape == (n, min(n, K + 3))
     results = []
     for basis in (U, np.eye(n)):
         monkeypatch.setattr(sca, "point_subspace", lambda *_, basis=basis: basis)
-        prog, kwargs = _first_point_subproblem(monkeypatch, scn, options)
+        prog, kwargs = _first_point_subproblem(monkeypatch, scn, REFERENCE_OPTIONS)
         assert prog.variables["W0"].side == basis.shape[1]
         sol = solve(prog, **kwargs)
         assert sol.optimal
