@@ -108,13 +108,13 @@ def _re_trace(C, R):
     return float(np.real(np.trace(C @ R)))
 
 
-def fim_point(trm, R_X, noise_power, frame_length, power=None):
+def fim_point(trm, R_X, noise_power, frame_length):
     """Assemble the 2x2 information blocks for (r, phi) and (Re mu, Im mu).
 
-    The reflection information j_m is compared with that of the beam
-    matched to the target at the reference power (by default Tr R_X):
-    at or below SINGULARITY_CUTOFF of it, j_m is rounding noise of either
-    sign, and the design counts as putting no power on the target.
+    The reflection information j_m is compared with that of the beam of
+    power Tr R_X matched to the target: at or below SINGULARITY_CUTOFF of
+    it, j_m is rounding noise of either sign, and the design counts as
+    putting no power on the target.
     """
     if noise_power <= 0 or frame_length < 1:
         raise InvalidArgumentError("need positive noise power and frame length >= 1")
@@ -127,10 +127,8 @@ def fim_point(trm, R_X, noise_power, frame_length, power=None):
     t = np.array([np.trace(coeffs["cross"][u] @ R_X) / trm.reflection for u in range(2)])
     J_phimu = np.column_stack([np.real(t), -np.imag(t)])
     j_m = _re_trace(coeffs["mumu"], R_X)
-    if power is None:
-        power = float(np.real(np.trace(R_X)))
     # C_mumu is rank one and PSD: the matched beam of power p has j_m = p Tr C_mumu
-    matched = power * float(np.real(np.trace(coeffs["mumu"])))
+    matched = float(np.real(np.trace(coeffs["mumu"]) * np.trace(R_X)))
     if not j_m > SINGULARITY_CUTOFF * matched or not np.isfinite(j_m):
         raise SingularInformationError("no focusing power on the target; reflection block singular")
     J_mumu = j_m * np.eye(2)
@@ -152,15 +150,12 @@ def crb_point(fim):
 def scenario_bound(scenario, R_X):
     """The bound of transmit covariance R_X in a scenario.
 
-    Point target: the 2x2 CRB of (distance, angle), with the target's
-    illumination judged against the matched beam at the power budget.
-    Extended target: the trace of the Bayesian bound on the response-matrix
-    entries.
+    Point target: the 2x2 CRB of (distance, angle).  Extended target: the
+    trace of the Bayesian bound on the response-matrix entries.
     """
     if isinstance(scenario.target, geometry.PointTarget):
         trm = point_trm(scenario.geom, scenario.target)
-        return crb_point(fim_point(trm, R_X, scenario.sensing_noise, scenario.frame_length,
-                                   power=scenario.power_budget))
+        return crb_point(fim_point(trm, R_X, scenario.sensing_noise, scenario.frame_length))
     return bcrb_extended_trace(R_X, BcrbParams(scenario.sensing_noise,
                                                scenario.target.prior_variance,
                                                scenario.frame_length, scenario.geom.n_rx))

@@ -205,14 +205,14 @@ def _apply_sweep(scn, var, value):
 
 
 def _sweep_options(scn):
-    # a point-target design ends after two iterations where its relaxation
-    # is tight; the extended relaxation is not rank one, so its design
-    # falls back to the rank-penalty continuation and gets a larger SCA
-    # iteration allowance
-    extended = not isinstance(scn.target, geometry.PointTarget)
-    if scn.geom.n_tx <= 16:
-        return sca.ScaOptions(max_iter=48 if extended else 12)
-    return sca.ScaOptions(max_iter=60 if extended else 25)
+    # a point-target design starts with the rank penalty nearly off and ends
+    # after two iterations where its relaxation is tight; the extended
+    # relaxation is not rank one, so its design starts the rank-penalty
+    # continuation at GAMMA_FALLBACK and gets a larger SCA iteration allowance
+    small = scn.geom.n_tx <= 16
+    if isinstance(scn.target, geometry.PointTarget):
+        return sca.ScaOptions(max_iter=12 if small else 25)
+    return sca.ScaOptions(gamma=sca.GAMMA_FALLBACK, max_iter=48 if small else 60)
 
 
 def optimize_scenario(scn):

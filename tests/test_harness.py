@@ -294,8 +294,9 @@ def test_run_sweep_reports_infeasible_points():
 def test_run_sweep_reports_target_nulling_designs(monkeypatch):
     # a design, or a hybrid factorization of it, that puts no power on the
     # target has no bound: that architecture gets a status row and the sweep
-    # goes on.  The nulls here are zero beams: the digital design at 20 dBm
-    # and every fully-connected factorization.
+    # goes on.  A design projected off b_t keeps rounding-level target power
+    # of either sign, so the exact nulls here are zero beams: the digital
+    # design at 20 dBm and every fully-connected factorization.
     optimize = harness.optimize_scenario
 
     def nulling(scn):
@@ -332,23 +333,20 @@ def test_target_hiding_design_has_no_bound_on_either_side():
                                  "digital", W)
 
 
-def test_run_sweep_rates_no_design_projected_off_the_target(monkeypatch):
-    # the small design is the matched beam, so projected off b_t only
-    # rounding noise of about 1e-27 mW is left: a status row, not a bound
-    cfg = _small_config(architectures=["digital"])
-    scn = config.config_to_scenario(cfg)
+def test_design_projected_off_the_target_is_rated_alike_on_both_sides():
+    # the small design is the matched beam; projected off b_t it keeps
+    # about 2e-27 mW, of which the target still gets 6e-5 of the matched
+    # beam's share: far above rounding at that power, so the SCA and the
+    # table rate the design alike, with a finite bound
+    scn = config.config_to_scenario(_small_config(architectures=["digital"]))
     bt = geometry.steering_vector(scn.geom, scn.target.distance, scn.target.angle)
     off = np.eye(scn.geom.n_tx) - np.outer(bt, bt.conj()) / np.linalg.norm(bt) ** 2
-    optimize = harness.optimize_scenario
-
-    def projected(s):
-        W, W_list, trace, bound = optimize(s)
-        return off @ W, W_list, trace, bound
-
-    monkeypatch.setattr(harness, "optimize_scenario", projected)
-    table = harness.run_sweep(cfg)
-    assert [(r.arch, r.value) for r in table.select(metric="status")] == [("digital", 1.0)]
-    assert not table.select(metric="bound_trace")
+    W = off @ harness.optimize_scenario(scn)[0]
+    table = harness.ResultTable()
+    harness._evaluate_design(table, scn, scn.channels(), "none", 0.0, "digital", W)
+    (rated,) = table.values("bound_trace")
+    designed = sca._design_bound(scn, [np.outer(w, w.conj()) for w in W.T])
+    assert np.isfinite(designed) and rated[1] == pytest.approx(designed, rel=1e-9)
 
 
 def test_run_sweep_reports_degraded_designs(monkeypatch):
