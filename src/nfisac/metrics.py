@@ -32,10 +32,13 @@ def sinrs(channels, covs, noise_power):
 
 
 def sum_rate(sinrs):
+    """Sum of log2(1 + SINR) over the users, the last axis: a float for one
+    design, an array for a stack of them."""
     sinrs = np.asarray(sinrs, dtype=float)
     if np.any(sinrs < 0):
         raise InvalidArgumentError("SINRs must be nonnegative")
-    return float(np.log2(1.0 + sinrs).sum())
+    rate = np.log2(1.0 + sinrs).sum(axis=-1)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def consumed_power(radiated, amplifier_eff, static_power):

@@ -91,7 +91,11 @@ class ScaTrace:
     objective that the solver did not certify.  bounds holds the design
     bound of each accepted (polished) iterate, gammas the rank-penalty
     weight each subproblem was built with and polish_scales the uniform
-    scale _polish applied to its iterate, one entry per objective.
+    scale _polish applied to its iterate, one entry per objective.  For a
+    point target illuminations holds each accepted iterate's share of its
+    power sent at the target, b_t^H R b_t / (Tr R ||b_t||^2) with
+    R = sum_k W_k: about 0 for a design that hides the target, whatever
+    bound its rounding-level rank residual gives it.
 
     status: "converged" (the bound settled at a feasible rank-one iterate),
     "max_iter" (the run stopped before that: the iteration cap came first,
@@ -106,6 +110,7 @@ class ScaTrace:
     solves: list = field(default_factory=list)
     gammas: list = field(default_factory=list)
     polish_scales: list = field(default_factory=list)
+    illuminations: list = field(default_factory=list)
     status: str = "running"
     wall_time: float = 0.0
 
@@ -217,7 +222,9 @@ def _total_trace(W_list):
 
 
 def _ee_slack(scenario, sinrs, radiated):
-    """(rate - eta * consumed power (W), consumed power (mW)); positive means feasible."""
+    """(rate - eta * consumed power (W), consumed power (mW)); positive means feasible.
+
+    sinrs (..., K) and radiated (...) may hold a stack of designs."""
     power_mw = metrics.consumed_power(radiated, scenario.amplifier_eff, scenario.static_power)
     return metrics.sum_rate(sinrs) - scenario.ee_threshold * power_mw * 1e-3, power_mw
 
@@ -227,7 +234,9 @@ def _power_scan(scenario, channels, W0):
 
     Scaling up never violates SINR (interference-limited ratios increase
     toward the interference-free limit), so the scan trades transmit power
-    against the energy-efficiency slack.
+    against the energy-efficiency slack.  At scale t user k's SINR is
+    t S_k / (t I_k + noise) and the radiated power t Tr, so one
+    signal_and_interference of W0 scores every candidate scale.
     """
     total = _total_trace(W0)
     if total <= 0:
@@ -235,18 +244,16 @@ def _power_scan(scenario, channels, W0):
     t_max = scenario.power_budget / total
     if scenario.ee_threshold <= 0:
         return [W * t_max for W in W0]
-    best_t, best_slack = None, -np.inf
-    for t in np.geomspace(1.0, max(t_max, 1.0), 200):
-        W_t = [W * t for W in W0]
-        slack, _ = _ee_slack(scenario, metrics.sinrs(channels, W_t, scenario.comm_noise),
-                             _total_trace(W_t))
-        if slack > best_slack:
-            best_slack, best_t = slack, t
-    if best_slack < 0:
+    t = np.geomspace(1.0, max(t_max, 1.0), 200)
+    signal, interf = metrics.signal_and_interference(channels, W0)
+    sinrs = t[:, None] * signal / (t[:, None] * interf + scenario.comm_noise)
+    slacks, _ = _ee_slack(scenario, sinrs, t * total)
+    best = int(np.argmax(slacks))   # the first of equal slacks
+    if slacks[best] < 0:
         raise ScenarioInfeasibleError(
             "energy-efficiency threshold unreachable at any feasible power",
             violated="energy-efficiency")
-    return [W * best_t for W in W0]
+    return [W * t[best] for W in W0]
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +597,22 @@ def _design_bound(scenario, W_list):
     return float(np.trace(bound)) if isinstance(scenario.target, geometry.PointTarget) else bound
 
 
+def _illumination(scenario, W_list):
+    """b_t^H R b_t / (Tr R ||b_t||^2), R = sum_k W_k, at the point target (0 for R = 0)."""
+    power = _total_trace(W_list)
+    if power <= 0:
+        return 0.0
+    bt = geometry.steering_vector(scenario.geom, scenario.target.distance, scenario.target.angle)
+    return float(np.real(bt.conj() @ sum(W_list) @ bt)) / (power * np.linalg.norm(bt) ** 2)
+
+
 def _sca_loop(scenario, options, state, build):
     """Solve subproblems from state until the bound settles at a rank-one iterate.
 
     Each subproblem is solved exactly, so each step is a majorization-
-    minimization step of the penalized objective.  The run starts at
+    minimization step of the penalized objective; every subproblem after
+    the first has the same layout as the one before it and starts from its
+    solution (conic.solve's start).  The run starts at
     options.gamma, by default so large that the penalty barely acts: where
     the relaxation is tight its solution is already rank one.  After an
     iteration whose most rank-deficient W_k has an extract_beamformer
@@ -617,9 +635,10 @@ def _sca_loop(scenario, options, state, build):
     K = state.channels.n_users
     U = state.basis
     best = None   # ((violates a constraint, bound), W, W_list) of the best rank-one iterate
+    sol = None
     for _ in range(options.max_iter):
         prog = build(state, scenario)
-        sol = solve(prog, tol=options.sdp_tol, max_iter=options.sdp_max_iter)
+        sol = solve(prog, tol=options.sdp_tol, max_iter=options.sdp_max_iter, start=sol)
         trace.solves.append(SolveRecord(sol.status, sol.iterations, sol.primal_residual,
                                         sol.dual_residual, sol.duality_gap))
         if sol.status == "infeasible":
@@ -637,6 +656,8 @@ def _sca_loop(scenario, options, state, build):
         prev_bound = trace.bounds[-1] if trace.bounds else np.inf
         bound = _design_bound(scenario, W_new)
         trace.bounds.append(bound)
+        if isinstance(scenario.target, geometry.PointTarget):
+            trace.illuminations.append(_illumination(scenario, W_new))
         spectra = _spectra(W_new)
         trace.rank_residuals.append(_residual(spectra))
         slacks = evaluate_slacks(scenario, state.channels, W_new)

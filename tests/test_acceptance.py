@@ -136,7 +136,6 @@ def test_criterion_05_rank_deficiency():
     _report(5, "rank_deficiency", worst < 1e-9, t, 10.0, f"worst_ratio={worst:.2e}")
 
 
-@pytest.mark.slow
 def test_criterion_06_sca_descent_and_feasibility():
     t0 = time.perf_counter()
     scn = _scenario()
@@ -231,7 +230,6 @@ def _sweep_config(variable, values, archs):
     return config.loads_config(json.dumps(d), scale="desk")
 
 
-@pytest.mark.slow
 def test_criterion_09_orderings_and_tradeoffs():
     t0 = time.perf_counter()
     # architecture ordering along the radar-SNR sweep

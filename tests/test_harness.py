@@ -321,12 +321,14 @@ def test_run_sweep_reports_target_nulling_designs(monkeypatch):
 
 def test_target_hiding_design_has_no_bound_on_either_side():
     # the desk design at gamma = 10 puts about 1e-17 of the matched beam's
-    # power on the target.  The SCA rates sum_k w_k w_k^H and the table
-    # W W^H, equal up to rounding, so neither may find a bound.
+    # power on the target, and every iterate at most 2.3e-10 of its own
+    # power.  The SCA rates sum_k w_k w_k^H and the table W W^H, equal up
+    # to rounding, so neither may find a bound.
     scn = config.config_to_scenario(config.default_config("desk"))
     options = sca.ScaOptions(gamma=10.0, max_iter=11, rank_tol=np.inf)
     W, _, trace, _ = sca.solve_point_sca(scn, options)
-    assert trace.bounds[-1] == pytest.approx(0.0021387, rel=1e-4)
+    assert len(trace.illuminations) == len(trace.objectives)
+    assert max(trace.illuminations) <= 1e-9
     assert sca._design_bound(scn, [np.outer(w, w.conj()) for w in W.T]) == np.inf
     with pytest.raises(SingularInformationError):
         harness._evaluate_design(harness.ResultTable(), scn, scn.channels(), "none", 0.0,
@@ -394,7 +396,6 @@ def test_mle_reaches_the_bound_on_the_desk_design():
         assert 1.0 - 3.0 * sigma <= rmse.value / root_crb.value <= 2.0, name
 
 
-@pytest.mark.slow
 def test_paper_design_ends_optimal_and_rank_one():
     # the paper-scale point-target design (64 antennas, 4 users) a sweep
     # runs: every subproblem solved to optimality, converged on the bound,

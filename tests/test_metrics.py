@@ -62,6 +62,8 @@ def test_sinr_interference_free_single_user():
 def test_sum_rate_shannon():
     assert metrics.sum_rate([1.0, 3.0]) == pytest.approx(1.0 + 2.0)
     assert metrics.sum_rate([]) == 0.0
+    # a stack of designs, users on the last axis
+    np.testing.assert_allclose(metrics.sum_rate([[1.0, 3.0], [0.0, 7.0]]), [3.0, 3.0])
     with pytest.raises(InvalidArgumentError):
         metrics.sum_rate([-0.5])
 

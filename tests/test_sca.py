@@ -217,6 +217,34 @@ def test_init_feasible_rejects_unreachable_sinr():
     assert err.value.violated == "sinr"
 
 
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+@pytest.mark.parametrize("ee", [1.0, 2.0, 3.0, 4.0, 4.5])
+def test_power_scan_picks_the_scale_of_a_scan_over_scaled_covariances(scale, ee):
+    # scoring each candidate scale from one signal-and-interference pass
+    # picks the scale that evaluating every scaled covariance list picks
+    scn = replace(config.config_to_scenario(config.default_config(scale)), ee_threshold=ee)
+    channels = scn.channels()
+    W0 = sca._min_power_covariances(channels, scn.sinr_threshold, scn.comm_noise,
+                                    scn.power_budget)
+    total = sca._total_trace(W0)
+    slacks = []
+    scales = np.geomspace(1.0, max(scn.power_budget / total, 1.0), 200)
+    for t in scales:
+        W_t = [t * W for W in W0]
+        slacks.append(sca._ee_slack(scn, metrics.sinrs(channels, W_t, scn.comm_noise),
+                                    sca._total_trace(W_t))[0])
+    best = scales[int(np.argmax(slacks))]
+    for W, V in zip(sca._power_scan(scn, channels, W0), W0):
+        np.testing.assert_array_equal(W, best * V)
+
+
+def test_init_feasible_rejects_unreachable_ee():
+    scn = replace(config.config_to_scenario(config.default_config("desk")), ee_threshold=1e3)
+    with pytest.raises(ScenarioInfeasibleError) as err:
+        sca.init_feasible(scn)
+    assert err.value.violated == "energy-efficiency"
+
+
 def test_init_feasible_users_at_one_spot():
     # two users share one channel: SINR 10 is beyond any power, SINR 0.5 is met
     user = geometry.UserSpec(distance=5.0, angle=0.3, id=0)
@@ -419,24 +447,47 @@ def test_point_sca_bound_improves_with_power():
     assert b4 < b1
 
 
-def test_point_sca_records_each_solve(monkeypatch):
-    # one record per SCA iteration, holding what solve returned
-    returned = []
+def _recording_solve(monkeypatch):
+    """Record (program, keyword arguments, solution) of each solve sca runs."""
+    calls = []
     conic_solve = sca.solve
 
-    def recording_solve(*args, **kwargs):
-        sol = conic_solve(*args, **kwargs)
-        returned.append(sol)
+    def recording_solve(prog, **kwargs):
+        sol = conic_solve(prog, **kwargs)
+        calls.append((prog, kwargs, sol))
         return sol
 
     monkeypatch.setattr(sca, "solve", recording_solve)
+    return calls
+
+
+def test_point_sca_records_each_solve(monkeypatch):
+    # one record per SCA iteration, holding what solve returned; only the
+    # first solve starts cold, each later one from the solve before it
+    calls = _recording_solve(monkeypatch)
     opts = sca.ScaOptions(max_iter=3)
     _, _, trace, _ = sca.solve_point_sca(_small_scenario(sinr_threshold=3.0), opts)
-    assert len(trace.solves) == len(trace.objectives) == len(returned) == 2
-    for rec, sol in zip(trace.solves, returned):
+    assert len(trace.solves) == len(trace.objectives) == len(calls) == 2
+    for rec, (_, _, sol) in zip(trace.solves, calls):
         assert rec == sca.SolveRecord(sol.status, sol.iterations, sol.primal_residual,
                                       sol.dual_residual, sol.duality_gap)
         assert rec.status == "optimal" and rec.iterations < opts.sdp_max_iter
+    assert [kwargs["start"] for _, kwargs, _ in calls] == [None, calls[0][2]]
+
+
+def test_desk_subproblem_started_from_the_last_solve_keeps_its_optimum(monkeypatch):
+    # the desk design's second subproblem, solved from the first solution
+    # as the SCA solves it and solved cold: the same optimum, in fewer
+    # Newton steps from the start
+    calls = _recording_solve(monkeypatch)
+    scn = config.config_to_scenario(config.default_config("desk"))
+    sca.solve_point_sca(scn, harness._sweep_options(scn))
+    prog, kwargs, warm = calls[1]
+    assert kwargs["start"] is calls[0][2]
+    cold = solve(prog, **dict(kwargs, start=None))
+    assert warm.optimal and cold.optimal
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-8)
+    assert warm.iterations < cold.iterations
 
 
 def test_desk_design_descends_on_exact_steps():
@@ -460,6 +511,8 @@ def test_desk_design_exits_once_the_relaxation_is_rank_one():
     options = harness._sweep_options(scn)
     _, W_list, trace, bound = sca.solve_point_sca(scn, options)
     assert trace.status == "converged"
+    assert [rec.status for rec in trace.solves] == ["optimal", "optimal"]
+    assert sum(rec.iterations for rec in trace.solves) <= 50
     assert trace.gammas == [1e4, 1e4]
     assert max(trace.rank_residuals) <= options.rank_tol
     assert abs(trace.bounds[1] - trace.bounds[0]) <= sca.TOL * trace.bounds[1]
@@ -649,9 +702,10 @@ def test_extended_penalized_run_is_rank_one_and_feasible():
 
 def test_stalled_extended_solve_stops_at_its_best_iterate(monkeypatch):
     # the 8-antenna desk extended target's subproblems stall short of
-    # sdp_tol; the third one's measures climb far above their best after
-    # about 28 Newton steps.  The solve ends max_iter within 10 steps of its
-    # best iterate and returns that iterate's residuals.
+    # sdp_tol; the third one, started from the second one's solution,
+    # reaches its best after 14 Newton steps and its measures then climb
+    # far above it.  The solve ends max_iter within 10 steps of its best
+    # iterate and returns that iterate's residuals.
     cfg = config.loads_config('{"geometry": {"n_tx": 8, "n_rx": 8}, "target": '
                               '{"kind": "extended", "prior_variance": 1.0}}', scale="desk")
     programs = []
