@@ -457,6 +457,16 @@ def test_project_cone_near_rank_one_blocks(positive):
                                rtol=0, atol=1e-12 * np.abs(v).max())
 
 
+def test_project_cone_matches_dense_projection_with_0_2_and_6_psd_blocks():
+    # inputs with no, some and every PSD block already in the cone
+    rng = np.random.default_rng(14)
+    form = _cone_form()
+    for psd_blocks in [(), (0, 2), tuple(range(6))]:
+        v = _cone_point(rng, form, psd_blocks)
+        np.testing.assert_allclose(solver.project_cone(v, form), _dense_projection(v, form),
+                                   rtol=0, atol=1e-12 * np.abs(v).max())
+
+
 def test_epigraph_trace_inverse_value():
     # pin Xi to a known PD matrix; min Tr(U) must equal Tr(Xi^-1)
     rng = np.random.default_rng(1)
