@@ -67,24 +67,16 @@ def point_trm(geom, target):
     mu = complex(target.reflection)
     if mu == 0:
         raise DegenerateTargetError("zero reflection coefficient")
-    br = geometry.steering_vector(geom, target.distance, target.angle, side="rx")
-    bt = geometry.steering_vector(geom, target.distance, target.angle, side="tx")
-    B = mu * np.outer(br, bt.conj())
-    dB_dr, dB_dphi = point_trm_derivatives(geom, target)
-    return TrmPoint(B=B, dB_dr=dB_dr, dB_dphi=dB_dphi, reflection=mu)
-
-
-def point_trm_derivatives(geom, target):
-    """Product-rule derivatives of B with respect to target distance and angle."""
-    mu = complex(target.reflection)
     r, phi = target.distance, target.angle
     br = geometry.steering_vector(geom, r, phi, side="rx")
     bt = geometry.steering_vector(geom, r, phi, side="tx")
+    B = mu * np.outer(br, bt.conj())
+    # product-rule derivatives with respect to distance and angle
     dbr_dr, dbr_dphi = geometry.steering_derivatives(geom, r, phi, side="rx")
     dbt_dr, dbt_dphi = geometry.steering_derivatives(geom, r, phi, side="tx")
     dB_dr = mu * (np.outer(dbr_dr, bt.conj()) + np.outer(br, dbt_dr.conj()))
     dB_dphi = mu * (np.outer(dbr_dphi, bt.conj()) + np.outer(br, dbt_dphi.conj()))
-    return dB_dr, dB_dphi
+    return TrmPoint(B=B, dB_dr=dB_dr, dB_dphi=dB_dphi, reflection=mu)
 
 
 def fim_point_coefficients(trm, noise_power, frame_length):

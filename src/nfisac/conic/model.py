@@ -335,12 +335,6 @@ class ConicProgram:
             pos += var.n_params
         return pos, offsets
 
-    def expr_vector(self, expr, n_x, offsets):
-        g = np.zeros(n_x)
-        for name, coeffs in expr.terms.items():
-            g[offsets[name]] = g[offsets[name]] + coeffs
-        return g
-
     def split_solution(self, x, offsets):
         out = {}
         for name, var in self.variables.items():
@@ -352,17 +346,20 @@ class ConicProgram:
         return out
 
 
-def epigraph_trace_inverse(program, xi_var, name="U"):
-    """Add U and the LMI [[U, I], [I, Xi]] >= 0 so that min Tr(U) = Tr(Xi^-1).
+def epigraph_trace_inverse(program, *xi_vars, shift=0.0, name="U"):
+    """Add U and the LMI [[U, I], [I, Xi]] >= 0 so that min Tr(U) = Tr(Xi^-1),
+    where Xi = shift * I + the sum of xi_vars (variables of one side and field).
 
     Returns the new U variable; the caller adds Tr(U) to the objective.
     """
-    n = xi_var.side
-    u_var = program.add_matrix_var(name, n, hermitian=xi_var.hermitian)
-    block = PsdBlock(f"epi:{name}", 2 * n, complex_valued=xi_var.hermitian)
+    n, hermitian = xi_vars[0].side, xi_vars[0].hermitian
+    u_var = program.add_matrix_var(name, n, hermitian=hermitian)
+    block = PsdBlock(f"epi:{name}", 2 * n, complex_valued=hermitian)
     block.const[:n, n:] = np.eye(n)
     block.const[n:, :n] = np.eye(n)
+    block.const[n:, n:] = shift * np.eye(n)
     block.add_var(u_var, offset=0)
-    block.add_var(xi_var, offset=n)
+    for xi_var in xi_vars:
+        block.add_var(xi_var, offset=n)
     program.add_psd_block(block)
     return u_var

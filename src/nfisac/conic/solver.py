@@ -1,6 +1,6 @@
 """Primal-dual interior-point solver for the conic programs in model.py.
 
-Standard form after assembly:
+Standard form after assembly, with A a dense array:
 
     minimize    c . x
     subject to  A x + s = b,   s in K = {0}^p x R+^q x PSD(m_1) x ... x PSD(m_B)
@@ -12,8 +12,10 @@ block, whose rows then have the dot products of its realification (a
 complex block of side n counts as a real one of side 2n).  In these
 coordinates the PSD cone is self-dual under the plain dot product.
 
-solve takes one path: assemble, ruiz_equilibrate (one uniform row scale
-per PSD block), then a dense path-following method on the homogeneous
+solve takes one path: assemble, which refuses a program whose A would
+have more than MAX_DENSE entries before allocating it, ruiz_equilibrate
+(one uniform row scale per PSD block, applied in place to A's nonzero
+entries), then a dense path-following method on the homogeneous
 self-dual embedding, as CVXOPT's conelp (Vandenberghe, "The CVXOPT linear
 and quadratic cone program solvers", 2010): Nesterov-Todd scaling,
 Mehrotra's predictor-corrector with one step of iterative refinement, and
@@ -47,7 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.sparse
 
 from ..errors import InvalidArgumentError
 from . import model as mdl
@@ -83,14 +84,13 @@ def block_weight(complex_block):
 @dataclass
 class StandardForm:
     c: np.ndarray
-    A: scipy.sparse.csr_matrix
+    A: np.ndarray
     b: np.ndarray
     n_zero: int
     n_nonneg: int
     psd_sides: list
     psd_slices: list
     psd_complex: list   # per block: True for a complex Hermitian block
-    n_x: int
     offsets: dict
 
     def layout(self):
@@ -99,20 +99,14 @@ class StandardForm:
                 tuple(self.psd_complex))
 
 
-def _expr_entries(expr, offsets):
-    """(global param indices, coefficients) of the nonzero terms of a LinExpr."""
-    cols, vals = [], []
+def _add_expr(row, expr, offsets, scale):
+    """row += scale * the coefficients of a LinExpr, at its variables' columns."""
     for name, coeffs in expr.terms.items():
-        nz = np.nonzero(coeffs)[0]
-        cols.append(offsets[name].start + nz)
-        vals.append(coeffs[nz])
-    if not cols:
-        return np.zeros(0, dtype=int), np.zeros(0)
-    return np.concatenate(cols), np.concatenate(vals)
+        row[offsets[name]] += scale * coeffs
 
 
-def _psd_block_rows(block, program, offsets, row0, rows, cols, vals, b_parts):
-    """Append A/b entries for one PSD block; returns its number of rows.
+def _psd_block_rows(block, program, offsets, A, b):
+    """Write one PSD block's rows into A and b, views of the block's slice of rows.
 
     Row p is weight * coordinate p of the block's matrix, so with A x + s = b
     the slice s is weight * coords(const + sum_p x_p M_p).
@@ -127,69 +121,63 @@ def _psd_block_rows(block, program, offsets, row0, rows, cols, vals, b_parts):
             _, name, offset = term
             var = program.variables[name]
             d = np.arange(var.side) + offset
-            a, b = mdl.pair_indices(var.side)
-            a, b = a + offset, b + offset
-            coords = [index[d, d, 0], index[a, b, 0]]
+            u, v = mdl.pair_indices(var.side)
+            u, v = u + offset, v + offset
+            coords = [index[d, d, 0], index[u, v, 0]]
             if var.hermitian:
-                coords.append(index[a, b, 1])
+                coords.append(index[u, v, 1])
             coords = np.concatenate(coords)
-            rows.append(row0 + coords)
-            cols.append(offsets[name].start + np.arange(coords.size))
-            vals.append(np.full(coords.size, -weight))
+            A[coords, offsets[name].start + np.arange(coords.size)] -= weight
         else:
             # a real value v at (i, j) and (j, i) has coordinate sqrt(2) v
             _, i, j, expr = term
             const[i, j] += expr.const
             if i != j:
                 const[j, i] += expr.const
-            gp, coeff = _expr_entries(expr, offsets)
-            rows.append(np.full(gp.size, row0 + index[i, j, 0]))
-            cols.append(gp)
-            vals.append(-weight * (1.0 if i == j else SQRT2) * coeff)
-    b_parts.append(weight * mdl.matrix_to_params(block_var, const))
-    return block_var.n_params
+            _add_expr(A[index[i, j, 0]], expr, offsets, -weight * (1.0 if i == j else SQRT2))
+    b[:] = weight * mdl.matrix_to_params(block_var, const)
 
 
 def assemble(program):
-    """Flatten a ConicProgram into sparse standard conic form."""
+    """Flatten a ConicProgram into dense standard conic form.
+
+    The rows are counted from the cone sizes first, so a program whose A
+    would have more than MAX_DENSE entries is refused (InvalidArgumentError)
+    before any array is allocated.
+    """
     n_x, offsets = program.param_layout()
-    c = program.expr_vector(program.objective, n_x, offsets)
-
-    rows, cols, vals = [], [], []
-
-    def emit_rows(exprs, row0, sign):
-        for r, expr in enumerate(exprs):
-            gp, coeff = _expr_entries(expr, offsets)
-            rows.append(np.full(gp.size, row0 + r))
-            cols.append(gp)
-            vals.append(sign * coeff)
+    n_zero = len(program.eq_constraints)
+    n_nonneg = len(program.ineq_constraints)
+    sizes = [mdl.MatrixVar(blk.name, blk.side, blk.complex_valued).n_params
+             for blk in program.psd_blocks]
+    m = n_zero + n_nonneg + sum(sizes)
+    if m * n_x > MAX_DENSE:
+        raise InvalidArgumentError(f"program of {m} x {n_x} is too large for the dense"
+                                   " interior-point solver")
+    A, b, c = np.zeros((m, n_x)), np.zeros(m), np.zeros(n_x)
+    _add_expr(c, program.objective, offsets, 1.0)
 
     # zero cone: expr = 0  ->  A = g, b = -const
     # nonneg cone: s = expr >= 0  ->  A = -g, b = const
-    n_zero = len(program.eq_constraints)
-    n_nonneg = len(program.ineq_constraints)
-    emit_rows(program.eq_constraints, 0, 1.0)
-    emit_rows(program.ineq_constraints, n_zero, -1.0)
-    b_parts = [np.array([-e.const for e in program.eq_constraints]),
-               np.array([e.const for e in program.ineq_constraints])]
+    for r, expr in enumerate(program.eq_constraints):
+        _add_expr(A[r], expr, offsets, 1.0)
+        b[r] = -expr.const
+    for r, expr in enumerate(program.ineq_constraints, n_zero):
+        _add_expr(A[r], expr, offsets, -1.0)
+        b[r] = expr.const
+
+    psd_slices = []
     row = n_zero + n_nonneg
-
-    psd_sides, psd_slices = [], []
-    for block in program.psd_blocks:
-        n_rows = _psd_block_rows(block, program, offsets, row, rows, cols, vals, b_parts)
-        psd_sides.append(block.side)
-        psd_slices.append(slice(row, row + n_rows))
+    for block, n_rows in zip(program.psd_blocks, sizes):
+        sl = slice(row, row + n_rows)
+        _psd_block_rows(block, program, offsets, A[sl], b[sl])
+        psd_slices.append(sl)
         row += n_rows
-
-    def joined(parts, dtype):
-        return np.concatenate(parts).astype(dtype) if parts else np.zeros(0, dtype=dtype)
-
-    A = scipy.sparse.csr_matrix(
-        (joined(vals, float), (joined(rows, int), joined(cols, int))), shape=(row, n_x))
-    return StandardForm(c=c, A=A, b=joined(b_parts, float), n_zero=n_zero,
-                        n_nonneg=n_nonneg, psd_sides=psd_sides, psd_slices=psd_slices,
+    return StandardForm(c=c, A=A, b=b, n_zero=n_zero, n_nonneg=n_nonneg,
+                        psd_sides=[blk.side for blk in program.psd_blocks],
+                        psd_slices=psd_slices,
                         psd_complex=[blk.complex_valued for blk in program.psd_blocks],
-                        n_x=n_x, offsets=offsets)
+                        offsets=offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +187,23 @@ def assemble(program):
 def ruiz_equilibrate(form):
     """Ruiz scaling diag(D) A diag(E) over ten passes, with one uniform D per PSD block.
 
-    Entries are read divided by their block weight.  For a complex block
-    these are the entries of its realified rows, so D and E are the scales
-    of the realified program.
+    Only the nonzero entries of A are read and scaled, and A is scaled in
+    place: the returned A is form.A.  Entries are read divided by their
+    block weight.  For a complex block these are the entries of its
+    realified rows, so D and E are the scales of the realified program.
     """
-    A = form.A.tocsr(copy=True)
+    A = form.A
     m, n = A.shape
-    rows = np.repeat(np.arange(m), np.diff(A.indptr))
-    cols = A.indices
+    nonzero = np.flatnonzero(A != 0)
+    rows, cols = np.divmod(nonzero, n)
+    data = A.take(nonzero)
     row_weight = np.ones(m)
     for sl, cplx in zip(form.psd_slices, form.psd_complex):
         row_weight[sl] = block_weight(cplx)
     entry_weight = row_weight[rows]
     D, E = np.ones(m), np.ones(n)
     for _ in range(10):
-        mag = np.abs(A.data) / entry_weight
+        mag = np.abs(data) / entry_weight
         row_norms = np.zeros(m)
         np.maximum.at(row_norms, rows, mag)
         for sl in form.psd_slices:
@@ -223,10 +213,11 @@ def ruiz_equilibrate(form):
         np.maximum.at(col_norms, cols, mag)
         dc = 1.0 / np.sqrt(np.clip(col_norms, 1e-10, 1e10))
         # A <- diag(dr) A diag(dc), entry by entry
-        A.data *= dr[rows]
-        A.data *= dc[cols]
+        data *= dr[rows]
+        data *= dc[cols]
         D *= dr
         E *= dc
+    np.put(A, nonzero, data)
     return A, D * form.b, E * form.c, D, E
 
 
@@ -705,20 +696,17 @@ def solve(program, tol=1e-8, max_iter=100, start=None):
     duality gap of the equilibrated program are at most tol.  "infeasible":
     y holds a dual ray, A^T y ~ 0 with y in K* and b . y = -1.  "max_iter":
     the solve stopped uncertified, at max_iter Newton steps or at a step it
-    could not form.  Programs whose dense A has more than MAX_DENSE entries
-    are refused.
+    could not form.  assemble refuses (InvalidArgumentError) a program whose
+    dense A would have more than MAX_DENSE entries, before allocating it.
     """
     form = assemble(program)
-    if form.A.shape[0] * form.A.shape[1] > MAX_DENSE:
-        raise InvalidArgumentError(f"program of {form.A.shape[0]} x {form.A.shape[1]} is too"
-                                   " large for the dense interior-point solver")
     if start is not None and start.layout != form.layout():
         raise InvalidArgumentError("the start solves a program of another layout")
     A, b, c, D, E = ruiz_equilibrate(form)
     if start is not None:
         start = (start.x / E, D * start.s, start.y / D)
-    x, s, y, status, it, (pri, dual, gap) = _interior_point(form, A.toarray(), b, c, tol,
-                                                            max_iter, start)
+    x, s, y, status, it, (pri, dual, gap) = _interior_point(form, A, b, c, tol, max_iter,
+                                                            start)
     x, s, y = E * x, s / D, D * y
     assignments = program.split_solution(x, form.offsets)
     objective = float(form.c @ x + 0.0) + program.objective.const

@@ -14,9 +14,11 @@ channels, estimator search grids and heatmaps all take theirs from here.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import InvalidArgumentError
+
+#: speed of light in vacuum, m/s (exact by the SI definition of the metre)
+SPEED_OF_LIGHT = 299_792_458.0
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,7 @@ class HybridFactors:
     """Result of an analog/digital factorization.
 
     residual is || W - analog @ digital ||_F / || W ||_F; trace holds the
-    per-sweep residuals of the returned run.  regularized marks that the
-    analog Gram matrix needed a ridge at least once.
+    per-sweep residuals of the returned run.
     """
 
     analog: np.ndarray
@@ -45,7 +44,6 @@ class HybridFactors:
     residual: float
     iterations: int
     trace: tuple = ()
-    regularized: bool = False
 
 
 def connection_groups(n_tx, n_rf):
@@ -71,15 +69,14 @@ def _gram_solve(T_A, rhs):
     """Solve (T_A^H T_A) X = rhs, adding a small ridge if the Gram is singular."""
     G = T_A.conj().T @ T_A
     evals = np.linalg.eigvalsh(G)
-    regularized = evals[0] < 1e-12 * max(evals[-1], 1.0)
-    if regularized:
+    if evals[0] < 1e-12 * max(evals[-1], 1.0):
         G = G + GRAM_RIDGE * np.eye(G.shape[0])
-    return np.linalg.solve(G, rhs), regularized
+    return np.linalg.solve(G, rhs)
 
 
 def fully_digital_update(T_A, W, power):
     """Least-squares digital stage, rescaled to ||T_A T_D||_F^2 = power."""
-    T_D, _ = _gram_solve(T_A, T_A.conj().T @ W)
+    T_D = _gram_solve(T_A, T_A.conj().T @ W)
     realized = np.linalg.norm(T_A @ T_D)
     if realized == 0:
         raise ZeroDirectionError("digital stage vanished; cannot normalize power")
@@ -181,14 +178,11 @@ def _run_fully(W, T_A, power):
     norm_w = np.linalg.norm(W)
     trace = []
     prev = np.inf
-    regularized = False
     for it in range(1, MAX_ITER + 1):
-        T_D, reg = _gram_solve(T_A, T_A.conj().T @ W)
-        regularized = regularized or reg
+        T_D = _gram_solve(T_A, T_A.conj().T @ W)
         for _ in range(ANALOG_STEPS):
             T_A = fully_analog_update(T_A, T_D, W)
-        T_D, reg = _gram_solve(T_A, T_A.conj().T @ W)
-        regularized = regularized or reg
+        T_D = _gram_solve(T_A, T_A.conj().T @ W)
         res = float(np.linalg.norm(W - T_A @ T_D) / norm_w)
         trace.append(res)
         if abs(prev - res) < TOL:
@@ -196,7 +190,7 @@ def _run_fully(W, T_A, power):
         prev = res
     T_D = fully_digital_update(T_A, W, power)
     res = float(np.linalg.norm(W - T_A @ T_D) / norm_w)
-    return T_A, T_D, res, it, trace, regularized
+    return T_A, T_D, res, it, trace
 
 
 def _run_partially(W, T_A, power):
@@ -212,7 +206,7 @@ def _run_partially(W, T_A, power):
         if abs(prev - res) < TOL:
             break
         prev = res
-    return T_A, T_D, res, it, trace, False
+    return T_A, T_D, res, it, trace
 
 
 def factorize(W, n_rf, power=None, architecture="fully"):
@@ -251,7 +245,6 @@ def factorize(W, n_rf, power=None, architecture="fully"):
         if cand[2] < best[2]:
             best = cand
         tries += 1
-    T_A, T_D, res, it, trace, regularized = best
+    T_A, T_D, res, it, trace = best
     return HybridFactors(analog=T_A, digital=T_D, architecture=architecture,
-                         residual=res, iterations=it, trace=tuple(trace),
-                         regularized=regularized)
+                         residual=res, iterations=it, trace=tuple(trace))

@@ -447,17 +447,8 @@ def build_extended_subproblem(state, scenario):
     w_vars = [prog.add_matrix_var(f"W{k}", n) for k in range(K)]
     for var in w_vars:
         prog.psd_var(var)
-    u_var = prog.add_matrix_var("U", n, hermitian=True)
-
     reg = scenario.sensing_noise / (scenario.target.prior_variance * scenario.frame_length)
-    block = PsdBlock("epi:U", 2 * n, complex_valued=True)
-    block.const[:n, n:] = np.eye(n)
-    block.const[n:, :n] = np.eye(n)
-    block.const[n:, n:] = reg * np.eye(n)
-    block.add_var(u_var, offset=0)
-    for var in w_vars:
-        block.add_var(var, offset=n)
-    prog.add_psd_block(block)
+    u_var = epigraph_trace_inverse(prog, *w_vars, shift=reg, name="U")
 
     bound_scale = scenario.sensing_noise * scenario.geom.n_rx / scenario.frame_length
     obj = real_trace(bound_scale * np.eye(n), u_var)

@@ -147,13 +147,15 @@ def test_bad_config_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("user, expected", [(None, "1 1 1"), ("3", "3 1 1")])
 def test_cli_fixes_one_blas_thread_before_numpy_loads(user, expected):
     # a fresh interpreter that loads the CLI first: every BLAS variable the
-    # user left unset reads 1 before numpy loads, and one the user set wins
+    # user left unset reads 1 before numpy loads, and one the user set wins;
+    # of scipy, the CLI loads neither scipy.sparse nor scipy.constants
     env = {k: v for k, v in os.environ.items() if k not in harness.BLAS_THREAD_VARS}
     env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
     if user is not None:
         env["OPENBLAS_NUM_THREADS"] = user
-    code = ("import os, nfisac.cli; "
-            "print(*(os.environ[v] for v in nfisac.harness.BLAS_THREAD_VARS))")
+    code = ("import os, sys, nfisac.cli; "
+            "print(*(os.environ[v] for v in nfisac.harness.BLAS_THREAD_VARS)); "
+            "print(*(m for m in ('scipy.sparse', 'scipy.constants') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == expected
+    assert out.split("\n")[:2] == [expected, ""]

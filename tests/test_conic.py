@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from nfisac.bounds import realify_matrix
@@ -265,6 +264,18 @@ def test_sdp_dominance():
     assert sol.objective == pytest.approx(evals[evals > 0].sum(), abs=1e-5)
 
 
+def test_program_above_max_dense_refused(monkeypatch):
+    # assemble counts A's rows from the cone sizes and refuses a program of
+    # more than MAX_DENSE entries, naming its shape; at the cap it solves
+    prog, _ = _dominance_program()
+    m, n = 2 * 16, 16   # two complex 4 x 4 blocks, and W's 16 coordinates
+    monkeypatch.setattr(solver, "MAX_DENSE", m * n - 1)
+    with pytest.raises(InvalidArgumentError, match=f"{m} x {n}"):
+        solve(prog, tol=1e-9)
+    monkeypatch.setattr(solver, "MAX_DENSE", m * n)
+    assert solve(prog, tol=1e-9).optimal
+
+
 def test_start_from_own_solution_takes_fewer_steps():
     # restarted from its own optimum, moved back into the cone's interior,
     # a solve ends optimal at the same objective in fewer Newton steps
@@ -468,7 +479,8 @@ def test_project_cone_matches_dense_projection_with_0_2_and_6_psd_blocks():
 
 
 def test_epigraph_trace_inverse_value():
-    # pin Xi to a known PD matrix; min Tr(U) must equal Tr(Xi^-1)
+    # pin Xi to a known PD matrix; min Tr(U) must equal Tr(Xi^-1), and with
+    # two Xi and a shift, Tr((shift I + Xi_1 + Xi_2)^-1)
     rng = np.random.default_rng(1)
     A = rng.standard_normal((3, 3))
     Xi0 = A @ A.T + 3.0 * np.eye(3)
@@ -484,6 +496,22 @@ def test_epigraph_trace_inverse_value():
     sol = solve(prog, tol=1e-9)
     assert sol.optimal
     assert sol.objective == pytest.approx(np.trace(np.linalg.inv(Xi0)), rel=1e-5)
+
+    prog = ConicProgram()
+    xis, total = [], 0.5 * np.eye(3)
+    for k in range(2):
+        A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        Xi0 = A @ A.conj().T + np.eye(3)
+        xi = prog.add_matrix_var(f"Xi{k}", 3)
+        for i, v in enumerate(matrix_to_params(xi, Xi0)):
+            prog.add_eq(LinExpr(-v, {xi.name: np.eye(xi.n_params)[i]}))
+        xis.append(xi)
+        total = total + Xi0
+    u = epigraph_trace_inverse(prog, *xis, shift=0.5)
+    prog.set_objective(real_trace(np.eye(3), u))
+    sol = solve(prog, tol=1e-9)
+    assert sol.optimal
+    assert sol.objective == pytest.approx(np.trace(np.linalg.inv(total)).real, rel=1e-5)
 
 
 def test_infeasible_program_detected():
@@ -624,7 +652,7 @@ def test_assemble_dimensions_consistent():
     prog.add_eq(real_trace(np.eye(3), W) - 2.0)
     prog.set_objective(scalar_term(t) + real_trace(np.eye(3), W))
     form = assemble(prog)
-    assert form.n_x == W.n_params + 1
+    assert form.A.shape[1] == W.n_params + 1
     assert form.n_zero == 1
     assert form.n_nonneg == 1
     assert form.psd_sides == [3]
@@ -636,25 +664,26 @@ def test_ruiz_equilibrate_matches_matrix_products():
     # per pass, with the same arithmetic, so the results are equal
     form = _cone_form()
     rng = np.random.default_rng(13)
-    A = form.A.tocsr(copy=True)
-    A.data = rng.standard_normal(A.nnz) * 10.0 ** rng.integers(-4, 5, A.nnz)
-    form.A = A
+    A = form.A
+    nz = A != 0
+    A[nz] = rng.standard_normal(nz.sum()) * 10.0 ** rng.integers(-4, 5, nz.sum())
+    A = A.copy()   # ruiz_equilibrate scales form.A in place
     # complex PSD rows are read at 1/sqrt(2), as entries of the realified rows
     row_weight = np.ones(A.shape[0])
     for sl, cplx in zip(form.psd_slices, form.psd_complex):
         row_weight[sl] = np.sqrt(2.0) if cplx else 1.0
     D, E = np.ones(A.shape[0]), np.ones(A.shape[1])
     for _ in range(10):
-        mag = abs(A).toarray() / row_weight[:, None]
+        mag = abs(A) / row_weight[:, None]
         rows = mag.max(axis=1)
         for sl in form.psd_slices:
             rows[sl] = rows[sl].max()
         dr = 1.0 / np.sqrt(np.clip(rows, 1e-10, 1e10))
         dc = 1.0 / np.sqrt(np.clip(mag.max(axis=0), 1e-10, 1e10))
-        A = scipy.sparse.diags(dr) @ A @ scipy.sparse.diags(dc)
+        A = np.diag(dr) @ A @ np.diag(dc)
         D, E = D * dr, E * dc
     As, bs, cs, Ds, Es = solver.ruiz_equilibrate(form)
-    np.testing.assert_array_equal(As.toarray(), A.toarray())
+    np.testing.assert_array_equal(As, A)
     np.testing.assert_array_equal(Ds, D)
     np.testing.assert_array_equal(Es, E)
     np.testing.assert_array_equal(bs, D * form.b)
@@ -697,7 +726,7 @@ def test_assemble_matches_dense_evaluation():
     assert form.psd_sides == [4, 3]
     assert form.psd_complex == [True, False]
     for _ in range(5):
-        x = rng.standard_normal(form.n_x)
+        x = rng.standard_normal(form.A.shape[1])
         assignments = prog.split_solution(x, form.offsets)
         s = form.b - form.A @ x
         assert form.c @ x + prog.objective.const == pytest.approx(

@@ -633,7 +633,7 @@ def test_ee_chords_on_a_received_power_scalar_keep_the_optimum(monkeypatch):
     assert wide.eq_constraints == []
     # the 128 chord rows, after the power and SINR rows: two entries each,
     # against the whole functional, K m^2 entries over the Z_k plus t_k
-    counts = [np.diff(solver.assemble(p).A.indptr)[len(p.eq_constraints):][3:131]
+    counts = [np.count_nonzero(solver.assemble(p).A, axis=1)[len(p.eq_constraints):][3:131]
               for p in (prog, wide)]
     assert set(counts[0]) == {2} and set(counts[1]) == {2 * 5**2 + 1}
     narrow, full = solve(prog, **kwargs), solve(wide, **kwargs)
