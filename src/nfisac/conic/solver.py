@@ -473,12 +473,12 @@ class _Cone:
             isq = 1.0 / np.sqrt(lam)
             self.pad_scale = self.pad_w * isq[self.pad_at[0]] * isq[self.pad_at[1]]
 
-    def _scale(self, v, d, op, L):
+    def _scale(self, v, d, op, L, out=None):
         """d v on the nonnegative rows, then, column by column of v, op(g) X on
         the rows X of each explicit group g and L(g) X L(g)^H on each other
-        block X (L returns both factors)."""
+        block X (L returns both factors); into out when given (of v's shape)."""
         V = v.reshape(self.m, -1)
-        out = np.empty(V.shape)
+        out = np.empty(V.shape) if out is None else out
         out[: self.q] = V[: self.q] * d[:, None]
         for g in self.explicit:
             X = V[g.sel].reshape(len(g.rows), g.r, -1)
@@ -493,9 +493,9 @@ class _Cone:
         """W^T v."""
         return self._scale(v, self.d, lambda g: g.T, lambda g: (g.R, g.RH))
 
-    def inv_t(self, v):
-        """W^-T v (v a vector or a matrix of columns)."""
-        return self._scale(v, self.d_inv, lambda g: g.Tinv, lambda g: (g.Rinv, g.RinvH))
+    def inv_t(self, v, out=None):
+        """W^-T v (v a vector or a matrix of columns), into out when given."""
+        return self._scale(v, self.d_inv, lambda g: g.Tinv, lambda g: (g.Rinv, g.RinvH), out)
 
     def inv(self, v):
         """W^-1 v."""
@@ -551,19 +551,20 @@ class _Newton:
 
     Given t = W^-T rz, returns dx, dy and W dz = Gt dx - t, Gt = W^-T G: dx, dy
     solve [H A0^T; A0 0] = (rx + Gt^T t, ry), H = Gt^T Gt, through U^T U = H +
-    A0^T A0 and its Schur complement.  U, the R of [Gt; A0], has the square
-    root of the condition number of H, which reaches 1e16 near the optimum.
+    A0^T A0 and its Schur complement.  U, the R of GA = [Gt; A0] (Gt its
+    first m rows, read as views), has the square root of the condition
+    number of H, which reaches 1e16 near the optimum.
     """
 
-    def __init__(self, Gt, A0):
-        self.Gt, self.A0 = Gt, A0
-        self.U = np.linalg.qr(np.vstack([Gt, A0]), mode="r")
+    def __init__(self, GA, m):
+        self.Gt, self.A0 = GA[:m], GA[m:]
+        self.U = np.linalg.qr(GA, mode="r")
         d = np.abs(np.diagonal(self.U))
         if not d.min() > 1e-15 * d.max():
             raise np.linalg.LinAlgError("singular Newton matrix")
-        if A0.shape[0]:
-            self.Y = _cho_solve(self.U, A0.T)
-            self.S = np.linalg.cholesky(A0 @ self.Y).T
+        if self.A0.shape[0]:
+            self.Y = _cho_solve(self.U, self.A0.T)
+            self.S = np.linalg.cholesky(self.A0 @ self.Y).T
 
     def solve(self, rx, ry, t):
         u = _cho_solve(self.U, rx + self.Gt.T @ t + self.A0.T @ ry)
@@ -588,6 +589,7 @@ def _interior_point(form, A, b, c, tol, max_iter, start=None):
     """
     p = form.n_zero
     A0, G, b0, h = A[:p], A[p:], b[:p], b[p:]
+    m = G.shape[0]
     Gh = np.column_stack([G, h])
     cone = _Cone(form)
     norm_b, norm_c = max(1.0, np.linalg.norm(b)), max(1.0, np.linalg.norm(c))
@@ -596,7 +598,7 @@ def _interior_point(form, A, b, c, tol, max_iter, start=None):
         # conelp's start: x minimizes ||G x - h|| on A0 x = b0, (y, z)
         # minimizes ||z|| on A^T (y, z) + c = 0; both are projected onto K
         # and moved inside
-        newton = _Newton(G, A0)
+        newton = _Newton(np.vstack([G, A0]), m)
         x = newton.solve(np.zeros(A.shape[1]), b0, h)[0]
         s = project_cone(b - A @ x, form)[p:] + cone.e
         _, y, z = newton.solve(-c, np.zeros(p), np.zeros(h.size))
@@ -610,6 +612,9 @@ def _interior_point(form, A, b, c, tol, max_iter, start=None):
     cone.rescale(s, z)
     tau = kappa = 1.0
 
+    # each step's Newton matrix [W^-T G  W^-T h; A0 0], scaled in place
+    GhA = np.zeros((m + p, Gh.shape[1]))
+    GhA[m:, :-1] = A0
     status, best = "max_iter", (np.inf,)
     for it in range(max_iter + 1):
         s, z = cone.t(cone.lam), cone.inv(cone.lam)
@@ -632,10 +637,11 @@ def _interior_point(form, A, b, c, tol, max_iter, start=None):
         if status != "max_iter" or it == max_iter or max(measures) > DIVERGED * best[0]:
             break
         mu = (gap + tau * kappa) / (cone.degree + 1)
-        Gh_t = cone.inv_t(Gh)
-        h_t = Gh_t[:, -1].copy()   # contiguous, so its dot products round as h's did
+        newton = None   # its Gt is a view of the rows scaled next
+        cone.inv_t(Gh, out=GhA[:m])
+        h_t = GhA[:m, -1].copy()   # contiguous, so its dot products round as h's did
         try:
-            newton = _Newton(Gh_t[:, :-1], A0)
+            newton = _Newton(GhA[:, :-1], m)
         except np.linalg.LinAlgError:
             break
         x1, y1, z1 = newton.solve(c, -b0, -h_t)

@@ -6,6 +6,7 @@ target: linear MMSE estimate of the target response matrix, computed
 through the Kronecker identity so only n_tx-sized solves occur.
 """
 
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -72,11 +73,21 @@ class GridSpec:
         if not 0 < self.r_min < self.r_max or self.n_r < 3 or self.n_phi < 3:
             raise InvalidArgumentError("degenerate search grid")
 
+    @functools.cached_property
+    def _axes(self):
+        rs = np.geomspace(self.r_min, self.r_max, self.n_r)
+        phis = np.linspace(-np.pi / 2, np.pi / 2, self.n_phi + 2)[1:-1]
+        for axis in rs, phis:
+            axis.flags.writeable = False
+        return rs, phis
+
     def distances(self):
-        return np.geomspace(self.r_min, self.r_max, self.n_r)
+        """The n_r grid distances (read-only, computed once per grid)."""
+        return self._axes[0]
 
     def angles(self):
-        return np.linspace(-np.pi / 2, np.pi / 2, self.n_phi + 2)[1:-1]
+        """The n_phi grid angles, open interval (-pi/2, pi/2) (read-only)."""
+        return self._axes[1]
 
 
 def default_grid(geom):
@@ -88,6 +99,10 @@ def default_grid(geom):
 _GRID_CACHE = {}
 _GRID_LOCK = threading.Lock()
 
+#: grid columns built per block (whole distance rows, at least one): bounds
+#: the temporaries of a grid build to a few MB whatever the grid's size
+GRID_BLOCK = 4096
+
 
 def _grid_steering(geom, grid, side):
     """Steering vectors over the flattened grid and their squared norms.
@@ -95,15 +110,25 @@ def _grid_steering(geom, grid, side):
     Returns the (n, n_r * n_phi) matrix B and the vector ||b||^2 of its
     columns.  Grids are cached by aperture rather than by side, so equal
     tx and rx arrays share one grid; the lock keeps concurrent trial
-    workers from building the same grid twice.
+    workers from building the same grid twice.  B and ||b||^2 are
+    allocated once and filled GRID_BLOCK columns at a time, with the same
+    elementwise arithmetic and summation order as one broadcast over the
+    whole grid, so no temporary is the grid's size.
     """
     deltas = geom.tx_offsets if side == "tx" else geom.rx_offsets
     key = (tuple(deltas), geom.spacing, geom.wavelength, grid)
     with _GRID_LOCK:
         if key not in _GRID_CACHE:
-            B = geometry.steering_vectors(geom, grid.distances()[:, None], grid.angles()[None, :],
-                                          side).reshape(len(deltas), -1)
-            _GRID_CACHE[key] = B, _abs2(B).sum(axis=0)
+            rs, phis = grid.distances(), grid.angles()
+            B = np.empty((len(deltas), grid.n_r * grid.n_phi), dtype=complex)
+            B_sq = np.empty(B.shape[1])
+            step = max(1, GRID_BLOCK // grid.n_phi)
+            for i in range(0, grid.n_r, step):
+                cols = slice(i * grid.n_phi, min(i + step, grid.n_r) * grid.n_phi)
+                block = geometry.steering_vectors(geom, rs[i: i + step, None], phis[None, :], side)
+                B[:, cols] = block.reshape(len(deltas), -1)
+                B_sq[cols] = _abs2(B[:, cols]).sum(axis=0)
+            _GRID_CACHE[key] = B, B_sq
         return _GRID_CACHE[key]
 
 
@@ -170,10 +195,12 @@ def mle_point(echo, geom, grid=None):
         a = T @ bt
         return np.sum((Q @ br).conj() * a, axis=0), geom.n_rx * _abs2(a).sum(axis=0)
 
-    def point_score(r, phi):
+    def at_point(r, phi):
+        """(score, mu) at one point."""
         corr, energy = likelihood(geometry.steering_vector(geom, r, phi, side="tx"),
                                   geometry.steering_vector(geom, r, phi, side="rx"))
-        return _abs2(corr) / max(energy, 1e-300)
+        energy = max(energy, 1e-300)
+        return _abs2(corr) / energy, complex(corr / energy)
 
     corr, energy = likelihood(_grid_steering(geom, grid, "tx")[0],
                               _grid_steering(geom, grid, "rx")[0])
@@ -183,11 +210,11 @@ def mle_point(echo, geom, grid=None):
     r_hat, phi_hat = _refine(score, ir, ip, rs, phis)
     # keep the refinement only when it actually improves the likelihood,
     # so exact on-grid truths are returned untouched
-    if point_score(r_hat, phi_hat) < score[ir, ip]:
+    refined, mu = at_point(r_hat, phi_hat)
+    if refined < score[ir, ip]:
         r_hat, phi_hat = float(rs[ir]), float(phis[ip])
-    corr, energy = likelihood(geometry.steering_vector(geom, r_hat, phi_hat, side="tx"),
-                              geometry.steering_vector(geom, r_hat, phi_hat, side="rx"))
-    return r_hat, phi_hat, complex(corr / max(energy, 1e-300))
+        mu = at_point(r_hat, phi_hat)[1]
+    return r_hat, phi_hat, mu
 
 
 def music_2d(echo, geom, grid=None):

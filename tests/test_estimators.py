@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,62 @@ def test_grid_steering_shared_between_equal_apertures():
     r, phi = GRID.distances()[7], GRID.angles()[60]
     np.testing.assert_array_equal(B5[:, 7 * GRID.n_phi + 60],
                                   geometry.steering_vector(g, r, phi, side="rx"))
+
+
+def _one_shot_grid(geom, grid, side):
+    """The grid as one broadcast over all of it, and its column norms."""
+    B = geometry.steering_vectors(geom, grid.distances()[:, None], grid.angles()[None, :], side)
+    B = B.reshape(B.shape[0], -1)
+    return B, estimators._abs2(B).sum(axis=0)
+
+
+DESK_GEOM = geometry.ArrayGeometry(n_tx=16, n_rx=16, n_rf=4, carrier_freq=28e9)
+RX5_GEOM = geometry.ArrayGeometry(n_tx=8, n_rx=5, n_rf=4, carrier_freq=28e9)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+@pytest.mark.parametrize("geom, grid, side", [
+    # 200 distance rows, 11 to the default block
+    (DESK_GEOM, estimators.default_grid(DESK_GEOM), "tx"),
+    (RX5_GEOM, GRID, "rx"),
+    (RX5_GEOM, estimators.GridSpec(r_min=0.1, r_max=0.8, n_r=61, n_phi=91), "tx"),
+], ids=["desk-tx", "rx5", "n_r-61"])
+def test_blocked_grid_equals_one_shot_build(monkeypatch, rows, geom, grid, side):
+    monkeypatch.setattr(estimators, "_GRID_CACHE", {})
+    if rows is not None:
+        monkeypatch.setattr(estimators, "GRID_BLOCK", rows * grid.n_phi)
+    B, B_sq = estimators._grid_steering(geom, grid, side)
+    ref, ref_sq = _one_shot_grid(geom, grid, side)
+    np.testing.assert_array_equal(B, ref)
+    np.testing.assert_array_equal(B_sq, ref_sq)
+    np.testing.assert_array_equal(B_sq, estimators._abs2(B).sum(axis=0))
+
+
+def test_grid_build_holds_no_grid_sized_temporary(monkeypatch):
+    # a 64-element aperture on its default grid: B is 74 MB, and a build in
+    # one broadcast peaks at about 2.5 times that
+    monkeypatch.setattr(estimators, "_GRID_CACHE", {})
+    geom = geometry.ArrayGeometry(n_tx=64, n_rx=64, n_rf=4, carrier_freq=28e9)
+    tracemalloc.start()
+    try:
+        B, B_sq = estimators._grid_steering(geom, estimators.default_grid(geom), "tx")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (B.nbytes + B_sq.nbytes)
+
+
+def test_grid_axes_computed_once_and_read_only():
+    grid = estimators.GridSpec(r_min=0.1, r_max=0.8, n_r=60, n_phi=91)
+    rs, phis = grid.distances(), grid.angles()
+    assert grid.distances() is rs and grid.angles() is phis
+    np.testing.assert_array_equal(rs, np.geomspace(0.1, 0.8, 60))
+    np.testing.assert_array_equal(phis, np.linspace(-np.pi / 2, np.pi / 2, 93)[1:-1])
+    for axis in rs, phis:
+        with pytest.raises(ValueError):
+            axis[0] = 1.0
+    # the cached axes are not fields: equal specs stay equal and hash alike
+    assert grid == GRID and hash(grid) == hash(GRID)
 
 
 def test_lmmse_noiseless_exact():

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -733,6 +734,35 @@ def test_stalled_extended_solve_stops_at_its_best_iterate(monkeypatch):
     early = solve(prog, **dict(kwargs, max_iter=sol.iterations - 10))
     assert max(measures(early)) > max(measures(sol))
     assert measures(solve(prog, **dict(kwargs, max_iter=sol.iterations - 1))) == measures(sol)
+
+
+def test_interior_point_working_set_of_an_extended_subproblem(monkeypatch):
+    # the first 8-antenna desk extended subproblem (A 518 x 196): a 3-step
+    # solve holds A, [G h], one scaled [G h; A0 0] and QR workspace, not a
+    # fresh scaled copy and a stacked copy per Newton step
+    cfg = config.loads_config('{"geometry": {"n_tx": 8, "n_rx": 8}, "target": '
+                              '{"kind": "extended", "prior_variance": 1.0}}', scale="desk")
+    programs = []
+
+    def first_program(prog, **kwargs):
+        programs.append((prog, kwargs))
+        raise _FirstSubproblem
+
+    with monkeypatch.context() as m:
+        m.setattr(sca, "solve", first_program)
+        with pytest.raises(_FirstSubproblem):
+            sca.solve_extended_sca(config.config_to_scenario(cfg))
+    prog, kwargs = programs[0]
+    A = solver.assemble(prog).A
+    assert A.shape == (518, 196)
+    tracemalloc.start()
+    try:
+        sol = solve(prog, **dict(kwargs, max_iter=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.iterations == 3
+    assert peak <= 7.5 * A.nbytes
 
 
 def test_extended_requires_extended_target():
