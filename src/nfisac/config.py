@@ -164,12 +164,17 @@ def _merge(base, override, where=""):
     return base
 
 
-def default_config(scale="paper"):
+def _defaults(scale):
+    """The unvalidated default configuration of a scale, "paper" or "desk"."""
     if scale == "paper":
-        return _validate(_paper_defaults())
+        return _paper_defaults()
     if scale == "desk":
-        return _validate(_desk_defaults())
+        return _desk_defaults()
     raise InvalidArgumentError(f"unknown scale {scale!r}")
+
+
+def default_config(scale="paper"):
+    return _validate(_defaults(scale))
 
 
 def loads_config(text, scale="paper"):
@@ -180,7 +185,7 @@ def loads_config(text, scale="paper"):
         raise InvalidArgumentError(f"configuration is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise InvalidArgumentError("configuration must be a JSON object")
-    base = _paper_defaults() if scale == "paper" else _desk_defaults()
+    base = _defaults(scale)
     # whole-block replacement for the list-valued and variant-typed keys
     for key in ("users", "architectures", "target"):
         if key in user:

@@ -296,9 +296,13 @@ def run_sweep(cfg):
     threshold down and the best design found so far is carried along: a
     design feasible at a tighter threshold stays feasible at a looser one,
     which keeps the reported bound curve monotone even when individual
-    optimizer runs stop early.
+    optimizer runs stop early.  A partially-connected wiring that cannot
+    be built (n_rf not dividing n_tx) raises InvalidArgumentError before
+    the first design.
     """
     base = config_mod.config_to_scenario(cfg)
+    if "partially" in cfg.architectures:
+        hybrid.connection_groups(base.geom.n_tx, base.geom.n_rf)
     var = cfg.sweep.get("variable", "none")
     values = list(cfg.sweep.get("values", []))
     if var == "none" or not values:

@@ -148,14 +148,29 @@ def test_bad_config_exit_code(tmp_path, capsys):
 def test_cli_fixes_one_blas_thread_before_numpy_loads(user, expected):
     # a fresh interpreter that loads the CLI first: every BLAS variable the
     # user left unset reads 1 before numpy loads, and one the user set wins;
-    # of scipy, the CLI loads neither scipy.sparse nor scipy.constants
+    # it loads no scipy module
     env = {k: v for k, v in os.environ.items() if k not in harness.BLAS_THREAD_VARS}
     env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
     if user is not None:
         env["OPENBLAS_NUM_THREADS"] = user
     code = ("import os, sys, nfisac.cli; "
             "print(*(os.environ[v] for v in nfisac.harness.BLAS_THREAD_VARS)); "
-            "print(*(m for m in ('scipy.sparse', 'scipy.constants') if m in sys.modules))")
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split("\n")[:2] == [expected, ""]
+
+
+def test_checks_and_a_desk_design_run_without_scipy():
+    # a fresh interpreter in which every scipy import raises ImportError:
+    # the CLI's invariant checks and a desk point-target design need numpy
+    # alone
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from nfisac import cli, config, harness; "
+            "status = cli.main(['check', '--scale', 'desk']); "
+            "scn = config.config_to_scenario(config.default_config('desk')); "
+            "print(status, harness.optimize_scenario(scn)[2].status)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split("\n")[-2] == "0 converged"

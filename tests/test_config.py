@@ -83,6 +83,14 @@ def test_scale_defaults_differ():
         config.default_config("huge")
 
 
+def test_unknown_scale_rejected_when_parsing():
+    # a configuration is filled from the same scale defaults default_config
+    # serves, so an unknown scale fails there too instead of reading as desk
+    with pytest.raises(InvalidArgumentError, match="unknown scale 'huge'"):
+        config.loads_config("{}", scale="huge")
+    assert config.loads_config("{}", scale="desk") == config.default_config("desk")
+
+
 def test_config_to_scenario_converts_units_once():
     scn = config.config_to_scenario(config.default_config("desk"))
     assert scn.power_budget == pytest.approx(10 ** 3.4)

@@ -291,6 +291,27 @@ def test_run_sweep_reports_infeasible_points():
     assert [(r.arch, r.value) for r in rows] == [("none", 1.0)]
 
 
+class _Designed(Exception):
+    pass
+
+
+def test_run_sweep_rejects_an_impossible_wiring_before_designing(monkeypatch):
+    # 3 RF chains cannot share 16 antennas in equal groups: the sweep fails
+    # before its first design, whose rows it would otherwise discard; a
+    # sweep without the partially-connected wiring goes on to design
+    def design(scn):
+        raise _Designed
+
+    monkeypatch.setattr(harness, "optimize_scenario", design)
+    cfg = config.loads_config('{"geometry": {"n_rf": 3}}', scale="desk")
+    with pytest.raises(InvalidArgumentError, match=r"n_rf \| n_tx"):
+        harness.run_sweep(cfg)
+    digital = config.loads_config('{"geometry": {"n_rf": 3}, "architectures": ["digital"]}',
+                                  scale="desk")
+    with pytest.raises(_Designed):
+        harness.run_sweep(digital)
+
+
 def test_run_sweep_reports_target_nulling_designs(monkeypatch):
     # a design, or a hybrid factorization of it, that puts no power on the
     # target has no bound: that architecture gets a status row and the sweep

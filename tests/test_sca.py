@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import minimize_scalar
 
 from nfisac import bounds, config, geometry, harness, metrics, sca
@@ -702,26 +703,26 @@ def test_extended_penalized_run_is_rank_one_and_feasible():
 
 
 def test_stalled_extended_solve_stops_at_its_best_iterate(monkeypatch):
-    # the 8-antenna desk extended target's subproblems stall short of
-    # sdp_tol; the third one, started from the second one's solution,
-    # reaches its best after 14 Newton steps and its measures then climb
-    # far above it.  The solve ends max_iter within 10 steps of its best
-    # iterate and returns that iterate's residuals.
+    # the 8-antenna desk extended target's later subproblems stall short of
+    # sdp_tol; the fifteenth one, started from the fourteenth one's
+    # solution, reaches its best after 14 Newton steps and its measures then
+    # climb far above it.  The solve ends max_iter within 10 steps of its
+    # best iterate and returns that iterate's residuals.
     cfg = config.loads_config('{"geometry": {"n_tx": 8, "n_rx": 8}, "target": '
                               '{"kind": "extended", "prior_variance": 1.0}}', scale="desk")
     programs = []
 
-    def third_program(prog, **kwargs):
+    def fifteenth_program(prog, **kwargs):
         programs.append((prog, kwargs))
-        if len(programs) == 3:
+        if len(programs) == 15:
             raise _FirstSubproblem
         return solve(prog, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(sca, "solve", third_program)
+        m.setattr(sca, "solve", fifteenth_program)
         with pytest.raises(_FirstSubproblem):
             sca.solve_extended_sca(config.config_to_scenario(cfg))
-    prog, kwargs = programs[2]
+    prog, kwargs = programs[14]
 
     def measures(sol):
         return sol.primal_residual, sol.dual_residual, sol.duality_gap
@@ -734,6 +735,48 @@ def test_stalled_extended_solve_stops_at_its_best_iterate(monkeypatch):
     early = solve(prog, **dict(kwargs, max_iter=sol.iterations - 10))
     assert max(measures(early)) > max(measures(sol))
     assert measures(solve(prog, **dict(kwargs, max_iter=sol.iterations - 1))) == measures(sol)
+
+
+def test_newton_solves_as_accurate_as_cholesky_solves(monkeypatch):
+    # every Newton matrix [Gt; A0] of the paper design's first subproblem
+    # (cond(U) from 1e1 to about 1e13): the solver's (dx, dy, W dz) satisfy the
+    # three block equations A0^T dy + Gt^T W dz = rx, A0 dx = ry and
+    # Gt dx - W dz = t to within 10 times the residual of LAPACK's
+    # Cholesky solves with the same U and Schur complement
+    scn = config.config_to_scenario(config.default_config("paper"))
+    prog, kwargs = _first_point_subproblem(monkeypatch, scn, harness._sweep_options(scn))
+    matrices = []
+
+    class Recorded(solver._Newton):
+        def __init__(self, GA, m):
+            matrices.append((GA.copy(), m))
+            super().__init__(GA, m)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_Newton", Recorded)
+        assert solve(prog, **kwargs).optimal
+    assert len(matrices) > 20
+
+    def cholesky_solve(GA, m, rx, ry, t):
+        Gt, A0 = GA[:m], GA[m:]
+        U = (np.linalg.qr(GA, mode="r"), False)
+        Y = scipy.linalg.cho_solve(U, A0.T)
+        u = scipy.linalg.cho_solve(U, rx + Gt.T @ t + A0.T @ ry)
+        dy = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A0 @ Y), A0 @ u - ry)
+        u = u - Y @ dy
+        return u, dy, Gt @ u - t
+
+    def residual(GA, m, rx, ry, t, dx, dy, w_dz):
+        Gt, A0 = GA[:m], GA[m:]
+        r = np.concatenate([A0.T @ dy + Gt.T @ w_dz - rx, A0 @ dx - ry, Gt @ dx - w_dz - t])
+        return np.linalg.norm(r) / np.linalg.norm(np.concatenate([rx, ry, t]))
+
+    rng = np.random.default_rng(0)
+    for GA, m in matrices:
+        rhs = [rng.standard_normal(k) for k in (GA.shape[1], GA.shape[0] - m, m)]
+        ours = residual(GA, m, *rhs, *solver._Newton(GA, m).solve(*rhs))
+        reference = residual(GA, m, *rhs, *cholesky_solve(GA, m, *rhs))
+        assert ours <= 10 * max(reference, np.finfo(float).eps)
 
 
 def test_interior_point_working_set_of_an_extended_subproblem(monkeypatch):
