@@ -1,9 +1,10 @@
 """Echo simulation and estimator baselines for validating the bounds.
 
-Point target: concentrated grid maximum likelihood and 2D MUSIC over a
-(distance, angle) search grid with local quadratic refinement.  Extended
-target: linear MMSE estimate of the target response matrix, computed
-through the Kronecker identity so only n_tx-sized solves occur.
+Point target: concentrated maximum likelihood and 2D MUSIC, each the
+argmax of a coarse (distance, angle) search grid refined on two local
+grids and a quadratic vertex fit (_search).  Extended target: linear MMSE
+estimate of the target response matrix, computed through the Kronecker
+identity so only n_tx-sized solves occur.
 """
 
 import functools
@@ -93,7 +94,7 @@ class GridSpec:
 def default_grid(geom):
     r_max = 1.5 * geometry.rayleigh_distance(geom)
     return GridSpec(r_min=min(0.5, 0.25 * r_max), r_max=r_max,
-                    n_r=200, n_phi=361)
+                    n_r=50, n_phi=91)
 
 
 _GRID_CACHE = {}
@@ -104,16 +105,22 @@ _GRID_LOCK = threading.Lock()
 GRID_BLOCK = 4096
 
 
+def _product_steering(geom, rs, phis, side):
+    """Steering vectors over the product grid rs x phis, one column per point."""
+    B = geometry.steering_vectors(geom, rs[:, None], phis[None, :], side)
+    return B.reshape(B.shape[0], -1)
+
+
 def _grid_steering(geom, grid, side):
     """Steering vectors over the flattened grid and their squared norms.
 
     Returns the (n, n_r * n_phi) matrix B and the vector ||b||^2 of its
     columns.  Grids are cached by aperture rather than by side, so equal
-    tx and rx arrays share one grid; the lock keeps concurrent trial
-    workers from building the same grid twice.  B and ||b||^2 are
-    allocated once and filled GRID_BLOCK columns at a time, with the same
-    elementwise arithmetic and summation order as one broadcast over the
-    whole grid, so no temporary is the grid's size.
+    tx and rx arrays share one grid; the lock keeps callers that estimate
+    from several threads from building the same grid twice.  B and ||b||^2
+    are allocated once and filled GRID_BLOCK columns at a time, with the
+    same elementwise arithmetic and summation order as one broadcast over
+    the whole grid, so no temporary is the grid's size.
     """
     deltas = geom.tx_offsets if side == "tx" else geom.rx_offsets
     key = (tuple(deltas), geom.spacing, geom.wavelength, grid)
@@ -125,8 +132,7 @@ def _grid_steering(geom, grid, side):
             step = max(1, GRID_BLOCK // grid.n_phi)
             for i in range(0, grid.n_r, step):
                 cols = slice(i * grid.n_phi, min(i + step, grid.n_r) * grid.n_phi)
-                block = geometry.steering_vectors(geom, rs[i: i + step, None], phis[None, :], side)
-                B[:, cols] = block.reshape(len(deltas), -1)
+                B[:, cols] = _product_steering(geom, rs[i: i + step], phis, side)
                 B_sq[cols] = _abs2(B[:, cols]).sum(axis=0)
             _GRID_CACHE[key] = B, B_sq
         return _GRID_CACHE[key]
@@ -137,31 +143,91 @@ def _abs2(z):
     return z.real**2 + z.imag**2
 
 
-def _refine(score, ir, ip, rs, phis):
-    """Quadratic vertex fit on the 3x3 neighborhood of the grid argmax.
+#: points per axis of each local grid, local grids scored per search, and
+#: the first local grid's half-width in coarse cells (distance, angle)
+ZOOM_POINTS = 9
+ZOOM_STEPS = 2
+ZOOM_SPAN = (2.0, 1.0)
 
-    Distances are refined in log space to match their geometric spacing.
+
+def _vertex(score, jr, jp):
+    """Offset of the score's local quadratic vertex from the grid point (jr, jp).
+
+    The quadratic interpolates the 3x3 neighborhood of (jr, jp), cross term
+    included, so the vertex follows a ridge that is not aligned with the
+    axes.  On the grid's edge, or where the neighborhood is not strictly
+    concave, each interior axis gets its own parabola instead.  The offset
+    is in cells of the grid along (distance, angle).
     """
-    n_r, n_phi = len(rs), len(phis)
+    n_r, n_phi = score.shape
+    f0 = score[jr, jp]
+    if 0 < jr < n_r - 1 and 0 < jp < n_phi - 1:
+        gr = 0.5 * (score[jr + 1, jp] - score[jr - 1, jp])
+        gp = 0.5 * (score[jr, jp + 1] - score[jr, jp - 1])
+        hrr = score[jr + 1, jp] - 2.0 * f0 + score[jr - 1, jp]
+        hpp = score[jr, jp + 1] - 2.0 * f0 + score[jr, jp - 1]
+        hrp = 0.25 * (score[jr + 1, jp + 1] - score[jr + 1, jp - 1]
+                      - score[jr - 1, jp + 1] + score[jr - 1, jp - 1])
+        det = hrr * hpp - hrp * hrp
+        if hrr < 0 and det > 0:
+            return np.array([hrp * gp - hpp * gr, hrp * gr - hrr * gp]) / det
 
-    def offset(fm, f0, fp):
+    def parabola(fm, fp):
         den = fm - 2.0 * f0 + fp
         if den >= -1e-300:  # not a strict local max along this axis
             return 0.0
-        return float(np.clip(0.5 * (fm - fp) / den, -0.5, 0.5))
+        return 0.5 * (fm - fp) / den
 
-    dr = 0.0
-    if 0 < ir < n_r - 1:
-        dr = offset(score[ir - 1, ip], score[ir, ip], score[ir + 1, ip])
-    dp = 0.0
-    if 0 < ip < n_phi - 1:
-        dp = offset(score[ir, ip - 1], score[ir, ip], score[ir, ip + 1])
-    r_hat = float(rs[ir])
-    if dr != 0.0:
-        # exp(log(r)) is inexact, so an unrefined distance skips the round trip
-        r_hat = float(np.exp(np.log(rs[ir]) + dr * np.log(rs[1] / rs[0])))
-    phi_hat = float(phis[ip] + dp * (phis[1] - phis[0]))
-    return r_hat, phi_hat
+    return np.array([parabola(score[jr - 1, jp], score[jr + 1, jp]) if 0 < jr < n_r - 1 else 0.0,
+                     parabola(score[jr, jp - 1], score[jr, jp + 1]) if 0 < jp < n_phi - 1 else 0.0])
+
+
+def _search(grid, coarse, score):
+    """Coarse-to-fine maximum (r, phi) of a score over the search grid.
+
+    coarse holds the score at the grid points, shape (n_r, n_phi), and
+    score(rs, phis) scores the product grid of distances rs and angles
+    phis, shape (len(rs), len(phis)).  Each of ZOOM_STEPS steps scores a
+    local grid of up to ZOOM_POINTS x ZOOM_POINTS points in (log r, phi)
+    and takes the _vertex at its best point when the vertex scores higher
+    than that point.  The first grid spans ZOOM_SPAN coarse cells on either
+    side of the coarse argmax, each later one a cell of the last grid on
+    either side of the last grid's point nearest the vertex taken.  The
+    vertex, not the best point, sets the next grid because the score's
+    ridge is tilted in (log r, phi): on an angle a little off the peak, the
+    best distance lies cells away from the peak's.  The estimate is the
+    last vertex taken, or the last best point, so exact on-grid truths are
+    returned untouched.  Local grids are cut off at the search grid's
+    edges and at ZOOM_SPAN, so the estimate stays within ZOOM_SPAN coarse
+    cells of the argmax however the score rises beyond.
+    """
+    rs, phis = grid.distances(), grid.angles()
+    ir, ip = np.unravel_index(np.argmax(coarse), coarse.shape)
+    span = np.array(ZOOM_SPAN)
+    lo = np.maximum(-np.array([ir, ip]), -span)
+    hi = np.minimum([grid.n_r - 1 - ir, grid.n_phi - 1 - ip], span)
+
+    def point(w):
+        """(r, phi) at offsets w from the argmax, in coarse cells."""
+        return rs[ir] * np.exp(w[0] * np.log(rs[1] / rs[0])), phis[ip] + w[1] * (phis[1] - phis[0])
+
+    # points sit at multiples of each grid's cell: exact binary fractions,
+    # so the argmax is on every grid that covers it
+    mid, half = np.zeros(2), span
+    for _ in range(ZOOM_STEPS):
+        cell = half / ((ZOOM_POINTS - 1) // 2)
+        u, v = (c * np.arange(np.ceil(a / c), np.floor(b / c) + 1)
+                for c, a, b in zip(cell, np.maximum(lo, mid - half), np.minimum(hi, mid + half)))
+        local = score(*point((u, v)))
+        jr, jp = np.unravel_index(np.argmax(local), local.shape)
+        best = np.array([u[jr], v[jp]])
+        shift = cell * _vertex(local, jr, jp)
+        w = np.clip(best + shift, lo, hi)
+        if score(*(np.array([x]) for x in point(w)))[0, 0] < local[jr, jp]:
+            w, shift = best, np.zeros(2)
+        mid, half = np.clip(best + np.round(shift / cell) * cell, lo, hi), cell
+    r_hat, phi_hat = point(w)
+    return float(r_hat), float(phi_hat)
 
 
 def mle_point(echo, geom, grid=None):
@@ -170,7 +236,7 @@ def mle_point(echo, geom, grid=None):
     For each grid point the reflection coefficient has the closed form
     mu(r, phi) = Tr(A^H Y X^H) / ||A X||_F^2 with A = b_r b_t^H, so the
     residual ||Y - mu A X||_F^2 is minimized by maximizing
-    |b_r^H Y X^H b_t|^2 / (n_rx b_t^H X X^H b_t).
+    |b_r^H Y X^H b_t|^2 / (n_rx b_t^H X X^H b_t), searched by _search.
 
     Both quadratic forms are contracted through the thin SVD X = U S V^H,
     keeping the k singular values above numpy's matrix_rank tolerance
@@ -195,40 +261,38 @@ def mle_point(echo, geom, grid=None):
         a = T @ bt
         return np.sum((Q @ br).conj() * a, axis=0), geom.n_rx * _abs2(a).sum(axis=0)
 
-    def at_point(r, phi):
-        """(score, mu) at one point."""
-        corr, energy = likelihood(geometry.steering_vector(geom, r, phi, side="tx"),
-                                  geometry.steering_vector(geom, r, phi, side="rx"))
-        energy = max(energy, 1e-300)
-        return _abs2(corr) / energy, complex(corr / energy)
+    def local(rs, phis):
+        """likelihood() over the product grid rs x phis, one column per point."""
+        bt = _product_steering(geom, rs, phis, "tx")
+        return likelihood(bt, bt if geom.n_rx == geom.n_tx else
+                          _product_steering(geom, rs, phis, "rx"))
 
-    corr, energy = likelihood(_grid_steering(geom, grid, "tx")[0],
-                              _grid_steering(geom, grid, "rx")[0])
-    score = (_abs2(corr) / np.maximum(energy, 1e-300)).reshape(grid.n_r, grid.n_phi)
-    rs, phis = grid.distances(), grid.angles()
-    ir, ip = np.unravel_index(np.argmax(score), score.shape)
-    r_hat, phi_hat = _refine(score, ir, ip, rs, phis)
-    # keep the refinement only when it actually improves the likelihood,
-    # so exact on-grid truths are returned untouched
-    refined, mu = at_point(r_hat, phi_hat)
-    if refined < score[ir, ip]:
-        r_hat, phi_hat = float(rs[ir]), float(phis[ip])
-        mu = at_point(r_hat, phi_hat)[1]
-    return r_hat, phi_hat, mu
+    def score(corr, energy):
+        return _abs2(corr) / np.maximum(energy, 1e-300)
+
+    coarse = score(*likelihood(_grid_steering(geom, grid, "tx")[0],
+                               _grid_steering(geom, grid, "rx")[0]))
+    r_hat, phi_hat = _search(grid, coarse.reshape(grid.n_r, grid.n_phi),
+                             lambda rs, phis: score(*local(rs, phis)).reshape(len(rs), len(phis)))
+    (corr,), (energy,) = local(np.array([r_hat]), np.array([phi_hat]))
+    return r_hat, phi_hat, complex(corr / max(energy, 1e-300))
 
 
 def music_2d(echo, geom, grid=None):
     """2D MUSIC location estimate from the echo sample covariance.
 
     Single-target variant: the signal subspace is the dominant eigenvector
-    u_1 of (1/L) Y Y^H and the pseudo-spectrum is the inverse squared noise
-    subspace projection ||E_n^H b_r||^2 of the receive steering vector.
-    The eigenvectors are orthonormal, so over the grid that projection is
-    ||b_r||^2 - |u_1^H b_r|^2, one n_rx-vector product per point with the
-    column norms ||b_r||^2 cached next to the grid.  The difference loses
-    the digits that separate a noiseless peak from its neighbours, so the
-    3x3 cells the refinement reads, and the refined point, are scored with
-    E_n itself.
+    u_1 of (1/L) Y Y^H, and the estimate maximizes the negated squared
+    noise subspace projection -||E_n^H b_r||^2 of the receive steering
+    vector, searched by _search.  Its argmax is that of the usual
+    pseudo-spectrum 1/||E_n^H b_r||^2, but it is smooth where the
+    pseudo-spectrum is sharply peaked, so the vertex fit on it is not
+    biased.  The eigenvectors are orthonormal, so over the grid the
+    projection is ||b_r||^2 - |u_1^H b_r|^2, one n_rx-vector product per
+    point with the column norms ||b_r||^2 cached next to the grid.  The
+    difference loses the digits that separate a noiseless peak from its
+    neighbours, so the local grids and their vertices are scored with E_n
+    itself.
     """
     if geom.n_rx < 2:
         raise InvalidArgumentError("subspace method needs at least two receive elements")
@@ -241,22 +305,13 @@ def music_2d(echo, geom, grid=None):
     _, vecs = np.linalg.eigh(R)
     En = vecs[:, :-1]  # all but the largest-eigenvalue direction
 
-    def spectrum(br):
-        return 1.0 / np.maximum(_abs2(En.conj().T @ br).sum(axis=0), 1e-300)
+    def local(rs, phis):
+        proj = _abs2(En.conj().T @ _product_steering(geom, rs, phis, "rx")).sum(axis=0)
+        return -proj.reshape(len(rs), len(phis))
 
     Br, Br_sq = _grid_steering(geom, grid, "rx")
-    proj = Br_sq - _abs2(vecs[:, -1].conj() @ Br)
-    score = (1.0 / np.maximum(proj, 1e-300)).reshape(grid.n_r, grid.n_phi)
-    rs, phis = grid.distances(), grid.angles()
-    ir, ip = np.unravel_index(np.argmax(score), score.shape)
-    rows, cols = slice(max(ir - 1, 0), ir + 2), slice(max(ip - 1, 0), ip + 2)
-    cells = Br.reshape(-1, grid.n_r, grid.n_phi)[:, rows, cols]
-    score[rows, cols] = spectrum(cells.reshape(len(Br), -1)).reshape(cells.shape[1:])
-    r_hat, phi_hat = _refine(score, ir, ip, rs, phis)
-    refined = spectrum(geometry.steering_vector(geom, r_hat, phi_hat, side="rx"))
-    if refined < score[ir, ip]:
-        r_hat, phi_hat = float(rs[ir]), float(phis[ip])
-    return r_hat, phi_hat
+    coarse = _abs2(vecs[:, -1].conj() @ Br) - Br_sq
+    return _search(grid, coarse.reshape(grid.n_r, grid.n_phi), local)
 
 
 def lmmse_trm(echo, prior_variance, noise_power=None):

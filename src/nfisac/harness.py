@@ -4,18 +4,15 @@ run_sweep drives the optimizer over a swept variable and all requested
 architectures and collects every figure of merit into an append-only
 ResultTable with a fixed schema.  Deterministic bounds carry trials=0 and
 stderr=0; Monte Carlo rows carry the trial count and the standard error.
-Rows are sorted before emission so concurrent trial evaluation cannot
-change the artifact bytes.
+Rows are sorted before emission, so the artifact bytes do not depend on
+the order in which rows were appended.
 """
 
-import concurrent.futures
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import (BLAS_THREAD_VARS, bounds, config as config_mod, estimators, geometry, hybrid,
-               metrics, sca)
+from . import bounds, config as config_mod, estimators, geometry, hybrid, metrics, sca
 from .errors import (InvalidArgumentError, RankViolationError, ScenarioInfeasibleError,
                      SingularInformationError, UnidentifiableParametersError)
 from .units import dbm_to_mw
@@ -244,22 +241,6 @@ def _evaluate_design(table, scn, channels, var, value, arch, W_cols, extra_rows=
         table.append(var, value, arch, metric_name, v)
 
 
-def trial_workers():
-    """Workers of the Monte Carlo trial pool: max(1, cores // BLAS threads).
-
-    Each trial scores its grid with BLAS, so more workers than that only
-    oversubscribe the cores.  The thread count is the first of
-    BLAS_THREAD_VARS set to a positive integer; with none set, BLAS starts
-    one thread per core, which leaves one worker.
-    """
-    cores = os.cpu_count() or 1
-    for name in BLAS_THREAD_VARS:
-        value = os.environ.get(name, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cores // int(value))
-    return 1
-
-
 def estimator_trial_rows(table, scn, var, value, W_cols, trials, seed):
     """MLE RMSE rows with standard errors (two trials or more) and root-CRB rows."""
     if trials < 2:
@@ -275,8 +256,7 @@ def estimator_trial_rows(table, scn, var, value, W_cols, trials, seed):
         r_hat, phi_hat, _ = estimators.mle_point(echo, scn.geom, grid)
         return (r_hat - scn.target.distance) ** 2, (phi_hat - scn.target.angle) ** 2
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=trial_workers()) as pool:
-        errs = np.array(list(pool.map(one, range(trials))))
+    errs = np.array([one(t) for t in range(trials)])
     for name, col, crb in (("distance", 0, C[0, 0]), ("angle", 1, C[1, 1])):
         sq = errs[:, col]
         rmse = float(np.sqrt(sq.mean()))

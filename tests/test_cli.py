@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import nfisac
 from nfisac import cli, harness
 
 GOLDEN_DESK = pathlib.Path(__file__).parent / "data" / "desk_sweep.csv"
@@ -149,12 +150,12 @@ def test_cli_fixes_one_blas_thread_before_numpy_loads(user, expected):
     # a fresh interpreter that loads the CLI first: every BLAS variable the
     # user left unset reads 1 before numpy loads, and one the user set wins;
     # it loads no scipy module
-    env = {k: v for k, v in os.environ.items() if k not in harness.BLAS_THREAD_VARS}
+    env = {k: v for k, v in os.environ.items() if k not in nfisac.BLAS_THREAD_VARS}
     env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
     if user is not None:
         env["OPENBLAS_NUM_THREADS"] = user
     code = ("import os, sys, nfisac.cli; "
-            "print(*(os.environ[v] for v in nfisac.harness.BLAS_THREAD_VARS)); "
+            "print(*(os.environ[v] for v in nfisac.BLAS_THREAD_VARS)); "
             "print(*(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 
@@ -134,18 +135,22 @@ def _steering_grid(side):
                      for r in GRID.distances() for phi in GRID.angles()], axis=1)
 
 
-_REFINE = estimators._refine
+_VERTEX = estimators._vertex
 
 
-def _oracle_estimate(grid_score, point_score):
-    """Grid argmax, refinement and acceptance check as the estimators do them."""
-    rs, phis = GRID.distances(), GRID.angles()
-    grid_score = grid_score.reshape(GRID.n_r, GRID.n_phi)
-    ir, ip = np.unravel_index(np.argmax(grid_score), grid_score.shape)
-    r, phi = _REFINE(grid_score, ir, ip, rs, phis)
-    if point_score(r, phi) < grid_score[ir, ip]:
-        r, phi = float(rs[ir]), float(phis[ip])
-    return (ir, ip), r, phi
+def _oracle_estimate(grid_score, points_score):
+    """The estimators' own search on dense scores.
+
+    points_score(bt, br) scores the columns of tx and rx steering matrices;
+    local grids get theirs from one geometry.steering_vector call per point.
+    """
+    def local(rs, phis):
+        cols = [(geometry.steering_vector(GEOM, r, phi, side="tx"),
+                 geometry.steering_vector(GEOM, r, phi, side="rx")) for r in rs for phi in phis]
+        bt, br = (np.stack(side, axis=1) for side in zip(*cols))
+        return points_score(bt, br).reshape(len(rs), len(phis))
+
+    return estimators._search(GRID, grid_score.reshape(GRID.n_r, GRID.n_phi), local)
 
 
 def _dense_mle(echo):
@@ -161,14 +166,10 @@ def _dense_mle(echo):
         num, den = terms(bt, br)
         return np.abs(num) ** 2 / np.maximum(den, 1e-300)
 
-    def point(r, phi):
-        return (geometry.steering_vector(GEOM, r, phi, side="tx"),
-                geometry.steering_vector(GEOM, r, phi, side="rx"))
-
-    cell, r, phi = _oracle_estimate(score(_steering_grid("tx"), _steering_grid("rx")),
-                                    lambda r, phi: score(*point(r, phi)))
-    num, den = terms(*point(r, phi))
-    return cell, (r, phi, num / max(den, 1e-300))
+    r, phi = _oracle_estimate(score(_steering_grid("tx"), _steering_grid("rx")), score)
+    num, den = terms(geometry.steering_vector(GEOM, r, phi, side="tx"),
+                     geometry.steering_vector(GEOM, r, phi, side="rx"))
+    return r, phi, num / max(den, 1e-300)
 
 
 def _dense_music(echo):
@@ -176,26 +177,30 @@ def _dense_music(echo):
     _, vecs = np.linalg.eigh(echo.Y @ echo.Y.conj().T / echo.Y.shape[1])
     En = vecs[:, :-1]
 
-    def score(br):
-        return 1.0 / np.maximum(np.sum(np.abs(En.conj().T @ br) ** 2, axis=0), 1e-300)
+    def score(bt, br):
+        return -np.sum(np.abs(En.conj().T @ br) ** 2, axis=0)
 
-    cell, r, phi = _oracle_estimate(
-        score(_steering_grid("rx")),
-        lambda r, phi: score(geometry.steering_vector(GEOM, r, phi, side="rx")))
-    return cell, (r, phi)
+    return _oracle_estimate(score(None, _steering_grid("rx")), score)
 
 
 @pytest.fixture
-def refined_cells(monkeypatch):
-    """Grid argmax cells the estimators hand to the refinement, in call order."""
+def vertex_cells(monkeypatch):
+    """Local grid points the searches fit vertices at, one list per search."""
     cells = []
 
-    def recording(score, ir, ip, rs, phis):
-        cells.append((ir, ip))
-        return _REFINE(score, ir, ip, rs, phis)
+    def recording(score, jr, jp):
+        cells.append((int(jr), int(jp)))
+        return _VERTEX(score, jr, jp)
 
-    monkeypatch.setattr(estimators, "_refine", recording)
-    return cells
+    monkeypatch.setattr(estimators, "_vertex", recording)
+
+    def searches():
+        out = [cells[i: i + estimators.ZOOM_STEPS]
+               for i in range(0, len(cells), estimators.ZOOM_STEPS)]
+        cells.clear()
+        return out
+
+    return searches
 
 
 def _probe(kind, target):
@@ -225,13 +230,14 @@ OFF_GRID = geometry.PointTarget(distance=0.3, angle=0.41, reflection=0.05 - 0.02
 @pytest.mark.parametrize("probe", PROBES)
 @pytest.mark.parametrize("snr_db", [None, 30.0])
 @pytest.mark.parametrize("target", [_on_grid_target(), OFF_GRID], ids=["on", "off"])
-def test_mle_rank_k_scoring_matches_dense(refined_cells, probe, snr_db, target):
+def test_mle_rank_k_scoring_matches_dense(vertex_cells, probe, snr_db, target):
     echo = _echo(probe, snr_db, target, seed=13)
     if probe == "full":
         assert np.linalg.matrix_rank(echo.X) == GEOM.n_tx
     r, phi, mu = estimators.mle_point(echo, GEOM, GRID)
-    ref_cell, (r_ref, phi_ref, mu_ref) = _dense_mle(echo)
-    assert refined_cells == [ref_cell]
+    r_ref, phi_ref, mu_ref = _dense_mle(echo)
+    cells, ref_cells = vertex_cells()
+    assert cells == ref_cells
     assert r == pytest.approx(r_ref, rel=1e-9)
     assert phi == pytest.approx(phi_ref, rel=1e-9)
     assert mu == pytest.approx(mu_ref, rel=1e-9)
@@ -239,25 +245,69 @@ def test_mle_rank_k_scoring_matches_dense(refined_cells, probe, snr_db, target):
 
 @pytest.mark.parametrize("probe", PROBES)
 @pytest.mark.parametrize("target", [_on_grid_target(), OFF_GRID], ids=["on", "off"])
-def test_music_rank_one_projection_matches_dense_30db(refined_cells, probe, target):
+def test_music_rank_one_projection_matches_dense_30db(vertex_cells, probe, target):
     echo = _echo(probe, 30.0, target, seed=14)
     r, phi = estimators.music_2d(echo, GEOM, GRID)
-    ref_cell, (r_ref, phi_ref) = _dense_music(echo)
-    assert refined_cells == [ref_cell]
+    r_ref, phi_ref = _dense_music(echo)
+    cells, ref_cells = vertex_cells()
+    assert cells == ref_cells
     assert r == pytest.approx(r_ref, rel=1e-9)
     assert phi == pytest.approx(phi_ref, rel=1e-9)
 
 
-def test_music_rank_one_projection_matches_dense_noiseless_across_grid(refined_cells):
+def test_music_rank_one_projection_matches_dense_noiseless_across_grid(vertex_cells):
     for i_r in (0, 14, 30, 47, GRID.n_r - 1):
         for i_p in (0, 1, 23, 45, 70, GRID.n_phi - 1):
             target = _on_grid_target(i_r, i_p)
             echo = _echo("matched", None, target, seed=i_r * GRID.n_phi + i_p)
             estimate = estimators.music_2d(echo, GEOM, GRID)
-            ref_cell, ref = _dense_music(echo)
-            assert refined_cells.pop() == ref_cell == (i_r, i_p)
+            ref = _dense_music(echo)
+            cells, ref_cells = vertex_cells()
+            assert cells == ref_cells
             assert estimate == pytest.approx(ref, rel=1e-9)
             assert estimate == pytest.approx((target.distance, target.angle), rel=1e-12)
+
+
+def _cells(r, phi, ir, ip):
+    """Offsets of (r, phi) from grid point (ir, ip) of GRID, in grid cells."""
+    rs, phis = GRID.distances(), GRID.angles()
+    return np.log(r / rs[ir]) / np.log(rs[1] / rs[0]), (phi - phis[ip]) / (phis[1] - phis[0])
+
+
+@pytest.mark.parametrize("ir, ip", [(20, 45), (0, 0), (GRID.n_r - 2, GRID.n_phi - 1)])
+def test_search_stays_within_its_span_of_the_coarse_argmax(ir, ip):
+    # a score that keeps rising toward r_max outside the argmax's cell, as
+    # the likelihood does toward the far field at low SNR: the estimate
+    # stops where the search's span, or the grid, ends
+    coarse = np.zeros((GRID.n_r, GRID.n_phi))
+    coarse[ir, ip] = 1.0
+
+    def rising(rs, phis):
+        return np.broadcast_to(rs[:, None], (len(rs), len(phis)))
+
+    du, dp = _cells(*estimators._search(GRID, coarse, rising), ir, ip)
+    span_r, span_p = estimators.ZOOM_SPAN
+    assert du == pytest.approx(min(span_r, GRID.n_r - 1 - ir), abs=1e-9)
+    assert -min(span_p, ip) <= dp <= min(span_p, GRID.n_phi - 1 - ip)
+
+
+def test_search_follows_a_tilted_ridge_off_the_argmax_cell():
+    # a quadratic score whose ridge is tilted in (log r, phi), as the
+    # near-field likelihood's is: the coarse argmax lies 1.3 distance cells
+    # from the peak, and the search still lands on the peak
+    rs, phis = GRID.distances(), GRID.angles()
+    peak = (30.3, 45.45)  # in grid cells from (rs[0], phis[0])
+
+    def tilted(r, phi):
+        u, v = _cells(r[:, None], phi[None, :], 0, 0)
+        u, v = u - peak[0], v - peak[1]
+        return -(u * u - 7.6 * u * v + 16.0 * v * v)
+
+    coarse = tilted(rs, phis)
+    ir, ip = np.unravel_index(np.argmax(coarse), coarse.shape)
+    assert (ir, ip) == (29, 45)
+    found = _cells(*estimators._search(GRID, coarse, tilted), 0, 0)
+    assert found == pytest.approx(peak, abs=1e-9)
 
 
 def test_grid_steering_shared_between_equal_apertures():
@@ -289,7 +339,7 @@ RX5_GEOM = geometry.ArrayGeometry(n_tx=8, n_rx=5, n_rf=4, carrier_freq=28e9)
 
 @pytest.mark.parametrize("rows", [None, 1, 7])
 @pytest.mark.parametrize("geom, grid, side", [
-    # 200 distance rows, 11 to the default block
+    # 50 distance rows, 45 to the default block
     (DESK_GEOM, estimators.default_grid(DESK_GEOM), "tx"),
     (RX5_GEOM, GRID, "rx"),
     (RX5_GEOM, estimators.GridSpec(r_min=0.1, r_max=0.8, n_r=61, n_phi=91), "tx"),
@@ -306,13 +356,15 @@ def test_blocked_grid_equals_one_shot_build(monkeypatch, rows, geom, grid, side)
 
 
 def test_grid_build_holds_no_grid_sized_temporary(monkeypatch):
-    # a 64-element aperture on its default grid: B is 74 MB, and a build in
-    # one broadcast peaks at about 2.5 times that
+    # a 64-element aperture on a 200 x 361 grid of its default extent: B is
+    # 74 MB, built 11 distance rows at a time, and a build in one broadcast
+    # peaks at about 2.5 times that
     monkeypatch.setattr(estimators, "_GRID_CACHE", {})
     geom = geometry.ArrayGeometry(n_tx=64, n_rx=64, n_rf=4, carrier_freq=28e9)
+    grid = dataclasses.replace(estimators.default_grid(geom), n_r=200, n_phi=361)
     tracemalloc.start()
     try:
-        B, B_sq = estimators._grid_steering(geom, estimators.default_grid(geom), "tx")
+        B, B_sq = estimators._grid_steering(geom, grid, "tx")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
