@@ -53,6 +53,10 @@ GAMMA_FALLBACK = 0.1
 GAMMA_FLOOR = 1e-7
 #: chords of the log in the energy-efficiency encoding, per user
 EE_CHORDS = 64
+#: Newton steps on the start's dual powers before the monotone iteration decides
+NEWTON_STEPS = 30
+#: relative |lam - 1/d(lam)| of a verified fixed point of the dual powers
+FIXED_POINT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -149,9 +153,11 @@ def _mrt_covariances(channels, per_user_power):
 def init_feasible(scenario, channels=None):
     """Feasible per-user covariances {W_k} for the constraint block.
 
-    SINR active: the closed-form minimum-power covariances that meet every
-    SINR floor with equality (see _min_power_covariances), then a 1-D power
-    scan that maximizes the energy-efficiency slack.  SINR off with a point
+    SINR active: the minimum-power covariances that meet every SINR floor
+    with equality, from Newton steps on the K dual powers of
+    uplink-downlink duality and one n x n solve for the beams (see
+    _min_power_covariances), then a 1-D power scan that maximizes the
+    energy-efficiency slack.  SINR off with a point
     target: the budget goes to the target-matched direction (the
     sensing-only start), then the same scan.  SINR off otherwise:
     maximum-ratio directions at full budget, then the scan.
@@ -181,18 +187,75 @@ def _min_power_covariances(channels, gamma_th, noise, budget):
     Uplink-downlink duality (Bengtsson and Ottersten 2001; Björnson,
     Bengtsson and Ottersten, IEEE SP Magazine 2014): with q_k = h_k/sqrt(noise)
     and M = I + sum_i lam_i q_i q_i^H, the dual powers solve
-    lam_k = 1 / ((1 + 1/gamma) q_k^H M^-1 q_k), and their sum is the least
-    total power.  The fixed-point iteration from lam = 0 rises monotonically
-    to that solution, or diverges when no power meets the floors, so the
-    floors are out of the budget's reach once the sum passes it.  The beams
-    point along M^-1 q_k; their powers make every SINR row tight.
+    lam_k = 1 / d_k(lam), d_k = (1 + 1/gamma) q_k^H M^-1 q_k, and their sum
+    is the least total power.  That map is a standard interference function
+    (Yates, IEEE JSAC 1995), so its fixed point is unique.  By Woodbury,
+    q_k^H M^-1 q_k is S_kk with S = (I + G Lam)^-1 G and G = Q^H Q, so the
+    fixed point is found in K unknowns: Newton steps on lam - 1/d(lam) from
+    lam = 0, whose Jacobian is I - (1 + 1/gamma) |S|^2 / d^2 (row k over
+    d_k^2), with the plain step lam = 1/d wherever a Newton iterate is not
+    positive.  Only a verified fixed point (every |lam_k - 1/d_k| at
+    rounding level) whose sum passes the budget proves the floors out of
+    reach; a Newton iterate may overshoot the fixed point, so none on the
+    way proves anything.  Without a verified fixed point the monotone
+    iteration lam = 1/d(lam) from lam = 0 decides instead: it rises to the
+    fixed point, or diverges when no power meets the floors, so the floors
+    are out of the budget's reach once its sum passes the budget.  The
+    beams point along M^-1 q_k, one n x n solve; their powers make every
+    SINR row tight.
     """
     Q = np.stack(channels.vectors, axis=1) / np.sqrt(noise)
     n, K = Q.shape
+    G = Q.conj().T @ Q
+    c = 1.0 + 1.0 / gamma_th
+    lam = _newton_dual_powers(G, c)
+    if lam is None:
+        lam = _monotone_dual_powers(G, c, budget)
+    if np.sum(lam) > budget:
+        raise ScenarioInfeasibleError(
+            "SINR constraints cannot be met within the power budget", violated="sinr")
+    X = np.linalg.solve(np.eye(n) + (Q * lam) @ Q.conj().T, Q)
+    V = X / np.linalg.norm(X, axis=0)
+    B = np.abs(Q.conj().T @ V) ** 2     # B[k, i] = |q_k^H v_i|^2
+    # tight SINR rows: B_kk p_k / gamma - sum_{i != k} B_ki p_i = 1
+    p = np.linalg.solve(np.diag(c * np.diag(B)) - B, np.ones(K))
+    return [p[k] * np.outer(V[:, k], V[:, k].conj()) for k in range(K)]
+
+
+def _newton_dual_powers(G, c):
+    """The fixed point lam = 1/d(lam) of _min_power_covariances, or None.
+
+    None when NEWTON_STEPS steps from lam = 0 reach no point with every
+    |lam_k - 1/d_k| <= FIXED_POINT_TOL lam_k.
+    """
+    K = len(G)
+    lam, S = np.zeros(K), G                  # S = (I + G Lam)^-1 G at lam = 0
+    for _ in range(NEWTON_STEPS):
+        d = c * np.real(np.diagonal(S))
+        if not np.all(d > 0):
+            return None
+        f = lam - 1.0 / d
+        if np.all(np.abs(f) <= FIXED_POINT_TOL * lam):
+            return lam
+        try:
+            step = np.linalg.solve(np.eye(K) - c * np.abs(S) ** 2 / d[:, None] ** 2, f)
+        except np.linalg.LinAlgError:
+            return None
+        lam = lam - step if np.all(lam - step > 0) else 1.0 / d
+        S = np.linalg.solve(np.eye(K) + G * lam, G)
+    return None
+
+
+def _monotone_dual_powers(G, c, budget):
+    """The fixed point lam = 1/d(lam) by the monotone iteration from lam = 0.
+
+    Raises ScenarioInfeasibleError(violated="sinr") once the iterates' sum
+    passes the budget, which proves the floors out of its reach.
+    """
+    K = len(G)
     lam = np.zeros(K)
     while True:
-        X = np.linalg.solve(np.eye(n) + (Q * lam) @ Q.conj().T, Q)
-        d = (1.0 + 1.0 / gamma_th) * np.real(np.sum(Q.conj() * X, axis=0))
+        d = c * np.real(np.diagonal(np.linalg.solve(np.eye(K) + G * lam, G)))
         # d_k * budget <= 1 means lam_k >= budget, and keeps 1/d finite
         if np.any(d * budget <= 1.0) or np.sum(1.0 / d) > budget:
             raise ScenarioInfeasibleError(
@@ -200,12 +263,7 @@ def _min_power_covariances(channels, gamma_th, noise, budget):
                 violated="sinr")
         lam, prev = 1.0 / d, lam
         if np.sum(lam - prev) <= 1e-13 * np.sum(lam):
-            break
-    V = X / np.linalg.norm(X, axis=0)
-    G = np.abs(Q.conj().T @ V) ** 2     # G[k, i] = |q_k^H v_i|^2
-    # tight SINR rows: G_kk p_k / gamma - sum_{i != k} G_ki p_i = 1
-    p = np.linalg.solve(np.diag((1.0 + 1.0 / gamma_th) * np.diag(G)) - G, np.ones(K))
-    return [p[k] * np.outer(V[:, k], V[:, k].conj()) for k in range(K)]
+            return lam
 
 
 def _psd_cleanup(W):
@@ -229,6 +287,11 @@ def _ee_slack(scenario, sinrs, radiated):
     return metrics.sum_rate(sinrs) - scenario.ee_threshold * power_mw * 1e-3, power_mw
 
 
+def _scaled_sinrs(signal, interf, t, noise):
+    """Every user's SINR t S_k / (t I_k + noise) with the covariances scaled by t."""
+    return t * signal / (t * interf + noise)
+
+
 def _power_scan(scenario, channels, W0):
     """Deterministic 1-D rescale of the initial covariances.
 
@@ -246,7 +309,7 @@ def _power_scan(scenario, channels, W0):
         return [W * t_max for W in W0]
     t = np.geomspace(1.0, max(t_max, 1.0), 200)
     signal, interf = metrics.signal_and_interference(channels, W0)
-    sinrs = t[:, None] * signal / (t[:, None] * interf + scenario.comm_noise)
+    sinrs = _scaled_sinrs(signal, interf, t[:, None], scenario.comm_noise)
     slacks, _ = _ee_slack(scenario, sinrs, t * total)
     best = int(np.argmax(slacks))   # the first of equal slacks
     if slacks[best] < 0:
@@ -510,15 +573,31 @@ def rank_residual(W_list):
 
 def evaluate_slacks(scenario, channels, W_list):
     """Normalized constraint slacks (relative units, negative = violated)."""
-    total = _total_trace(W_list)
-    out = {"power": (scenario.power_budget - total) / scenario.power_budget}
+    return _slacks(scenario, *_slack_terms(scenario, channels, W_list))
+
+
+def _slack_terms(scenario, channels, W_list):
+    """(signal, interference, total trace) of the covariances, as _slacks reads them.
+
+    The per-user powers are None when no SINR or EE row needs them.
+    """
+    signal = interf = None
     if scenario.sinr_threshold > 0 or scenario.ee_threshold > 0:
-        sinrs = metrics.sinrs(channels, W_list, scenario.comm_noise)
+        signal, interf = metrics.signal_and_interference(channels, W_list)
+    return signal, interf, _total_trace(W_list)
+
+
+def _slacks(scenario, signal, interf, total, t=1.0):
+    """evaluate_slacks of the covariances scaled by t, from their _slack_terms."""
+    radiated = t * total
+    out = {"power": (scenario.power_budget - radiated) / scenario.power_budget}
+    if signal is not None:
+        sinrs = _scaled_sinrs(signal, interf, t, scenario.comm_noise)
     if scenario.sinr_threshold > 0:
         for k, s in enumerate(sinrs):
             out[f"sinr{k}"] = s / scenario.sinr_threshold - 1.0
     if scenario.ee_threshold > 0:
-        slack, power_mw = _ee_slack(scenario, sinrs, total)
+        slack, power_mw = _ee_slack(scenario, sinrs, radiated)
         out["ee"] = slack / max(scenario.ee_threshold * power_mw * 1e-3, 1e-300)
     return out
 
@@ -536,39 +615,63 @@ def _polish(scenario, channels, W_list):
     and a bisection finds its upper end.
     An iterate infeasible at scale 1 is first shrunk to the upper end in
     [0.9, 1], which repairs power and energy-efficiency rows; whether
-    shrunk or not, it is then grown over [1, P / Tr], which repairs SINR
-    rows.  An iterate no scale in either bracket repairs is kept as it is.
-    """
-    def feasible(Ws, t):
-        scaled = [t * W for W in Ws]
-        return min(evaluate_slacks(scenario, channels, scaled).values()) >= 0.0
+    shrunk or not, it is then grown up to P / Tr, which repairs SINR rows.
+    An iterate no scale in either bracket repairs is kept as it is.
 
-    def upper_edge(Ws, lo, hi):
+    At scale t user k's SINR is t S_k / (t I_k + noise) and the radiated
+    power t Tr, so the bisections run on one _slack_terms of the iterate
+    (at t = 1 these read what evaluate_slacks reads).  The scale found is
+    then confirmed on the scaled matrices by evaluate_slacks (see
+    _confirmed), so a polished iterate meets every row there exactly.
+    """
+    signal, interf, total = _slack_terms(scenario, channels, W_list)
+    if total <= 0:
+        return W_list
+
+    def feasible(t):
+        return min(_slacks(scenario, signal, interf, total, t).values()) >= 0.0
+
+    def upper_edge(lo, hi):
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if feasible(Ws, mid):
+            if feasible(mid):
                 lo = mid
             else:
                 hi = mid
         return lo
 
-    ok = feasible(W_list, 1.0)
-    if not ok and feasible(W_list, 0.9):
-        lo = upper_edge(W_list, 0.9, 1.0)
-        W_list = [lo * W for W in W_list]
-        ok = True
-    total = _total_trace(W_list)
-    if total <= 0:
-        return W_list
-    t_max = scenario.power_budget / total
-    if t_max <= 1.0:
-        return W_list
-    if feasible(W_list, t_max):
-        return [t_max * W for W in W_list]
+    ok, floor, t = feasible(1.0), 1.0, 1.0
     if not ok:
-        return W_list
-    lo = upper_edge(W_list, 1.0, t_max)
-    return [lo * W for W in W_list]
+        shrunk = [0.9 * W for W in W_list]
+        if min(evaluate_slacks(scenario, channels, shrunk).values()) >= 0.0:
+            ok, floor, t = True, 0.9, upper_edge(0.9, 1.0)
+    t_max = scenario.power_budget / total
+    if t_max > t:
+        if feasible(t_max):
+            t = t_max
+        elif not ok:
+            return W_list
+        else:
+            t = upper_edge(t, t_max)
+    return _confirmed(scenario, channels, W_list, t, floor)
+
+
+def _confirmed(scenario, channels, W_list, t, floor):
+    """The iterate at scale t, or just below it, with every row met on its matrices.
+
+    The scale steps down from t by eps t, then by twice the last step,
+    until evaluate_slacks of the scaled matrices reads no row below 0.
+    Once it reaches floor the result is the iterate at floor (W_list
+    itself at floor 1), whose rows _polish has checked on the matrices or
+    found no scale to repair.
+    """
+    step = np.finfo(float).eps * t
+    while t > floor:
+        scaled = [t * W for W in W_list]
+        if min(evaluate_slacks(scenario, channels, scaled).values()) >= 0.0:
+            return scaled
+        t, step = t - step, 2.0 * step
+    return W_list if floor == 1.0 else [floor * W for W in W_list]
 
 
 def _make_chords(scenario, channels):

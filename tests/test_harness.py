@@ -464,3 +464,16 @@ def test_paper_design_ends_optimal_and_rank_one(paper_design):
     assert trace.rank_residuals[-1] <= harness._sweep_options(scn).rank_tol
     assert W.shape == (64, 4) and sca.rank_residual(W_list) <= 1e-12
     assert np.isfinite(bound) and bound > 0
+
+
+def test_every_polished_iterate_meets_every_row_on_its_matrices(paper_design):
+    # _polish bisects on per-user scalars but confirms its scale on the
+    # scaled matrices, so no accepted iterate of the desk or the paper
+    # design reads a slack below 0, not even at rounding level
+    desk = config.config_to_scenario(config.default_config("desk"))
+    _, _, desk_trace, _ = harness.optimize_scenario(desk)
+    _, (_, _, paper_trace, _) = paper_design
+    for trace in (desk_trace, paper_trace):
+        assert trace.slacks and len(trace.slacks) == len(trace.objectives)
+        for slacks in trace.slacks:
+            assert min(slacks.values()) >= 0.0, slacks

@@ -185,6 +185,98 @@ def test_min_power_start_matches_sdp_oracle():
         assert slacks[f"sinr{k}"] == pytest.approx(0.0, abs=1e-12)
 
 
+def _monotone_dual_powers(channels, gamma_th, noise, budget, rel_step=1e-15):
+    """Reference: the fixed-point iteration on the dual powers from 0, one n x n solve a step.
+
+    None once an iterate's sum passes the budget: the iteration rises
+    monotonically to the least total power, so the floors are out of reach.
+    """
+    Q = np.stack(channels.vectors, axis=1) / np.sqrt(noise)
+    n, K = Q.shape
+    lam = np.zeros(K)
+    while True:
+        X = np.linalg.solve(np.eye(n) + (Q * lam) @ Q.conj().T, Q)
+        d = (1.0 + 1.0 / gamma_th) * np.real(np.sum(Q.conj() * X, axis=0))
+        if np.any(d * budget <= 1.0) or np.sum(1.0 / d) > budget:
+            return None
+        lam, prev = 1.0 / d, lam
+        if np.sum(lam - prev) <= rel_step * np.sum(lam):
+            return lam
+
+
+def _dual_gram(channels, gamma_th, noise):
+    """(G, c) of sca._newton_dual_powers: G = Q^H Q, q_k = h_k / sqrt(noise), c = 1 + 1/gamma."""
+    Q = np.stack(channels.vectors, axis=1) / np.sqrt(noise)
+    return Q.conj().T @ Q, 1.0 + 1.0 / gamma_th
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_min_power_start_reaches_the_monotone_fixed_point(scale, monkeypatch):
+    # Newton on K unknowns lands on the fixed point the monotone iteration
+    # rises to, and the whole start takes a dozen solves where the
+    # iteration takes one n x n solve per step (about 290)
+    scn = config.config_to_scenario(config.default_config(scale))
+    channels = scn.channels()
+    args = (channels, scn.sinr_threshold, scn.comm_noise, scn.power_budget)
+    ref = _monotone_dual_powers(*args)
+    lam = sca._newton_dual_powers(*_dual_gram(*args[:3]))
+    np.testing.assert_allclose(lam, ref, rtol=1e-11)
+
+    linalg_solve, calls = np.linalg.solve, []
+
+    def counting_solve(*a, **kw):
+        calls.append(a[0].shape)
+        return linalg_solve(*a, **kw)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    sca._min_power_covariances(*args)
+    assert len(calls) <= 12, calls
+
+
+def test_min_power_start_rejects_the_thresholds_the_monotone_iteration_rejects():
+    # the largest SINR floor the budget reaches, as the reference finds it
+    # by bisection, then a scan across it: the start raises exactly where
+    # the reference passes the budget, including 1e-9 either side of the edge
+    scn = _two_user_scenario()
+    channels = scn.channels()
+
+    def reachable(g):
+        return _monotone_dual_powers(channels, g, scn.comm_noise, scn.power_budget) is not None
+
+    lo, hi = 1.0, 2.0
+    while reachable(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if reachable(mid) else (lo, mid)
+    factors = np.concatenate([np.geomspace(0.5, 2.0, 24), [1.0 - 1e-9, 1.0 + 1e-9]])
+    verdicts = []
+    for g in lo * factors:
+        try:
+            sca._min_power_covariances(channels, g, scn.comm_noise, scn.power_budget)
+            raised = False
+        except ScenarioInfeasibleError as err:
+            assert err.violated == "sinr"
+            raised = True
+        assert raised == (not reachable(g)), g / lo
+        verdicts.append(raised)
+    assert verdicts[-2:] == [False, True]
+    assert 0 < sum(verdicts[:-2]) < 24
+
+
+def test_min_power_start_at_one_spot_falls_back_from_a_singular_newton_step():
+    # two users on one channel at SINR 1: the first Newton matrix
+    # I - |G|^2 / (2 G_kk^2) is singular and no power meets both floors,
+    # so the monotone iteration decides
+    user = geometry.UserSpec(distance=5.0, angle=0.3, id=0)
+    scn = _small_scenario(users=(user, replace(user, id=1)), sinr_threshold=1.0)
+    channels = scn.channels()
+    assert sca._newton_dual_powers(*_dual_gram(channels, 1.0, scn.comm_noise)) is None
+    with pytest.raises(ScenarioInfeasibleError) as err:
+        sca._min_power_covariances(channels, 1.0, scn.comm_noise, scn.power_budget)
+    assert err.value.violated == "sinr"
+
+
 def test_init_feasible_with_sinr_meets_every_constraint():
     scn = _two_user_scenario(ee_threshold=1.0)
     channels = scn.channels()
@@ -336,6 +428,51 @@ def test_polish_keeps_iterate_not_repairable_by_scaling():
     scn, channels, W_list = _polish_case("sinr")
     assert sca.evaluate_slacks(scn, channels, W_list)["sinr0"] < 0.0
     assert sca._polish(scn, channels, W_list) is W_list
+
+
+def _matrix_polish_scale(scn, channels, W_list):
+    """Reference: _polish's scale by 60-step bisections over scaled covariance lists."""
+    def feasible(t):
+        return min(sca.evaluate_slacks(scn, channels, [t * W for W in W_list]).values()) >= 0.0
+
+    def upper_edge(lo, hi):
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+        return lo
+
+    ok, t = feasible(1.0), 1.0
+    if not ok and feasible(0.9):
+        ok, t = True, upper_edge(0.9, 1.0)
+    t_max = scn.power_budget / sca._total_trace(W_list)
+    if t_max <= t:
+        return t
+    if feasible(t_max):
+        return t_max
+    return upper_edge(t, t_max) if ok else 1.0
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+@pytest.mark.parametrize("ee", [1.0, 2.0, 3.0, 4.0, 4.5])
+def test_polish_on_per_user_scalars_finds_the_edge_of_scaled_covariances(scale, ee):
+    # the start grown to its energy-efficiency edge or the budget (or kept
+    # where the scan's scale is that edge already), and that edge grown by
+    # 5% shrunk back: the bisection on signal, interference and trace
+    # returns the scale that bisecting over scaled covariance lists
+    # returns, and its matrices meet every row
+    scn = replace(config.config_to_scenario(config.default_config(scale)), ee_threshold=ee)
+    channels = scn.channels()
+    W0 = sca.init_feasible(scn, channels)
+    grown = sca._polish(scn, channels, W0)
+    over = [1.05 * W for W in grown]
+    for W_in, lo, hi in ((W0, 1.0 - 1e-16, np.inf), (over, 0.9, 1.0)):
+        W_out = sca._polish(scn, channels, W_in)
+        scale_out = _polish_scale(W_out[0], W_in[0])
+        for W, V in zip(W_out, W_in):
+            assert _polish_scale(W, V) == pytest.approx(scale_out, rel=1e-14)
+        assert lo < scale_out < hi
+        assert scale_out == pytest.approx(_matrix_polish_scale(scn, channels, W_in), rel=1e-14)
+        assert min(sca.evaluate_slacks(scn, channels, W_out).values()) >= 0.0
 
 
 # ---------------------------------------------------------------------------
