@@ -100,10 +100,6 @@ def default_grid(geom):
 _GRID_CACHE = {}
 _GRID_LOCK = threading.Lock()
 
-#: grid columns built per block (whole distance rows, at least one): bounds
-#: the temporaries of a grid build to a few MB whatever the grid's size
-GRID_BLOCK = 4096
-
 
 def _product_steering(geom, rs, phis, side):
     """Steering vectors over the product grid rs x phis, one column per point."""
@@ -117,24 +113,16 @@ def _grid_steering(geom, grid, side):
     Returns the (n, n_r * n_phi) matrix B and the vector ||b||^2 of its
     columns.  Grids are cached by aperture rather than by side, so equal
     tx and rx arrays share one grid; the lock keeps callers that estimate
-    from several threads from building the same grid twice.  B and ||b||^2
-    are allocated once and filled GRID_BLOCK columns at a time, with the
-    same elementwise arithmetic and summation order as one broadcast over
-    the whole grid, so no temporary is the grid's size.
+    from several threads from building the same grid twice.  B is one
+    broadcast over the whole grid, exponentiated in place, so a build
+    peaks at about twice the bytes it caches.
     """
     deltas = geom.tx_offsets if side == "tx" else geom.rx_offsets
     key = (tuple(deltas), geom.spacing, geom.wavelength, grid)
     with _GRID_LOCK:
         if key not in _GRID_CACHE:
-            rs, phis = grid.distances(), grid.angles()
-            B = np.empty((len(deltas), grid.n_r * grid.n_phi), dtype=complex)
-            B_sq = np.empty(B.shape[1])
-            step = max(1, GRID_BLOCK // grid.n_phi)
-            for i in range(0, grid.n_r, step):
-                cols = slice(i * grid.n_phi, min(i + step, grid.n_r) * grid.n_phi)
-                B[:, cols] = _product_steering(geom, rs[i: i + step], phis, side)
-                B_sq[cols] = _abs2(B[:, cols]).sum(axis=0)
-            _GRID_CACHE[key] = B, B_sq
+            B = _product_steering(geom, grid.distances(), grid.angles(), side)
+            _GRID_CACHE[key] = B, _abs2(B).sum(axis=0)
         return _GRID_CACHE[key]
 
 

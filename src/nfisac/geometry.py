@@ -136,7 +136,8 @@ def steering_vectors(geom, r, phi, side="tx"):
     deltas = geom.tx_offsets if side == "tx" else geom.rx_offsets
     deltas = deltas.reshape(deltas.shape + (1,) * np.broadcast(r, phi).ndim)
     path_diff = exact_element_distance(r, phi, deltas, geom.spacing) - r
-    return np.exp(-2j * np.pi / geom.wavelength * path_diff)
+    phase = -2j * np.pi / geom.wavelength * path_diff
+    return np.exp(phase, out=phase)
 
 
 def steering_vector(geom, r, phi, mode="exact", side="tx"):

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError, ZeroDirectionError
 
-#: ridge added to the analog Gram matrix when it is numerically singular
-GRAM_RIDGE = 1e-10
 #: change in the relative residual between sweeps that ends a run
 TOL = 1e-6
 #: alternating sweeps per run
@@ -63,24 +61,6 @@ def partial_mask(n_tx, n_rf):
 def _unit_phases(F):
     """exp(j * arg(F)) with the zero-argument convention arg(0) = 0."""
     return np.exp(1j * np.angle(F))
-
-
-def _gram_solve(T_A, rhs):
-    """Solve (T_A^H T_A) X = rhs, adding a small ridge if the Gram is singular."""
-    G = T_A.conj().T @ T_A
-    evals = np.linalg.eigvalsh(G)
-    if evals[0] < 1e-12 * max(evals[-1], 1.0):
-        G = G + GRAM_RIDGE * np.eye(G.shape[0])
-    return np.linalg.solve(G, rhs)
-
-
-def fully_digital_update(T_A, W, power):
-    """Least-squares digital stage, rescaled to ||T_A T_D||_F^2 = power."""
-    T_D = _gram_solve(T_A, T_A.conj().T @ W)
-    realized = np.linalg.norm(T_A @ T_D)
-    if realized == 0:
-        raise ZeroDirectionError("digital stage vanished; cannot normalize power")
-    return T_D * (np.sqrt(power) / realized)
 
 
 def fully_analog_update(T_A_prev, T_D, W):
@@ -167,45 +147,47 @@ def _init_analog(W, n_rf, architecture, rng=None):
     return T_A
 
 
-def _run_fully(W, T_A, power):
-    """Alternating sweeps with the raw least-squares digital stage.
+def _alternate(W, T_A, digital, analog):
+    """Alternating sweeps T_D = digital(T_A), T_A = analog(T_A, T_D), T_D = digital(T_A).
 
-    Power normalization is deferred to the exit update: applying the
-    >= 1 rescaling inside the loop breaks the joint descent of the
-    alternation, while at the fixed point both variants agree to first
-    order in the residual.
+    Sweeps until the relative residual changes by less than TOL, at most
+    MAX_ITER; returns (T_A, T_D, residual, sweeps, per-sweep residuals).
     """
     norm_w = np.linalg.norm(W)
     trace = []
     prev = np.inf
     for it in range(1, MAX_ITER + 1):
-        T_D = _gram_solve(T_A, T_A.conj().T @ W)
-        for _ in range(ANALOG_STEPS):
-            T_A = fully_analog_update(T_A, T_D, W)
-        T_D = _gram_solve(T_A, T_A.conj().T @ W)
+        T_D = digital(T_A)
+        T_A = analog(T_A, T_D)
+        T_D = digital(T_A)
         res = float(np.linalg.norm(W - T_A @ T_D) / norm_w)
         trace.append(res)
         if abs(prev - res) < TOL:
             break
         prev = res
-    T_D = fully_digital_update(T_A, W, power)
-    res = float(np.linalg.norm(W - T_A @ T_D) / norm_w)
     return T_A, T_D, res, it, trace
 
 
-def _run_partially(W, T_A, power):
-    norm_w = np.linalg.norm(W)
-    trace = []
-    prev = np.inf
-    for it in range(1, MAX_ITER + 1):
-        T_D = partially_digital_update(T_A, W, power)
-        T_A = partially_analog_update(T_D, W)
-        T_D = partially_digital_update(T_A, W, power)
-        res = float(np.linalg.norm(W - T_A @ T_D) / norm_w)
-        trace.append(res)
-        if abs(prev - res) < TOL:
-            break
-        prev = res
+def _run_fully(W, T_A, power):
+    """Alternation with the raw least-norm least-squares digital stage.
+
+    Power normalization is deferred to the exit: applying the >= 1
+    rescaling inside the loop breaks the joint descent of the alternation,
+    while at the fixed point both variants agree to first order in the
+    residual.
+    """
+    def analog(T_A, T_D):
+        for _ in range(ANALOG_STEPS):
+            T_A = fully_analog_update(T_A, T_D, W)
+        return T_A
+
+    T_A, T_D, _, it, trace = _alternate(
+        W, T_A, lambda T_A: np.linalg.lstsq(T_A, W, rcond=None)[0], analog)
+    realized = np.linalg.norm(T_A @ T_D)
+    if realized == 0:
+        raise ZeroDirectionError("digital stage vanished; cannot normalize power")
+    T_D = T_D * (np.sqrt(power) / realized)
+    res = float(np.linalg.norm(W - T_A @ T_D) / np.linalg.norm(W))
     return T_A, T_D, res, it, trace
 
 
@@ -235,7 +217,8 @@ def factorize(W, n_rf, power=None, architecture="fully"):
     def run(T_A0):
         if architecture == "fully":
             return _run_fully(W, T_A0, power)
-        return _run_partially(W, T_A0, power)
+        return _alternate(W, T_A0, lambda T_A: partially_digital_update(T_A, W, power),
+                          lambda T_A, T_D: partially_analog_update(T_D, W))
 
     best = run(_init_analog(W, n_rf, architecture))
     rng = np.random.default_rng(0x5EED)

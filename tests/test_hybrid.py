@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nfisac import hybrid
+from nfisac import config, harness, hybrid
 from nfisac.errors import InvalidArgumentError, ZeroDirectionError
 
 
@@ -106,3 +106,28 @@ def test_invalid_inputs():
         hybrid.factorize(np.zeros((8, 2), dtype=complex), 4)
     with pytest.raises(InvalidArgumentError):
         hybrid.factorize(np.zeros((0, 2)), 4)
+
+
+def _counting(monkeypatch, name):
+    """Replace hybrid.<name> by a wrapper that counts its calls."""
+    update, calls = getattr(hybrid, name), []
+
+    def counted(*args):
+        calls.append(1)
+        return update(*args)
+
+    monkeypatch.setattr(hybrid, name, counted)
+    return calls
+
+
+def test_factorize_reaches_the_module_level_analog_updates(monkeypatch):
+    # the benchmark counts analog updates by replacing these attributes, so
+    # factorize must look them up on the module when it runs
+    scn = config.config_to_scenario(config.default_config("desk"))
+    W = harness.optimize_scenario(scn)[0]
+    fully = _counting(monkeypatch, "fully_analog_update")
+    partially = _counting(monkeypatch, "partially_analog_update")
+    fac = hybrid.factorize(W, scn.geom.n_rf, architecture="fully")
+    assert len(fully) == hybrid.ANALOG_STEPS * fac.iterations and not partially
+    fac = hybrid.factorize(W, scn.geom.n_rf, architecture="partially")
+    assert len(partially) >= fac.iterations

@@ -277,6 +277,19 @@ def test_min_power_start_at_one_spot_falls_back_from_a_singular_newton_step():
     assert err.value.violated == "sinr"
 
 
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_min_power_start_without_newton_steps_takes_the_monotone_iteration(scale, monkeypatch):
+    # with no Newton steps the monotone iteration finds the dual powers,
+    # and the covariances match those of the Newton start
+    scn = config.config_to_scenario(config.default_config(scale))
+    args = (scn.channels(), scn.sinr_threshold, scn.comm_noise, scn.power_budget)
+    newton = sca._min_power_covariances(*args)
+    monkeypatch.setattr(sca, "NEWTON_STEPS", 0)
+    assert sca._newton_dual_powers(*_dual_gram(*args[:3])) is None
+    for W, R in zip(sca._min_power_covariances(*args), newton):
+        assert np.linalg.norm(W - R) <= 1e-12 * np.linalg.norm(R)
+
+
 def test_init_feasible_with_sinr_meets_every_constraint():
     scn = _two_user_scenario(ee_threshold=1.0)
     channels = scn.channels()
@@ -577,6 +590,25 @@ def test_point_sca_keeps_its_design_past_a_misreported_subproblem(monkeypatch):
     assert min(trace.slacks[0].values()) >= 0.0
     assert bound == pytest.approx(trace.bounds[0], rel=1e-6)
     assert sca.rank_residual(W_list) <= 1e-12
+
+
+def test_point_sca_with_an_infeasible_first_subproblem_raises(monkeypatch):
+    # no iterate at all: the run has no design to fall back on
+    conic_solve = sca.solve
+    monkeypatch.setattr(sca, "solve", lambda *args, **kwargs: replace(
+        conic_solve(*args, **kwargs), status="infeasible"))
+    with pytest.raises(ScenarioInfeasibleError) as err:
+        sca.solve_point_sca(_small_scenario(), sca.ScaOptions(max_iter=3))
+    assert err.value.violated == "subproblem"
+
+
+def test_point_sca_without_a_rank_one_iterate_raises():
+    # at rank_tol = 0 the desk design's one iterate, rank one to about
+    # 1e-7, is not rank one
+    scn = config.config_to_scenario(config.default_config("desk"))
+    with pytest.raises(RankViolationError) as err:
+        sca.solve_point_sca(scn, sca.ScaOptions(max_iter=1, rank_tol=0.0))
+    assert err.value.residual > 0
 
 
 def test_point_sca_bound_improves_with_power():
@@ -914,6 +946,31 @@ def test_newton_solves_as_accurate_as_cholesky_solves(monkeypatch):
         ours = residual(GA, m, *rhs, *solver._Newton(GA, m).solve(*rhs))
         reference = residual(GA, m, *rhs, *cholesky_solve(GA, m, *rhs))
         assert ours <= 10 * max(reference, np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("k", [5, 12, 20])
+def test_interior_point_stops_at_a_newton_matrix_it_cannot_factor(monkeypatch, k):
+    # the first desk subproblem with the Newton matrix of step k singular
+    # (the cold start factors one before step 0): the solve ends at step k
+    # on the iterate a solve capped at k steps returns
+    scn = config.config_to_scenario(config.default_config("desk"))
+    prog, kwargs = _first_point_subproblem(monkeypatch, scn, harness._sweep_options(scn))
+    capped = solve(prog, **dict(kwargs, max_iter=k))
+    built = []
+
+    class Singular(solver._Newton):
+        def __init__(self, GA, m):
+            built.append(m)
+            if len(built) == k + 2:
+                raise np.linalg.LinAlgError("singular Newton matrix")
+            super().__init__(GA, m)
+
+    monkeypatch.setattr(solver, "_Newton", Singular)
+    sol = solve(prog, **kwargs)
+    assert len(built) == k + 2
+    assert (sol.status, sol.iterations) == (capped.status, capped.iterations) == ("max_iter", k)
+    for name in "xys":
+        np.testing.assert_array_equal(getattr(sol, name), getattr(capped, name))
 
 
 def test_interior_point_working_set_of_an_extended_subproblem(monkeypatch):
