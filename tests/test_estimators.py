@@ -325,10 +325,15 @@ def test_grid_steering_shared_between_equal_apertures():
                                   geometry.steering_vector(g, r, phi, side="rx"))
 
 
-def _one_shot_grid(geom, grid, side):
-    """The grid as one broadcast over all of it, and its column norms."""
-    B = geometry.steering_vectors(geom, grid.distances()[:, None], grid.angles()[None, :], side)
-    B = B.reshape(B.shape[0], -1)
+def _one_shot_grid(geom, grid, side, rows=None):
+    """The grid as broadcasts over `rows` distance rows at a time (all of
+    them when None), side by side, and its column norms."""
+    rs, phis = grid.distances(), grid.angles()
+    step = len(rs) if rows is None else rows
+    B = np.hstack([
+        geometry.steering_vectors(geom, rs[i:i + step, None], phis[None, :], side)
+        .reshape(-1, len(rs[i:i + step]) * len(phis))
+        for i in range(0, len(rs), step)])
     return B, estimators._abs2(B).sum(axis=0)
 
 
@@ -336,15 +341,19 @@ DESK_GEOM = geometry.ArrayGeometry(n_tx=16, n_rx=16, n_rf=4, carrier_freq=28e9)
 RX5_GEOM = geometry.ArrayGeometry(n_tx=8, n_rx=5, n_rf=4, carrier_freq=28e9)
 
 
+@pytest.mark.parametrize("rows", [None, 1, 7])
 @pytest.mark.parametrize("geom, grid, side", [
     (DESK_GEOM, estimators.default_grid(DESK_GEOM), "tx"),
     (RX5_GEOM, GRID, "rx"),
     (RX5_GEOM, estimators.GridSpec(r_min=0.1, r_max=0.8, n_r=61, n_phi=91), "tx"),
 ], ids=["desk-tx", "rx5", "n_r-61"])
-def test_grid_equals_one_shot_build(monkeypatch, geom, grid, side):
+def test_blocked_grid_equals_one_shot_build(monkeypatch, rows, geom, grid, side):
+    # the cached grid, built in one broadcast, equals the grid assembled from
+    # blocks of `rows` distance rows: its columns run angle-fastest, and no
+    # column depends on the rows built beside it
     monkeypatch.setattr(estimators, "_GRID_CACHE", {})
     B, B_sq = estimators._grid_steering(geom, grid, side)
-    ref, ref_sq = _one_shot_grid(geom, grid, side)
+    ref, ref_sq = _one_shot_grid(geom, grid, side, rows)
     np.testing.assert_array_equal(B, ref)
     np.testing.assert_array_equal(B_sq, ref_sq)
     np.testing.assert_array_equal(B_sq, estimators._abs2(B).sum(axis=0))
