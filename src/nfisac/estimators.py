@@ -2,12 +2,16 @@
 
 Point target: concentrated maximum likelihood and 2D MUSIC, each the
 argmax of a coarse (distance, angle) search grid refined on two local
-grids and a quadratic vertex fit (_search).  Extended target: linear MMSE
+grids and a quadratic vertex fit (_search).  The search runs over a batch
+of scores at once: mle_points estimates a batch of echoes with one call
+of the local scoring per zoom step, each echo getting the estimate that
+mle_point, a batch of one, gives it.  Extended target: linear MMSE
 estimate of the target response matrix, computed through the Kronecker
 identity so only n_tx-sized solves occur.
 """
 
 import functools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -173,53 +177,96 @@ def _vertex(score, jr, jp):
 def _search(grid, coarse, score):
     """Coarse-to-fine maximum (r, phi) of a score over the search grid.
 
-    coarse holds the score at the grid points, shape (n_r, n_phi), and
-    score(rs, phis) scores the product grid of distances rs and angles
-    phis, shape (len(rs), len(phis)).  Each of ZOOM_STEPS steps scores a
-    local grid of up to ZOOM_POINTS x ZOOM_POINTS points in (log r, phi)
-    and takes the _vertex at its best point when the vertex scores higher
-    than that point.  The first grid spans ZOOM_SPAN coarse cells on either
-    side of the coarse argmax, each later one a cell of the last grid on
-    either side of the last grid's point nearest the vertex taken.  The
-    vertex, not the best point, sets the next grid because the score's
-    ridge is tilted in (log r, phi): on an angle a little off the peak, the
-    best distance lies cells away from the peak's.  The estimate is the
-    last vertex taken, or the last best point, so exact on-grid truths are
-    returned untouched.  Local grids are cut off at the search grid's
-    edges and at ZOOM_SPAN, so the estimate stays within ZOOM_SPAN coarse
-    cells of the argmax however the score rises beyond.
+    coarse holds the score at the grid points, shape batch + (n_r, n_phi)
+    for any leading batch shape, one search per entry of the batch.
+    score(rs, phis) scores the product grids of distances rs and angles
+    phis, shapes batch + (m,) and batch + (p,), and returns batch + (m, p).
+    Each of ZOOM_STEPS steps scores a local grid of up to ZOOM_POINTS x
+    ZOOM_POINTS points in (log r, phi) and takes the _vertex at its best
+    point when the vertex scores higher than that point.  The first grid
+    spans ZOOM_SPAN coarse cells on either side of the coarse argmax, each
+    later one a cell of the last grid on either side of the last grid's
+    point nearest the vertex taken.  The vertex, not the best point, sets
+    the next grid because the score's ridge is tilted in (log r, phi): on an
+    angle a little off the peak, the best distance lies cells away from the
+    peak's.  The estimate is the last vertex taken, or the last best point,
+    so exact on-grid truths are returned untouched.  Local grids are cut off
+    at the search grid's edges and at ZOOM_SPAN, so the estimate stays
+    within ZOOM_SPAN coarse cells of the argmax however the score rises
+    beyond.
+
+    Every search of the batch scores a full ZOOM_POINTS x ZOOM_POINTS
+    window per step, all in one call of score.  The points a cut-off grid
+    lacks repeat its last point, which moves no first maximum, and _vertex
+    fits on the cut-off grid alone, so each search of a batch returns what
+    it returns by itself.  Returns (r_hat, phi_hat) of the batch's shape,
+    floats for an empty batch shape.
     """
+    batch = coarse.shape[:-2]
     rs, phis = grid.distances(), grid.angles()
-    ir, ip = np.unravel_index(np.argmax(coarse), coarse.shape)
-    span = np.array(ZOOM_SPAN)
-    lo = np.maximum(-np.array([ir, ip]), -span)
-    hi = np.minimum([grid.n_r - 1 - ir, grid.n_phi - 1 - ip], span)
+    ir, ip = np.divmod(coarse.reshape(-1, grid.n_r * grid.n_phi).argmax(axis=1), grid.n_phi)
+    r0, phi0 = rs[ir][:, None], phis[ip][:, None]
+    steps = np.array([[np.log(rs[1] / rs[0])], [phis[1] - phis[0]]])
 
-    def point(w):
-        """(r, phi) at offsets w from the argmax, in coarse cells."""
-        return rs[ir] * np.exp(w[0] * np.log(rs[1] / rs[0])), phis[ip] + w[1] * (phis[1] - phis[0])
+    def points(w):
+        """(r, phi) at offsets w, (search, axis, point), from each argmax in coarse cells."""
+        dr, dphi = (w * steps).transpose(1, 0, 2)
+        return (r0 * np.exp(dr)).reshape(batch + (-1,)), (phi0 + dphi).reshape(batch + (-1,))
 
+    # Offsets are kept per search as Python floats, whose arithmetic is the
+    # IEEE arithmetic of numpy's at a fraction of the call cost on a pair.
+    # Per search, per axis (distance, angle): the offsets it may reach.
+    reach = [[(float(max(-i, -s)), float(min(n - 1 - i, s)))
+              for i, n, s in zip(ij, (grid.n_r, grid.n_phi), ZOOM_SPAN)]
+             for ij in zip(ir.tolist(), ip.tolist())]
+    mids = [(0.0, 0.0)] * len(reach)
+    half = ZOOM_SPAN
+    offsets = np.arange(ZOOM_POINTS)
     # points sit at multiples of each grid's cell: exact binary fractions,
     # so the argmax is on every grid that covers it
-    mid, half = np.zeros(2), span
     for _ in range(ZOOM_STEPS):
-        cell = half / ((ZOOM_POINTS - 1) // 2)
-        u, v = (c * np.arange(np.ceil(a / c), np.floor(b / c) + 1)
-                for c, a, b in zip(cell, np.maximum(lo, mid - half), np.minimum(hi, mid + half)))
-        local = score(*point((u, v)))
-        jr, jp = np.unravel_index(np.argmax(local), local.shape)
-        best = np.array([u[jr], v[jp]])
-        shift = cell * _vertex(local, jr, jp)
-        w = np.clip(best + shift, lo, hi)
-        if score(*(np.array([x]) for x in point(w)))[0, 0] < local[jr, jp]:
-            w, shift = best, np.zeros(2)
-        mid, half = np.clip(best + np.round(shift / cell) * cell, lo, hi), cell
-    r_hat, phi_hat = point(w)
-    return float(r_hat), float(phi_hat)
+        cell = tuple(h / ((ZOOM_POINTS - 1) // 2) for h in half)
+        # per search and axis, the first and last multiple of the cell, in
+        # cells, within half of mid and within reach
+        ends = [[(math.ceil(max(lo, m - h) / c), math.floor(min(hi, m + h) / c))
+                 for (lo, hi), m, h, c in zip(axes, mid, half, cell)]
+                for axes, mid in zip(reach, mids)]
+        index = np.array(ends)
+        u = np.array(cell)[:, None] * np.minimum(index[..., :1] + offsets, index[..., 1:])
+        local = score(*points(u)).reshape(-1, ZOOM_POINTS, ZOOM_POINTS)
+        bests, shifts, peaks = [], [], []
+        for e, (j, ((fr, lr), (fp, lp))) in enumerate(
+                zip(local.reshape(len(ends), -1).argmax(axis=1).tolist(), ends)):
+            jr, jp = divmod(j, ZOOM_POINTS)
+            window = local[e, :lr - fr + 1, :lp - fp + 1]
+            vr, vp = _vertex(window, jr, jp).tolist()
+            bests.append((cell[0] * (fr + jr), cell[1] * (fp + jp)))
+            shifts.append((cell[0] * vr, cell[1] * vp))
+            peaks.append(window[jr, jp])
+        ws = [tuple(min(max(b + s, lo), hi) for b, s, (lo, hi) in zip(best, shift, axes))
+              for best, shift, axes in zip(bests, shifts, reach)]
+        checks = score(*points(np.array(ws)[..., None])).reshape(-1).tolist()
+        for e, (check, peak) in enumerate(zip(checks, peaks)):
+            if check < peak:
+                ws[e], shifts[e] = bests[e], (0.0, 0.0)
+        mids = [tuple(min(max(b + round(s / c) * c, lo), hi)
+                      for b, s, c, (lo, hi) in zip(best, shift, cell, axes))
+                for best, shift, axes in zip(bests, shifts, reach)]
+        half = cell
+    r_hat, phi_hat = points(np.array(ws)[..., None])
+    return r_hat.reshape(batch)[()], phi_hat.reshape(batch)[()]
 
 
-def mle_point(echo, geom, grid=None):
-    """Concentrated maximum likelihood estimate (r, phi, mu) of a point target.
+def _rank_k_factors(echo):
+    """(S_k U_k^H, V_k^H Y^H) of the echo's thin probe SVD X = U S V^H (see mle_points)."""
+    X = echo.X
+    U, s, Vh = np.linalg.svd(X, full_matrices=False)
+    k = int(np.count_nonzero(s > s[0] * max(X.shape) * np.finfo(float).eps))
+    return s[:k, None] * U[:, :k].conj().T, Vh[:k] @ echo.Y.conj().T
+
+
+def mle_points(echoes, geom, grid=None):
+    """Concentrated maximum likelihood estimates (r, phi, mu) of a point target per echo.
 
     For each grid point the reflection coefficient has the closed form
     mu(r, phi) = Tr(A^H Y X^H) / ||A X||_F^2 with A = b_r b_t^H, so the
@@ -235,35 +282,67 @@ def mle_point(echo, geom, grid=None):
 
     so scoring costs 2 k n multiply-adds per grid point instead of 2 n^2
     (k = 1 for a single probing beam, k = n_tx for a full-rank probe).
+
+    echoes is read once, so a generator keeps only the probe factors of
+    the echoes it yields.  Each echo is scored on the coarse grid by
+    itself; the local grids of all echoes are searched together, one
+    steering broadcast and one likelihood per group of echoes of equal k at
+    each step, and each echo's estimate is the one it gets alone.  Returns
+    arrays r, phi and mu, one entry per echo.
     """
     if grid is None:
         grid = default_grid(geom)
-    X = echo.X
-    U, s, Vh = np.linalg.svd(X, full_matrices=False)
-    k = int(np.count_nonzero(s > s[0] * max(X.shape) * np.finfo(float).eps))
-    T = s[:k, None] * U[:, :k].conj().T      # S_k U_k^H,   k x n_tx
-    Q = Vh[:k] @ echo.Y.conj().T             # V_k^H Y^H,   k x n_rx
+    factors = [_rank_k_factors(echo) for echo in echoes]
+    groups = {}
+    for e, (T, _) in enumerate(factors):
+        groups.setdefault(len(T), []).append(e)
+    # (echoes, S_k U_k^H, V_k^H Y^H) per rank k; a lone rank takes all echoes by a view
+    stacks = [(slice(None) if len(groups) == 1 else np.array(members),
+               np.stack([factors[e][0] for e in members]),
+               np.stack([factors[e][1] for e in members]))
+              for members in groups.values()]
 
-    def likelihood(bt, br):
+    def likelihood(T, Q, bt, br):
         """(b_r^H Y X^H b_t, n_rx b_t^H X X^H b_t) per column of bt and br."""
         a = T @ bt
-        return np.sum((Q @ br).conj() * a, axis=0), geom.n_rx * _abs2(a).sum(axis=0)
+        return np.sum((Q @ br).conj() * a, axis=-2), geom.n_rx * _abs2(a).sum(axis=-2)
+
+    def steering(rs, phis, side):
+        """Steering vectors over each echo's product grid rs x phis, (echo, n, point).
+
+        Contiguous per echo, so each echo's products take the BLAS path its
+        own call takes: numpy multiplies a strided single column without BLAS.
+        """
+        B = geometry.steering_vectors(geom, rs[:, :, None], phis[:, None, :], side)
+        return np.ascontiguousarray(B.reshape(B.shape[0], len(rs), -1).transpose(1, 0, 2))
 
     def local(rs, phis):
-        """likelihood() over the product grid rs x phis, one column per point."""
-        bt = _product_steering(geom, rs, phis, "tx")
-        return likelihood(bt, bt if geom.n_rx == geom.n_tx else
-                          _product_steering(geom, rs, phis, "rx"))
+        """likelihood() over each echo's product grid rs x phis, (echo, point)."""
+        bt = steering(rs, phis, "tx")
+        br = bt if geom.n_rx == geom.n_tx else steering(rs, phis, "rx")
+        corr = np.empty(bt.shape[::2], dtype=complex)
+        energy = np.empty(bt.shape[::2])
+        for members, T, Q in stacks:
+            corr[members], energy[members] = likelihood(T, Q, bt[members], br[members])
+        return corr, energy
 
     def score(corr, energy):
         return _abs2(corr) / np.maximum(energy, 1e-300)
 
-    coarse = score(*likelihood(_grid_steering(geom, grid, "tx")[0],
-                               _grid_steering(geom, grid, "rx")[0]))
-    r_hat, phi_hat = _search(grid, coarse.reshape(grid.n_r, grid.n_phi),
-                             lambda rs, phis: score(*local(rs, phis)).reshape(len(rs), len(phis)))
-    (corr,), (energy,) = local(np.array([r_hat]), np.array([phi_hat]))
-    return r_hat, phi_hat, complex(corr / max(energy, 1e-300))
+    Bt, Br = _grid_steering(geom, grid, "tx")[0], _grid_steering(geom, grid, "rx")[0]
+    coarse = np.empty((len(factors), grid.n_r, grid.n_phi))
+    for e, (T, Q) in enumerate(factors):
+        coarse[e] = score(*likelihood(T, Q, Bt, Br)).reshape(grid.n_r, grid.n_phi)
+    r_hat, phi_hat = _search(grid, coarse, lambda rs, phis: score(*local(rs, phis))
+                             .reshape(rs.shape + phis.shape[-1:]))
+    corr, energy = local(r_hat[:, None], phi_hat[:, None])
+    return r_hat, phi_hat, corr[:, 0] / np.maximum(energy[:, 0], 1e-300)
+
+
+def mle_point(echo, geom, grid=None):
+    """mle_points of the one echo: (r, phi, mu) as floats and a complex."""
+    (r_hat,), (phi_hat,), (mu,) = mle_points([echo], geom, grid)
+    return float(r_hat), float(phi_hat), complex(mu)
 
 
 def music_2d(echo, geom, grid=None):
@@ -291,15 +370,16 @@ def music_2d(echo, geom, grid=None):
     L = echo.Y.shape[1]
     R = echo.Y @ echo.Y.conj().T / L
     _, vecs = np.linalg.eigh(R)
-    En = vecs[:, :-1]  # all but the largest-eigenvalue direction
+    EnH = vecs[:, :-1].conj().T  # all but the largest-eigenvalue direction
 
     def local(rs, phis):
-        proj = _abs2(En.conj().T @ _product_steering(geom, rs, phis, "rx")).sum(axis=0)
+        proj = _abs2(EnH @ _product_steering(geom, rs, phis, "rx")).sum(axis=0)
         return -proj.reshape(len(rs), len(phis))
 
     Br, Br_sq = _grid_steering(geom, grid, "rx")
     coarse = _abs2(vecs[:, -1].conj() @ Br) - Br_sq
-    return _search(grid, coarse.reshape(grid.n_r, grid.n_phi), local)
+    r_hat, phi_hat = _search(grid, coarse.reshape(grid.n_r, grid.n_phi), local)
+    return float(r_hat), float(phi_hat)
 
 
 def lmmse_trm(echo, prior_variance, noise_power=None):

@@ -11,6 +11,7 @@ exact steering vectors of points or grids built on it (steering_vectors):
 channels, estimator search grids and heatmaps all take theirs from here.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +51,20 @@ class ArrayGeometry:
     def spacing(self):
         return self.wavelength / 2.0
 
-    @property
+    @functools.cached_property
     def tx_offsets(self):
-        return element_offsets(self.n_tx)
+        """Transmit element offsets (read-only, computed once per geometry)."""
+        return _read_only(element_offsets(self.n_tx))
 
-    @property
+    @functools.cached_property
     def rx_offsets(self):
-        return element_offsets(self.n_rx)
+        """Receive element offsets (read-only, computed once per geometry)."""
+        return _read_only(element_offsets(self.n_rx))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

@@ -241,22 +241,33 @@ def _evaluate_design(table, scn, channels, var, value, arch, W_cols, extra_rows=
         table.append(var, value, arch, metric_name, v)
 
 
+#: Monte Carlo trials simulated and estimated together
+TRIAL_BLOCK = 16
+
+
 def estimator_trial_rows(table, scn, var, value, W_cols, trials, seed):
-    """MLE RMSE rows with standard errors (two trials or more) and root-CRB rows."""
+    """MLE RMSE rows with standard errors (two trials or more) and root-CRB rows.
+
+    Trial t simulates its echo from estimators.trial_rng(seed, t).  The
+    trials run TRIAL_BLOCK at a time: each block's echoes are simulated and
+    then estimated together by estimators.mle_points, which returns each
+    echo's mle_point estimate, so the rows do not depend on the block size
+    and memory does not grow with the trial count.
+    """
     if trials < 2:
         raise InvalidArgumentError("estimator trials need at least 2 trials")
     trm = bounds.point_trm(scn.geom, scn.target)
     C = bounds.scenario_bound(scn, W_cols @ W_cols.conj().T)
     grid = estimators.default_grid(scn.geom)
 
-    def one(t):
-        rng = estimators.trial_rng(seed, t)
-        echo = estimators.simulate_echo(trm.B, W_cols, scn.frame_length,
-                                        scn.sensing_noise, rng)
-        r_hat, phi_hat, _ = estimators.mle_point(echo, scn.geom, grid)
-        return (r_hat - scn.target.distance) ** 2, (phi_hat - scn.target.angle) ** 2
-
-    errs = np.array([one(t) for t in range(trials)])
+    errs = np.empty((trials, 2))
+    for start in range(0, trials, TRIAL_BLOCK):
+        block = range(start, min(start + TRIAL_BLOCK, trials))
+        echoes = (estimators.simulate_echo(trm.B, W_cols, scn.frame_length, scn.sensing_noise,
+                                           estimators.trial_rng(seed, t)) for t in block)
+        r_hat, phi_hat, _ = estimators.mle_points(echoes, scn.geom, grid)
+        errs[block.start:block.stop, 0] = (r_hat - scn.target.distance) ** 2
+        errs[block.start:block.stop, 1] = (phi_hat - scn.target.angle) ** 2
     for name, col, crb in (("distance", 0, C[0, 0]), ("angle", 1, C[1, 1])):
         sq = errs[:, col]
         rmse = float(np.sqrt(sq.mean()))

@@ -309,6 +309,98 @@ def test_search_follows_a_tilted_ridge_off_the_argmax_cell():
     assert found == pytest.approx(peak, abs=1e-9)
 
 
+def _reference_search(grid, coarse, score):
+    """The coarse-to-fine search one score at a time, on the ragged local grids.
+
+    The reference _search must reproduce: the same steps, spans and vertex
+    fits, with each local grid cut off at the reach of the search.
+    """
+    rs, phis = grid.distances(), grid.angles()
+    ir, ip = np.unravel_index(np.argmax(coarse), coarse.shape)
+    span = np.array(estimators.ZOOM_SPAN)
+    lo = np.maximum(-np.array([ir, ip]), -span)
+    hi = np.minimum([grid.n_r - 1 - ir, grid.n_phi - 1 - ip], span)
+
+    def point(w):
+        return rs[ir] * np.exp(w[0] * np.log(rs[1] / rs[0])), phis[ip] + w[1] * (phis[1] - phis[0])
+
+    mid, half = np.zeros(2), span
+    for _ in range(estimators.ZOOM_STEPS):
+        cell = half / ((estimators.ZOOM_POINTS - 1) // 2)
+        u, v = (c * np.arange(np.ceil(a / c), np.floor(b / c) + 1)
+                for c, a, b in zip(cell, np.maximum(lo, mid - half), np.minimum(hi, mid + half)))
+        local = score(*point((u, v)))
+        jr, jp = np.unravel_index(np.argmax(local), local.shape)
+        best = np.array([u[jr], v[jp]])
+        shift = cell * _VERTEX(local, jr, jp)
+        w = np.clip(best + shift, lo, hi)
+        if score(*(np.array([x]) for x in point(w)))[0, 0] < local[jr, jp]:
+            w, shift = best, np.zeros(2)
+        mid, half = np.clip(best + np.round(shift / cell) * cell, lo, hi), cell
+    return tuple(float(x) for x in point(w))
+
+
+def _tilted(peak):
+    """A quadratic score peaked at `peak` (grid cells from (rs[0], phis[0])),
+    its ridge tilted in (log r, phi) as the near-field likelihood's is;
+    peak may carry leading batch axes, one peak per search."""
+    def score(r, phi):
+        u, v = _cells(r[..., :, None], phi[..., None, :], 0, 0)
+        u, v = u - peak[..., 0, None, None], v - peak[..., 1, None, None]
+        return -(u * u - 7.6 * u * v + 16.0 * v * v)
+    return score
+
+
+def test_search_over_batch_axes_matches_the_reference_search():
+    # a (2, 4) batch of tilted scores, most peaked just off the grid's edges
+    # and corners, so the local grids are cut off differently and the vertex
+    # fits sit on their edges: one batched search returns what the reference
+    # returns for each score alone
+    peaks = np.array([[(30.3, 45.45), (0.2, 0.3), (58.6, 89.8), (-0.4, 45.3)],
+                      [(1.4, 88.9), (12.7, -0.3), (59.3, 90.2), (30.2, 90.4)]])
+    rs, phis = GRID.distances(), GRID.angles()
+    coarse = _tilted(peaks)(np.broadcast_to(rs, (2, 4, GRID.n_r)),
+                            np.broadcast_to(phis, (2, 4, GRID.n_phi)))
+    r_hat, phi_hat = estimators._search(GRID, coarse, _tilted(peaks))
+    assert r_hat.shape == phi_hat.shape == (2, 4)
+    for i in np.ndindex(2, 4):
+        alone = _reference_search(GRID, coarse[i], _tilted(peaks[i]))
+        assert (r_hat[i], phi_hat[i]) == alone
+        assert estimators._search(GRID, coarse[i], _tilted(peaks[i])) == alone
+
+
+def _assert_block_is_per_echo(echoes):
+    r, phi, mu = estimators.mle_points(echoes, GEOM, GRID)
+    assert r.shape == phi.shape == mu.shape == (len(echoes),)
+    for e, echo in enumerate(echoes):
+        assert (r[e], phi[e], mu[e]) == estimators.mle_point(echo, GEOM, GRID)
+
+
+def test_mle_block_of_mixed_probe_ranks_is_per_echo():
+    # probes of rank 1, 2 and n_tx in one block, on targets inside the grid
+    # and on its edges and corners, so k and the local grids differ by echo
+    targets = [OFF_GRID, _on_grid_target(0, 0), _on_grid_target(GRID.n_r - 1, 45),
+               _on_grid_target(30, GRID.n_phi - 1), _on_grid_target(1, 1)]
+    echoes = [_echo(probe, snr_db, target, seed=20 + i)
+              for i, (probe, snr_db, target) in enumerate(
+                  (p, s, t) for t in targets for p in PROBES for s in (None, 30.0))]
+    ranks = {np.linalg.matrix_rank(echo.X) for echo in echoes}
+    assert ranks == {1, 2, GEOM.n_tx}
+    _assert_block_is_per_echo(echoes)
+
+
+def test_mle_block_with_a_zero_power_probe_is_per_echo():
+    # a silent probe keeps no singular value (k = 0): its echo scores zero
+    # everywhere, next to echoes of rank 1 and n_tx
+    target = _on_grid_target()
+    silent = estimators.simulate_echo(bounds.point_trm(GEOM, target).B, np.zeros((GEOM.n_tx, 1)),
+                                      32, 1e-3, np.random.default_rng(21))
+    assert not silent.X.any() and silent.Y.any()
+    echoes = [_echo("matched", 30.0, target, seed=22), silent, _echo("full", 30.0, OFF_GRID, 23)]
+    _assert_block_is_per_echo(echoes)
+    assert estimators.mle_point(silent, GEOM, GRID)[2] == 0
+
+
 def test_grid_steering_shared_between_equal_apertures():
     Bt, Bt_sq = estimators._grid_steering(GEOM, GRID, "tx")
     Br, Br_sq = estimators._grid_steering(GEOM, GRID, "rx")

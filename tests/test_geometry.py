@@ -119,3 +119,31 @@ def test_invalid_arguments_rejected():
         geometry.ExtendedTarget(prior_variance=0.0)
     with pytest.raises(InvalidArgumentError):
         geometry.path_gain(0.0, GEOM.carrier_freq)
+
+
+def test_element_offsets_computed_once_and_read_only(monkeypatch):
+    calls = []
+    offsets = geometry.element_offsets
+
+    def counting(n):
+        calls.append(n)
+        return offsets(n)
+
+    monkeypatch.setattr(geometry, "element_offsets", counting)
+    geom = geometry.ArrayGeometry(n_tx=8, n_rx=5, n_rf=4, carrier_freq=28e9)
+    r, phi = np.array([[1.0], [2.0]]), np.array([[0.1, -0.3]])
+    for side in ("tx", "rx", "tx", "rx"):
+        geometry.steering_vectors(geom, r, phi, side)
+    assert calls == [8, 5]
+    assert geom.tx_offsets is geom.tx_offsets and geom.rx_offsets is geom.rx_offsets
+    np.testing.assert_array_equal(geom.tx_offsets, offsets(8))
+    np.testing.assert_array_equal(geom.rx_offsets, offsets(5))
+    for deltas in geom.tx_offsets, geom.rx_offsets:
+        with pytest.raises(ValueError):
+            deltas[0] = 0.0
+    # the cached offsets are not fields: equal geometries stay equal and hash alike
+    fresh = geometry.ArrayGeometry(n_tx=8, n_rx=5, n_rf=4, carrier_freq=28e9)
+    assert fresh == geom and hash(fresh) == hash(geom)
+    # the range check of exact_element_distance still guards the grids
+    with pytest.raises(InvalidArgumentError):
+        geometry.steering_vectors(geom, np.array([[1.0], [0.0]]), phi)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import types
 
 import numpy as np
@@ -240,6 +241,49 @@ def test_estimator_trial_rows_are_those_of_per_trial_estimates():
         (row,) = table.select(metric=f"mle_rmse_{name}")
         assert row.value == float(np.sqrt(sq[:, col].mean()))
         assert row.trials == 24
+
+
+@pytest.mark.parametrize("trials", [2, 17, 33])
+def test_estimator_trial_rows_equal_per_trial_mle_point_across_blocks(trials):
+    # trial counts that leave a partial last block: the rows, standard
+    # errors included, are those of one mle_point call per trial, bit for bit
+    assert trials % harness.TRIAL_BLOCK
+    scn = harness._apply_sweep(config.config_to_scenario(_small_config()),
+                               "target_distance", 0.08)
+    b = geometry.steering_vector(scn.geom, scn.target.distance, scn.target.angle)
+    W = (np.sqrt(scn.power_budget) * b / np.linalg.norm(b))[:, None]
+    table = harness.ResultTable()
+    harness.estimator_trial_rows(table, scn, "none", 0.0, W, trials=trials, seed=7)
+    B = bounds.point_trm(scn.geom, scn.target).B
+    est = np.array([estimators.mle_point(
+        estimators.simulate_echo(B, W, scn.frame_length, scn.sensing_noise,
+                                 estimators.trial_rng(7, t)), scn.geom)[:2]
+        for t in range(trials)])
+    sq = (est - [scn.target.distance, scn.target.angle]) ** 2
+    for name, col in (("distance", 0), ("angle", 1)):
+        (row,) = table.select(metric=f"mle_rmse_{name}")
+        rmse = float(np.sqrt(sq[:, col].mean()))
+        assert (row.value, row.trials) == (rmse, trials)
+        assert row.stderr == float(sq[:, col].std(ddof=1) / (2.0 * rmse * np.sqrt(trials)))
+
+
+def test_estimator_trial_memory_does_not_grow_with_trials():
+    # paper scale: the trials run a block at a time, so the traced peak stays
+    # under the bytes of the cached transmit search grid however many run
+    scn = config.config_to_scenario(config.default_config("paper"))
+    b = geometry.steering_vector(scn.geom, scn.target.distance, scn.target.angle)
+    W = (np.sqrt(scn.power_budget) * b / np.linalg.norm(b))[:, None]
+    harness.estimator_trial_rows(harness.ResultTable(), scn, "none", 0.0, W, 2, 0)  # grids
+    grid = estimators.default_grid(scn.geom)
+    bound = scn.geom.n_tx * grid.n_r * grid.n_phi * np.dtype(complex).itemsize
+    for trials in (32, 200):
+        tracemalloc.start()
+        try:
+            harness.estimator_trial_rows(harness.ResultTable(), scn, "none", 0.0, W, trials, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (trials, peak)
 
 
 def test_estimator_trial_rows_need_two_trials():
