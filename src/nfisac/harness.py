@@ -321,9 +321,7 @@ def run_sweep(cfg):
         for arch in cfg.architectures:
             W_h, extra_rows = W_cols, ()
             if arch != "digital":
-                fac = hybrid.factorize(W_cols, scn.geom.n_rf,
-                                       power=float(np.linalg.norm(W_cols) ** 2),
-                                       architecture=arch)
+                fac = hybrid.factorize(W_cols, scn.geom.n_rf, architecture=arch)
                 W_h = fac.analog @ fac.digital
                 extra_rows = [("factorization_residual", fac.residual)]
             try:

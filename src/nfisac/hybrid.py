@@ -2,14 +2,14 @@
 
 The analog stage T_A is a phase-shifter matrix (unit-modulus entries; in the
 partially-connected wiring each RF chain drives a disjoint group of
-antennas), the digital stage T_D is unconstrained.  Alternating updates
-minimize || W - T_A T_D ||_F: the digital step is a least-squares
-(fully-connected) or matched-scaling (partially-connected) update, the
-analog step is a majorize-minimize phase rotation.  The realized power
-|| T_A T_D ||_F^2 is pinned to the target by a final normalization; in the
-partially-connected wiring the block structure makes the realized power
-independent of the phases, so every digital update is normalized and the
-alternation never leaves the power-equality set.
+antennas), the digital stage T_D is unconstrained.  factorize fits W with
+one path per case.  Fully connected with n_rf >= 2 * n_streams, the factors
+are exact and in closed form (Sohrabi and Yu, IEEE JSTSP 2016).  Partially
+connected, one alternation of matched digital steps, normalized since the
+wiring makes the realized power independent of the phases, and optimal
+per-entry phases.  Fully connected with fewer chains, an alternation of
+least-squares digital steps and majorize-minimize phase rotations, with
+random-phase restarts out of the local minima only this case has.
 """
 
 from dataclasses import dataclass
@@ -19,12 +19,13 @@ import numpy as np
 from .errors import InvalidArgumentError, ZeroDirectionError
 
 #: change in the relative residual between sweeps that ends a run
-TOL = 1e-6
+TOL = 1e-12
 #: alternating sweeps per run
 MAX_ITER = 200
 #: majorize-minimize analog updates per fully-connected sweep
 ANALOG_STEPS = 30
-#: random-phase restarts tried when the first run's residual exceeds 1e-4
+#: random-phase restarts of a fully-connected fit with n_rf < 2 * n_streams,
+#: tried while the best residual exceeds 1e-4
 RESTARTS = 5
 
 
@@ -111,15 +112,16 @@ def partially_analog_update(T_D, W):
 
 
 def _two_phase_analog(W, n_rf):
-    """Exact fully-connected analog stage for n_rf >= 2 * n_streams.
+    """Exact fully-connected factors (T_A, T_D) for n_rf >= 2 * n_streams.
 
     Every entry of a column w splits as c (e^{ja} + e^{jb}) with
-    c = max_i |w_i| / 2, so two phase-shifter columns reproduce the column
-    exactly; leftover RF chains get unit phases and zero digital rows from
-    the least-squares digital step.
+    c = max_i |w_i| / 2, so two phase-shifter columns, each weighted by c,
+    reproduce the column exactly; a zero column and the leftover RF chains
+    get unit phases and zero digital rows.
     """
     n_tx, n_streams = W.shape
     T_A = np.ones((n_tx, n_rf), dtype=complex)
+    T_D = np.zeros((n_rf, n_streams), dtype=complex)
     for k in range(n_streams):
         w = W[:, k]
         c = np.abs(w).max() / 2.0
@@ -129,22 +131,8 @@ def _two_phase_analog(W, n_rf):
         half = np.arccos(np.clip(np.abs(w) / (2.0 * c), 0.0, 1.0))
         T_A[:, 2 * k] = np.exp(1j * (phase + half))
         T_A[:, 2 * k + 1] = np.exp(1j * (phase - half))
-    return T_A
-
-
-def _init_analog(W, n_rf, architecture, rng=None):
-    """Phase init from the beamformer columns, or seeded random phases."""
-    n_tx, n_streams = W.shape
-    if rng is None:
-        if architecture == "fully" and 2 * n_streams <= n_rf:
-            return _two_phase_analog(W, n_rf)
-        cols = [W[:, k % n_streams] for k in range(n_rf)]
-        T_A = _unit_phases(np.stack(cols, axis=1))
-    else:
-        T_A = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n_tx, n_rf)))
-    if architecture == "partially":
-        T_A = np.where(partial_mask(n_tx, n_rf), T_A, 0.0)
-    return T_A
+        T_D[2 * k:2 * k + 2, k] = c
+    return T_A, T_D
 
 
 def _alternate(W, T_A, digital, analog):
@@ -168,6 +156,15 @@ def _alternate(W, T_A, digital, analog):
     return T_A, T_D, res, it, trace
 
 
+def _normalized(W, T_A, T_D, power):
+    """T_D scaled to || T_A T_D ||_F^2 = power, and the relative residual."""
+    realized = np.linalg.norm(T_A @ T_D)
+    if realized == 0:
+        raise ZeroDirectionError("digital stage vanished; cannot normalize power")
+    T_D = T_D * (np.sqrt(power) / realized)
+    return T_D, float(np.linalg.norm(W - T_A @ T_D) / np.linalg.norm(W))
+
+
 def _run_fully(W, T_A, power):
     """Alternation with the raw least-norm least-squares digital stage.
 
@@ -183,11 +180,7 @@ def _run_fully(W, T_A, power):
 
     T_A, T_D, _, it, trace = _alternate(
         W, T_A, lambda T_A: np.linalg.lstsq(T_A, W, rcond=None)[0], analog)
-    realized = np.linalg.norm(T_A @ T_D)
-    if realized == 0:
-        raise ZeroDirectionError("digital stage vanished; cannot normalize power")
-    T_D = T_D * (np.sqrt(power) / realized)
-    res = float(np.linalg.norm(W - T_A @ T_D) / np.linalg.norm(W))
+    T_D, res = _normalized(W, T_A, T_D, power)
     return T_A, T_D, res, it, trace
 
 
@@ -195,9 +188,10 @@ def factorize(W, n_rf, power=None, architecture="fully"):
     """Factor W ~ T_A T_D with n_rf RF chains under a realized-power target.
 
     power defaults to ||W||_F^2, so a feasible W keeps its radiated power.
-    The first run starts from the phases of W; if its residual stays above
-    1e-4, up to RESTARTS deterministic random-phase starts are tried and
-    the best run is returned.
+    The exact case has iterations 0 and an empty trace.  The alternations
+    start from the phases of W's columns; with n_rf < 2 * n_streams up to
+    RESTARTS seeded random-phase starts follow while the best residual
+    exceeds 1e-4, and the best run is returned.
     """
     W = np.asarray(W, dtype=complex)
     if W.ndim != 2 or W.size == 0:
@@ -214,20 +208,24 @@ def factorize(W, n_rf, power=None, architecture="fully"):
     if power <= 0:
         raise InvalidArgumentError("power target must be positive")
 
-    def run(T_A0):
-        if architecture == "fully":
-            return _run_fully(W, T_A0, power)
-        return _alternate(W, T_A0, lambda T_A: partially_digital_update(T_A, W, power),
-                          lambda T_A, T_D: partially_analog_update(T_D, W))
-
-    best = run(_init_analog(W, n_rf, architecture))
-    rng = np.random.default_rng(0x5EED)
-    tries = 0
-    while best[2] > 1e-4 and tries < RESTARTS:
-        cand = run(_init_analog(W, n_rf, architecture, rng))
-        if cand[2] < best[2]:
-            best = cand
-        tries += 1
-    T_A, T_D, res, it, trace = best
-    return HybridFactors(analog=T_A, digital=T_D, architecture=architecture,
-                         residual=res, iterations=it, trace=tuple(trace))
+    n_tx, n_streams = W.shape
+    if architecture == "fully" and 2 * n_streams <= n_rf:
+        T_A, T_D = _two_phase_analog(W, n_rf)
+        T_D, res = _normalized(W, T_A, T_D, power)
+        return HybridFactors(T_A, T_D, architecture, res, 0)
+    T_A0 = _unit_phases(W[:, np.arange(n_rf) % n_streams])
+    if architecture == "partially":
+        T_A, T_D, res, it, trace = _alternate(
+            W, np.where(partial_mask(n_tx, n_rf), T_A0, 0.0),
+            lambda T_A: partially_digital_update(T_A, W, power),
+            lambda T_A, T_D: partially_analog_update(T_D, W))
+    else:
+        T_A, T_D, res, it, trace = _run_fully(W, T_A0, power)
+        rng = np.random.default_rng(0x5EED)
+        for start in np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (RESTARTS, n_tx, n_rf))):
+            if res <= 1e-4:
+                break
+            cand = _run_fully(W, start, power)
+            if cand[2] < res:
+                T_A, T_D, res, it, trace = cand
+    return HybridFactors(T_A, T_D, architecture, res, it, tuple(trace))

@@ -131,3 +131,57 @@ def test_factorize_reaches_the_module_level_analog_updates(monkeypatch):
     assert len(fully) == hybrid.ANALOG_STEPS * fac.iterations and not partially
     fac = hybrid.factorize(W, scn.geom.n_rf, architecture="partially")
     assert len(partially) >= fac.iterations
+
+
+@pytest.fixture(scope="module")
+def desk_design():
+    scn = config.config_to_scenario(config.default_config("desk"))
+    return scn, harness.optimize_scenario(scn)[0]
+
+
+def test_exact_case_is_closed_form(monkeypatch):
+    # n_rf >= 2K needs no alternation, and a zero column stays zero
+    fully = _counting(monkeypatch, "fully_analog_update")
+    rng = np.random.default_rng(12)
+    W = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+    W_zero = W * np.array([1.0, 0.0])
+    for W, n_rf in ((W, 4), (W, 5), (W_zero, 4), (W_zero, 5)):
+        fac = hybrid.factorize(W, n_rf, architecture="fully")
+        assert fac.iterations == 0 and fac.trace == ()
+        assert fac.residual <= 1e-14
+        np.testing.assert_allclose(np.abs(fac.analog), 1.0, atol=1e-12)
+        p = np.linalg.norm(W) ** 2
+        assert abs(np.linalg.norm(fac.analog @ fac.digital) ** 2 - p) <= 1e-10 * p
+    assert not fully
+
+
+def test_partially_fit_does_not_depend_on_the_start(desk_design):
+    scn, W = desk_design
+    n_tx, n_rf = scn.geom.n_tx, scn.geom.n_rf
+    fac = hybrid.factorize(W, n_rf, architecture="partially")
+    power = float(np.linalg.norm(W) ** 2)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        start = np.where(hybrid.partial_mask(n_tx, n_rf),
+                         np.exp(1j * rng.uniform(0, 2 * np.pi, (n_tx, n_rf))), 0.0)
+        res = hybrid._alternate(W, start,
+                                lambda T_A: hybrid.partially_digital_update(T_A, W, power),
+                                lambda T_A, T_D: hybrid.partially_analog_update(T_D, W))[2]
+        assert res == pytest.approx(fac.residual, abs=1e-10)
+
+
+def test_fully_fit_below_two_chains_per_stream_restarts(monkeypatch, desk_design):
+    # 20 sweeps a run keep the test short; every run of these inputs would
+    # otherwise sweep MAX_ITER times
+    monkeypatch.setattr(hybrid, "MAX_ITER", 20)
+    fully = _counting(monkeypatch, "fully_analog_update")
+    rng = np.random.default_rng(3)
+    W_random = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    for W, n_rf in ((desk_design[1], 3), (W_random, 4)):
+        fully.clear()
+        fac = hybrid.factorize(W, n_rf, architecture="fully")
+        assert len(fully) >= hybrid.ANALOG_STEPS * fac.iterations > 0
+        assert np.all(np.diff(fac.trace) <= 1e-12)
+        start = np.exp(1j * np.angle(W[:, np.arange(n_rf) % W.shape[1]]))
+        single = hybrid._run_fully(W, start, float(np.linalg.norm(W) ** 2))
+        assert fac.residual <= single[2]
