@@ -8,6 +8,15 @@ of the local scoring per zoom step, each echo getting the estimate that
 mle_point, a batch of one, gives it.  Extended target: linear MMSE
 estimate of the target response matrix, computed through the Kronecker
 identity so only n_tx-sized solves occur.
+
+Steering vectors are cached per aperture (element count, spacing,
+wavelength) and grid: the coarse grid's, and beside it those of the
+multi-point local windows, keyed by the bytes of each window's distances
+and angles.  Monte Carlo trials of one target revisit a few windows (12
+after 1,000 desk trials of MLE and MUSIC, 0.25 MB; 4 after 200 paper
+trials, 0.33 MB), so each is steered once.  The windows of a grid may take
+WINDOW_SHARE of its bytes, the oldest dropped first; single points, the
+vertex checks and the MLE's final mu, are always steered afresh.
 """
 
 import functools
@@ -43,21 +52,30 @@ def simulate_echo(B, W, L, noise_power, rng):
     """Simulate Y = B X + N over a frame of L symbols.
 
     The probe is X = W S with W the n_tx x K beamformer matrix and S
-    unit-variance circular Gaussian symbols.
+    unit-variance circular Gaussian symbols; N has noise_power per entry.
     """
     W = np.asarray(W, dtype=complex)
+    if W.ndim != 2 or W.shape[0] != B.shape[1]:
+        raise InvalidArgumentError("beamformer must be a matrix with one row per transmit antenna")
     K = W.shape[1]
     if L < K:
         raise InvalidArgumentError("frame length must be at least the stream count")
-    if noise_power < 0:
-        raise InvalidArgumentError("noise power must be nonnegative")
-    S = (rng.standard_normal((K, L)) + 1j * rng.standard_normal((K, L))) / np.sqrt(2.0)
+    if not 0 <= noise_power < math.inf:
+        raise InvalidArgumentError("noise power must be finite and nonnegative")
+    # the real then imaginary parts of S, then of N, scaled by the real
+    # factor numpy's complex arithmetic applies: it divides by sqrt(2) + 0j
+    # as a product with 1 / sqrt(2)
+    parts = rng.standard_normal((2, K, L))
+    parts *= 1.0 / np.sqrt(2.0)
+    S = np.empty((K, L), dtype=complex)
+    S.real, S.imag = parts
     X = W @ S
     Y = B @ X
     if noise_power > 0:
-        n_rx = B.shape[0]
-        N = (rng.standard_normal((n_rx, L)) + 1j * rng.standard_normal((n_rx, L)))
-        Y = Y + np.sqrt(noise_power / 2.0) * N
+        parts = rng.standard_normal((2,) + Y.shape)
+        parts *= np.sqrt(noise_power / 2.0)
+        Y.real += parts[0]
+        Y.imag += parts[1]
     return EchoBatch(Y=Y, X=X, noise_power=float(noise_power))
 
 
@@ -86,6 +104,12 @@ class GridSpec:
             axis.flags.writeable = False
         return rs, phis
 
+    @functools.cached_property
+    def _cells(self):
+        """Cell widths (log-distance, angle) as floats, computed once per grid."""
+        rs, phis = self._axes
+        return float(np.log(rs[1] / rs[0])), float(phis[1] - phis[0])
+
     def distances(self):
         """The n_r grid distances (read-only, computed once per grid)."""
         return self._axes[0]
@@ -104,11 +128,24 @@ def default_grid(geom):
 _GRID_CACHE = {}
 _GRID_LOCK = threading.Lock()
 
+#: share of a coarse grid's steering bytes that the local windows refining
+#: it may hold in the cache, the oldest dropped first
+WINDOW_SHARE = 0.25
+
 
 def _product_steering(geom, rs, phis, side):
     """Steering vectors over the product grid rs x phis, one column per point."""
     B = geometry.steering_vectors(geom, rs[:, None], phis[None, :], side)
     return B.reshape(B.shape[0], -1)
+
+
+def _grid_key(geom, grid, side):
+    """Cache key of the side's aperture and the grid.
+
+    An aperture is its element count, spacing and wavelength: the element
+    offsets are geometry.element_offsets of the count.
+    """
+    return geom.n_tx if side == "tx" else geom.n_rx, geom.spacing, geom.wavelength, grid
 
 
 def _grid_steering(geom, grid, side):
@@ -121,8 +158,7 @@ def _grid_steering(geom, grid, side):
     broadcast over the whole grid, exponentiated in place, so a build
     peaks at about twice the bytes it caches.
     """
-    deltas = geom.tx_offsets if side == "tx" else geom.rx_offsets
-    key = (tuple(deltas), geom.spacing, geom.wavelength, grid)
+    key = _grid_key(geom, grid, side)
     with _GRID_LOCK:
         if key not in _GRID_CACHE:
             B = _product_steering(geom, grid.distances(), grid.angles(), side)
@@ -130,9 +166,38 @@ def _grid_steering(geom, grid, side):
         return _GRID_CACHE[key]
 
 
+def _window_steering(geom, grid, side, rs, phis):
+    """_product_steering of each local window rs[w] x phis[w] refining the grid.
+
+    rs and phis are (windows, m) and (windows, p); returns one read-only
+    (n, m * p) matrix per window.  The matrices are cached beside the
+    grid's, per aperture like it, under the exact bytes of the window's
+    distances and angles, so a search that revisits a window reads the
+    columns it computed before.  The windows of one grid may hold
+    WINDOW_SHARE of the grid's own bytes, the oldest dropped first.
+    """
+    key = _grid_key(geom, grid, side) + ("windows",)
+    with _GRID_LOCK:
+        windows = _GRID_CACHE.setdefault(key, {})
+        out = []
+        for r, phi in zip(rs, phis):
+            window = r.tobytes() + phi.tobytes()
+            B = windows.get(window)
+            if B is None:
+                B = windows[window] = _product_steering(geom, r, phi, side)
+                B.flags.writeable = False
+                budget = WINDOW_SHARE * key[0] * grid.n_r * grid.n_phi * B.itemsize
+                while sum(b.nbytes for b in windows.values()) > budget:
+                    del windows[next(iter(windows))]
+            out.append(B)
+    return out
+
+
 def _abs2(z):
     """Elementwise |z|^2, without the square root np.abs takes."""
-    return z.real**2 + z.imag**2
+    out = z.real**2
+    out += z.imag**2
+    return out
 
 
 #: points per axis of each local grid, local grids scored per search, and
@@ -149,20 +214,27 @@ def _vertex(score, jr, jp):
     included, so the vertex follows a ridge that is not aligned with the
     axes.  On the grid's edge, or where the neighborhood is not strictly
     concave, each interior axis gets its own parabola instead.  The offset
-    is in cells of the grid along (distance, angle).
+    is a pair of floats, in cells of the grid along (distance, angle).
+    Python floats carry numpy's IEEE arithmetic without its per-scalar cost.
     """
     n_r, n_phi = score.shape
-    f0 = score[jr, jp]
-    if 0 < jr < n_r - 1 and 0 < jp < n_phi - 1:
-        gr = 0.5 * (score[jr + 1, jp] - score[jr - 1, jp])
-        gp = 0.5 * (score[jr, jp + 1] - score[jr, jp - 1])
-        hrr = score[jr + 1, jp] - 2.0 * f0 + score[jr - 1, jp]
-        hpp = score[jr, jp + 1] - 2.0 * f0 + score[jr, jp - 1]
-        hrp = 0.25 * (score[jr + 1, jp + 1] - score[jr + 1, jp - 1]
-                      - score[jr - 1, jp + 1] + score[jr - 1, jp - 1])
+    i0, j0 = max(jr - 1, 0), max(jp - 1, 0)
+    rows = score[i0:jr + 2, j0:jp + 2].tolist()
+    # the rows before, at and after jr, and in each the columns before, at
+    # and after jp; those before and after are read on interior axes only
+    up, at, down = rows[0], rows[jr - i0], rows[-1]
+    jm, j, jq = jp - j0 - 1, jp - j0, jp - j0 + 1
+    f0 = at[j]
+    inner_r, inner_p = 0 < jr < n_r - 1, 0 < jp < n_phi - 1
+    if inner_r and inner_p:
+        gr = 0.5 * (down[j] - up[j])
+        gp = 0.5 * (at[jq] - at[jm])
+        hrr = down[j] - 2.0 * f0 + up[j]
+        hpp = at[jq] - 2.0 * f0 + at[jm]
+        hrp = 0.25 * (down[jq] - down[jm] - up[jq] + up[jm])
         det = hrr * hpp - hrp * hrp
         if hrr < 0 and det > 0:
-            return np.array([hrp * gp - hpp * gr, hrp * gr - hrr * gp]) / det
+            return (hrp * gp - hpp * gr) / det, (hrp * gr - hrr * gp) / det
 
     def parabola(fm, fp):
         den = fm - 2.0 * f0 + fp
@@ -170,8 +242,50 @@ def _vertex(score, jr, jp):
             return 0.0
         return 0.5 * (fm - fp) / den
 
-    return np.array([parabola(score[jr - 1, jp], score[jr + 1, jp]) if 0 < jr < n_r - 1 else 0.0,
-                     parabola(score[jr, jp - 1], score[jr, jp + 1]) if 0 < jp < n_phi - 1 else 0.0])
+    return (parabola(up[j], down[j]) if inner_r else 0.0,
+            parabola(at[jm], at[jq]) if inner_p else 0.0)
+
+
+def _zoom(grid, ir, ip):
+    """One search of _search from the coarse argmax (ir, ip), a step at a time.
+
+    A generator.  Each step it yields the local grid to score, per axis
+    (distance, angle) the first and last multiple of the step's cell, in
+    cells, and the cell, in coarse cells; it is sent the grid's
+    ZOOM_POINTS x ZOOM_POINTS scores and the flat index of their first
+    maximum.  It then yields the vertex it would take, as (distance, angle)
+    offsets in coarse cells, and is sent the vertex's score.  Last it
+    yields the estimate's offsets.  Offsets are Python floats, whose
+    arithmetic is numpy's IEEE arithmetic at a fraction of the call cost on
+    a pair.
+    """
+    # per axis (distance, angle): the offsets the search may reach
+    lo_r, hi_r = float(max(-ir, -ZOOM_SPAN[0])), float(min(grid.n_r - 1 - ir, ZOOM_SPAN[0]))
+    lo_p, hi_p = float(max(-ip, -ZOOM_SPAN[1])), float(min(grid.n_phi - 1 - ip, ZOOM_SPAN[1]))
+    mid_r, mid_p = 0.0, 0.0
+    half_r, half_p = ZOOM_SPAN
+    for _ in range(ZOOM_STEPS):
+        cr, cp = half_r / ((ZOOM_POINTS - 1) // 2), half_p / ((ZOOM_POINTS - 1) // 2)
+        # the first and last multiple of the cell within half of mid and
+        # within reach; points sit at multiples of each grid's cell, exact
+        # binary fractions, so the argmax is on every grid that covers it
+        fr = math.ceil(max(lo_r, mid_r - half_r) / cr)
+        lr = math.floor(min(hi_r, mid_r + half_r) / cr)
+        fp = math.ceil(max(lo_p, mid_p - half_p) / cp)
+        lp = math.floor(min(hi_p, mid_p + half_p) / cp)
+        local, j = yield (fr, lr, cr), (fp, lp, cp)
+        jr, jp = divmod(j, ZOOM_POINTS)
+        window = local[:lr - fr + 1, :lp - fp + 1]
+        best_r, best_p = cr * (fr + jr), cp * (fp + jp)
+        vr, vp = _vertex(window, jr, jp)
+        shift_r, shift_p = cr * vr, cp * vp
+        w = min(max(best_r + shift_r, lo_r), hi_r), min(max(best_p + shift_p, lo_p), hi_p)
+        if (yield w) < window[jr, jp]:
+            w, shift_r, shift_p = (best_r, best_p), 0.0, 0.0
+        mid_r = min(max(best_r + round(shift_r / cr) * cr, lo_r), hi_r)
+        mid_p = min(max(best_p + round(shift_p / cp) * cp, lo_p), hi_p)
+        half_r, half_p = cr, cp
+    yield w
 
 
 def _search(grid, coarse, score):
@@ -199,62 +313,66 @@ def _search(grid, coarse, score):
     window per step, all in one call of score.  The points a cut-off grid
     lacks repeat its last point, which moves no first maximum, and _vertex
     fits on the cut-off grid alone, so each search of a batch returns what
-    it returns by itself.  Returns (r_hat, phi_hat) of the batch's shape,
+    it returns by itself.  Each search runs as a _zoom; this function only
+    turns their offsets into points and scores them, and _search_one does
+    so for a 2-D coarse.  Returns (r_hat, phi_hat) of the batch's shape,
     floats for an empty batch shape.
     """
     batch = coarse.shape[:-2]
+    if not batch:
+        return _search_one(grid, coarse, score)
     rs, phis = grid.distances(), grid.angles()
     ir, ip = np.divmod(coarse.reshape(-1, grid.n_r * grid.n_phi).argmax(axis=1), grid.n_phi)
     r0, phi0 = rs[ir][:, None], phis[ip][:, None]
-    steps = np.array([[np.log(rs[1] / rs[0])], [phis[1] - phis[0]]])
+    step_r, step_p = grid._cells
 
-    def points(w):
-        """(r, phi) at offsets w, (search, axis, point), from each argmax in coarse cells."""
-        dr, dphi = (w * steps).transpose(1, 0, 2)
-        return (r0 * np.exp(dr)).reshape(batch + (-1,)), (phi0 + dphi).reshape(batch + (-1,))
+    def points(u):
+        """(r, phi) at offsets u, (search, axis, point), from each argmax in coarse cells."""
+        return ((r0 * np.exp(u[:, 0] * step_r)).reshape(batch + (-1,)),
+                (phi0 + u[:, 1] * step_p).reshape(batch + (-1,)))
 
-    # Offsets are kept per search as Python floats, whose arithmetic is the
-    # IEEE arithmetic of numpy's at a fraction of the call cost on a pair.
-    # Per search, per axis (distance, angle): the offsets it may reach.
-    reach = [[(float(max(-i, -s)), float(min(n - 1 - i, s)))
-              for i, n, s in zip(ij, (grid.n_r, grid.n_phi), ZOOM_SPAN)]
-             for ij in zip(ir.tolist(), ip.tolist())]
-    mids = [(0.0, 0.0)] * len(reach)
-    half = ZOOM_SPAN
+    zooms = [_zoom(grid, i, j) for i, j in zip(ir.tolist(), ip.tolist())]
+    asks = [next(z) for z in zooms]
     offsets = np.arange(ZOOM_POINTS)
-    # points sit at multiples of each grid's cell: exact binary fractions,
-    # so the argmax is on every grid that covers it
     for _ in range(ZOOM_STEPS):
-        cell = tuple(h / ((ZOOM_POINTS - 1) // 2) for h in half)
-        # per search and axis, the first and last multiple of the cell, in
-        # cells, within half of mid and within reach
-        ends = [[(math.ceil(max(lo, m - h) / c), math.floor(min(hi, m + h) / c))
-                 for (lo, hi), m, h, c in zip(axes, mid, half, cell)]
-                for axes, mid in zip(reach, mids)]
-        index = np.array(ends)
-        u = np.array(cell)[:, None] * np.minimum(index[..., :1] + offsets, index[..., 1:])
+        # (first, last, cell) per search and axis; a cut-off local grid
+        # repeats its last point
+        index = np.array(asks)
+        u = index[..., 2:] * np.minimum(index[..., :1] + offsets, index[..., 1:2])
         local = score(*points(u)).reshape(-1, ZOOM_POINTS, ZOOM_POINTS)
-        bests, shifts, peaks = [], [], []
-        for e, (j, ((fr, lr), (fp, lp))) in enumerate(
-                zip(local.reshape(len(ends), -1).argmax(axis=1).tolist(), ends)):
-            jr, jp = divmod(j, ZOOM_POINTS)
-            window = local[e, :lr - fr + 1, :lp - fp + 1]
-            vr, vp = _vertex(window, jr, jp).tolist()
-            bests.append((cell[0] * (fr + jr), cell[1] * (fp + jp)))
-            shifts.append((cell[0] * vr, cell[1] * vp))
-            peaks.append(window[jr, jp])
-        ws = [tuple(min(max(b + s, lo), hi) for b, s, (lo, hi) in zip(best, shift, axes))
-              for best, shift, axes in zip(bests, shifts, reach)]
-        checks = score(*points(np.array(ws)[..., None])).reshape(-1).tolist()
-        for e, (check, peak) in enumerate(zip(checks, peaks)):
-            if check < peak:
-                ws[e], shifts[e] = bests[e], (0.0, 0.0)
-        mids = [tuple(min(max(b + round(s / c) * c, lo), hi)
-                      for b, s, c, (lo, hi) in zip(best, shift, cell, axes))
-                for best, shift, axes in zip(bests, shifts, reach)]
-        half = cell
-    r_hat, phi_hat = points(np.array(ws)[..., None])
+        firsts = local.reshape(len(zooms), -1).argmax(axis=1).tolist()
+        asks = [z.send(pair) for z, pair in zip(zooms, zip(local, firsts))]
+        checks = score(*points(np.array(asks)[..., None])).reshape(-1).tolist()
+        asks = [z.send(check) for z, check in zip(zooms, checks)]
+    r_hat, phi_hat = points(np.array(asks)[..., None])
     return r_hat.reshape(batch)[()], phi_hat.reshape(batch)[()]
+
+
+def _search_one(grid, coarse, score):
+    """_search of one (n_r, n_phi) coarse score: the same _zoom, its points from lists.
+
+    One search spends most of its time on numpy calls on a few numbers, so
+    its offsets stay Python floats up to one exponential and one array per
+    scoring.
+    """
+    ir, ip = divmod(int(coarse.argmax()), grid.n_phi)
+    r0, phi0 = float(grid.distances()[ir]), float(grid.angles()[ip])
+    step_r, step_p = grid._cells
+
+    def points(us, vs):
+        """(r, phi) arrays at distance offsets us and angle offsets vs, in coarse cells."""
+        return np.exp([u * step_r for u in us]) * r0, np.array([phi0 + v * step_p for v in vs])
+
+    zoom = _zoom(grid, ir, ip)
+    ask = next(zoom)
+    for _ in range(ZOOM_STEPS):
+        (fr, lr, cr), (fp, lp, cp) = ask
+        local = score(*points([cr * min(fr + k, lr) for k in range(ZOOM_POINTS)],
+                              [cp * min(fp + k, lp) for k in range(ZOOM_POINTS)]))
+        wr, wp = zoom.send((local, int(local.argmax())))
+        ask = zoom.send(score(*points([wr], [wp]))[0, 0])
+    (r_hat,), (phi_hat,) = points([ask[0]], [ask[1]])
+    return float(r_hat), float(phi_hat)
 
 
 def _rank_k_factors(echo):
@@ -293,6 +411,8 @@ def mle_points(echoes, geom, grid=None):
     if grid is None:
         grid = default_grid(geom)
     factors = [_rank_k_factors(echo) for echo in echoes]
+    if not factors:
+        return np.empty(0), np.empty(0), np.empty(0, dtype=complex)
     groups = {}
     for e, (T, _) in enumerate(factors):
         groups.setdefault(len(T), []).append(e)
@@ -312,7 +432,11 @@ def mle_points(echoes, geom, grid=None):
 
         Contiguous per echo, so each echo's products take the BLAS path its
         own call takes: numpy multiplies a strided single column without BLAS.
+        Local windows come from the window cache; single points, the vertex
+        checks and the final mu, are computed afresh.
         """
+        if rs.shape[1] * phis.shape[1] > 1:
+            return np.stack(_window_steering(geom, grid, side, rs, phis))
         B = geometry.steering_vectors(geom, rs[:, :, None], phis[:, None, :], side)
         return np.ascontiguousarray(B.reshape(B.shape[0], len(rs), -1).transpose(1, 0, 2))
 
@@ -327,7 +451,9 @@ def mle_points(echoes, geom, grid=None):
         return corr, energy
 
     def score(corr, energy):
-        return _abs2(corr) / np.maximum(energy, 1e-300)
+        out = _abs2(corr)
+        out /= np.maximum(energy, 1e-300)
+        return out
 
     Bt, Br = _grid_steering(geom, grid, "tx")[0], _grid_steering(geom, grid, "rx")[0]
     coarse = np.empty((len(factors), grid.n_r, grid.n_phi))
@@ -373,11 +499,16 @@ def music_2d(echo, geom, grid=None):
     EnH = vecs[:, :-1].conj().T  # all but the largest-eigenvalue direction
 
     def local(rs, phis):
-        proj = _abs2(EnH @ _product_steering(geom, rs, phis, "rx")).sum(axis=0)
+        if len(rs) * len(phis) > 1:
+            (B,) = _window_steering(geom, grid, "rx", rs[None], phis[None])
+        else:  # a vertex check, as one column
+            B = geometry.steering_vectors(geom, rs[0], phis[0], "rx")[:, None]
+        proj = _abs2(EnH @ B).sum(axis=0)
         return -proj.reshape(len(rs), len(phis))
 
     Br, Br_sq = _grid_steering(geom, grid, "rx")
-    coarse = _abs2(vecs[:, -1].conj() @ Br) - Br_sq
+    coarse = _abs2(vecs[:, -1].conj() @ Br)
+    coarse -= Br_sq
     r_hat, phi_hat = _search(grid, coarse.reshape(grid.n_r, grid.n_phi), local)
     return float(r_hat), float(phi_hat)
 

@@ -1,4 +1,6 @@
 import functools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -40,6 +42,34 @@ def test_simulate_echo_validation():
         estimators.simulate_echo(np.eye(4, dtype=complex), np.ones((4, 8)), 4, 1.0, rng)
     with pytest.raises(InvalidArgumentError):
         estimators.simulate_echo(np.eye(4, dtype=complex), np.ones((4, 2)), 8, -1.0, rng)
+
+
+@pytest.mark.parametrize("W", [np.ones(4), np.ones((3, 1)), np.ones((4, 1, 1))],
+                         ids=["1-D", "wrong-rows", "3-D"])
+def test_simulate_echo_rejects_a_beamformer_of_the_wrong_shape(W):
+    with pytest.raises(InvalidArgumentError):
+        estimators.simulate_echo(np.eye(4, dtype=complex), W, 8, 1.0, np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf])
+def test_simulate_echo_rejects_a_noise_power_that_is_not_finite(noise):
+    with pytest.raises(InvalidArgumentError):
+        estimators.simulate_echo(np.eye(4, dtype=complex), np.ones((4, 1)), 8, noise,
+                                 np.random.default_rng(2))
+
+
+def test_simulate_echo_draws_symbols_then_noise_from_the_stream():
+    # S takes the stream's first 2 K L normals (real parts, then imaginary
+    # parts), N the next 2 n_rx L, each scaled as numpy's complex arithmetic
+    # scales them: bit for bit the complex expressions they stand for
+    B = np.arange(12.0).reshape(3, 4) + 1j
+    W = np.ones((4, 2)) - 0.5j
+    echo = estimators.simulate_echo(B, W, 5, 0.3, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    S = (rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))) / np.sqrt(2.0)
+    N = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    np.testing.assert_array_equal(echo.X, W @ S)
+    np.testing.assert_array_equal(echo.Y, B @ (W @ S) + np.sqrt(0.3 / 2.0) * N)
 
 
 def test_trial_rng_reproducible_and_distinct():
@@ -399,6 +429,208 @@ def test_mle_block_with_a_zero_power_probe_is_per_echo():
     echoes = [_echo("matched", 30.0, target, seed=22), silent, _echo("full", 30.0, OFF_GRID, 23)]
     _assert_block_is_per_echo(echoes)
     assert estimators.mle_point(silent, GEOM, GRID)[2] == 0
+
+
+def test_mle_of_no_echoes_is_three_empty_arrays():
+    r, phi, mu = estimators.mle_points([], GEOM, GRID)
+    assert r.shape == phi.shape == mu.shape == (0,)
+    assert (r.dtype, phi.dtype, mu.dtype) == (np.float64, np.float64, np.complex128)
+    assert [len(a) for a in estimators.mle_points(iter(()), GEOM, GRID)] == [0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# the local-window steering cache
+
+
+@pytest.fixture
+def window_builds(monkeypatch):
+    """A cold grid cache, and the windows steered while it is in use:
+    (side, the bytes of the window's distances and angles, its points)."""
+    monkeypatch.setattr(estimators, "_GRID_CACHE", {})
+    built = []
+    steer = estimators._product_steering
+
+    def recording(geom, rs, phis, side):
+        built.append((side, rs.tobytes() + phis.tobytes(), len(rs) * len(phis)))
+        return steer(geom, rs, phis, side)
+
+    monkeypatch.setattr(estimators, "_product_steering", recording)
+    return built
+
+
+def _windows(geom=GEOM, grid=GRID):
+    """The cached windows of each side's aperture, side -> {key: matrix}."""
+    return {side: estimators._GRID_CACHE.get(estimators._grid_key(geom, grid, side)
+                                             + ("windows",), {})
+            for side in ("tx", "rx")}
+
+
+def _cache_echoes(geom=GEOM, targets=(OFF_GRID, _on_grid_target(), _on_grid_target(1, 1)),
+                  snrs_db=(30.0, 0.0, None)):
+    """Echoes of each target at each radar SNR (None: noiseless), from matched probes."""
+    echoes = []
+    for i, target in enumerate(targets):
+        b = geometry.steering_vector(geom, target.distance, target.angle)
+        W = (10.0 * b / np.linalg.norm(b))[:, None]
+        B = bounds.point_trm(geom, target).B
+        for j, snr_db in enumerate(snrs_db):
+            noise = 0.0 if snr_db is None else (
+                abs(target.reflection) ** 2 * 32 * 100.0 / 10 ** (snr_db / 10))
+            echoes.append(estimators.simulate_echo(B, W, 32, noise,
+                                                   np.random.default_rng(40 + 3 * i + j)))
+    return echoes
+
+
+def _cold(estimate, echoes, geom=GEOM):
+    """Each echo's estimate from an empty cache, and the windows each steered."""
+    cache, out, steered = estimators._GRID_CACHE, [], set()
+    try:
+        for echo in echoes:
+            estimators._GRID_CACHE = {}
+            out.append(estimate(echo, geom, GRID))
+            steered |= set(_windows(geom)["rx"])
+    finally:
+        estimators._GRID_CACHE = cache
+    return out, steered
+
+
+@pytest.mark.parametrize("first", ["mle", "music"])
+def test_estimates_equal_with_the_window_cache_cold_and_warm(window_builds, first):
+    # each estimate from an empty cache, then all of them again through a
+    # cache that the other estimator filled first (the MLE in one block and
+    # one echo at a time): bit for bit equal, and the second estimator
+    # steers only the windows the first did not
+    echoes = _cache_echoes(targets=(OFF_GRID, _on_grid_target()))
+    cold = {"mle": _cold(estimators.mle_point, echoes),
+            "music": _cold(estimators.music_2d, echoes)}
+    # the cache holds every window of both estimators, so none is dropped
+    window = GEOM.n_rx * estimators.ZOOM_POINTS**2 * 16
+    budget = estimators.WINDOW_SHARE * GEOM.n_rx * GRID.n_r * GRID.n_phi * 16
+    assert len(cold["mle"][1] | cold["music"][1]) * window <= budget
+    window_builds.clear()
+
+    def mle():
+        r, phi, mu = estimators.mle_points(echoes, GEOM, GRID)
+        assert list(zip(r, phi, mu)) == cold["mle"][0]
+        assert [estimators.mle_point(echo, GEOM, GRID) for echo in echoes] == cold["mle"][0]
+
+    def music():
+        assert [estimators.music_2d(echo, GEOM, GRID) for echo in echoes] == cold["music"][0]
+
+    second = "music" if first == "mle" else "mle"
+    {"mle": mle, "music": music}[first]()
+    before = len(window_builds)
+    {"mle": mle, "music": music}[second]()
+    shared = cold[first][1] & cold[second][1]
+    assert shared, "the estimators share no window"
+    assert {key for _, key, _ in window_builds[before:]} == cold[second][1] - cold[first][1]
+    # a warm cache answers every window: nothing more is steered
+    window_builds.clear()
+    mle()
+    music()
+    assert window_builds == []
+
+
+def test_tx_and_rx_windows_are_never_shared_between_apertures(window_builds):
+    geom = RX5_GEOM
+    echoes = _cache_echoes(geom)
+    cold = list(zip(_cold(estimators.mle_point, echoes, geom)[0],
+                    _cold(estimators.music_2d, echoes, geom)[0]))
+    window_builds.clear()
+    r, phi, mu = estimators.mle_points(echoes, geom, GRID)
+    warm = [((r[e], phi[e], mu[e]), estimators.music_2d(echo, geom, GRID))
+            for e, echo in enumerate(echoes)]
+    assert warm == cold
+    windows = _windows(geom)
+    assert windows["tx"] is not windows["rx"]
+    assert {B.shape for B in windows["tx"].values()} == {(geom.n_tx, estimators.ZOOM_POINTS**2)}
+    assert {B.shape for B in windows["rx"].values()} == {(geom.n_rx, estimators.ZOOM_POINTS**2)}
+    # a window the MLE scores is steered once for each aperture
+    assert set(windows["tx"]) & set(windows["rx"])
+    assert {side for side, _, _ in window_builds} == {"tx", "rx"}
+
+
+def test_window_cache_stays_within_its_budget(window_builds):
+    # about 40 targets across the grid's distances and angles, so many more
+    # windows are steered than the budget holds: the oldest are dropped
+    rs, phis = GRID.distances(), GRID.angles()
+    targets = [geometry.PointTarget(distance=float(rs[i]) * 1.01, angle=float(phis[j]) + 0.003,
+                                    reflection=0.05)
+               for i in range(2, GRID.n_r - 2, 7) for j in range(3, GRID.n_phi - 3, 18)]
+    assert 35 <= len(targets) <= 45
+    echoes = _cache_echoes(targets=targets, snrs_db=(30.0,))
+    estimators.mle_points(echoes, GEOM, GRID)
+    for echo in echoes:
+        estimators.music_2d(echo, GEOM, GRID)
+    windows = _windows()["tx"]
+    held = sum(B.nbytes for B in windows.values())
+    grid_bytes = estimators._grid_steering(GEOM, GRID, "tx")[0].nbytes
+    assert 0 < held <= estimators.WINDOW_SHARE * grid_bytes
+    assert len(window_builds) > 2 * len(windows)
+    # the windows kept are the last ones steered
+    kept = [key for _, key, _ in window_builds[-len(windows):]]
+    assert list(windows) == kept
+
+
+def test_window_cache_shared_by_threads(monkeypatch, window_builds):
+    # four threads on two cores, switching every 10 us, each estimating its
+    # own targets through one cache that holds two windows, so nearly every
+    # window steered drops another: no thread fails, every estimate is the
+    # serial one, and the cache ends within its budget
+    monkeypatch.setattr(estimators, "WINDOW_SHARE", 2.5 * 81 / (GRID.n_r * GRID.n_phi))
+    rs, phis = GRID.distances(), GRID.angles()
+    targets = [geometry.PointTarget(distance=float(rs[i]) * 1.01, angle=float(phis[j]),
+                                    reflection=0.05)
+               for i in range(4, GRID.n_r - 4, 9) for j in (20, 50, 80)]
+    echoes = _cache_echoes(targets=targets, snrs_db=(30.0,))
+    serial = list(zip(_cold(estimators.music_2d, echoes)[0], _cold(estimators.mle_point, echoes)[0]))
+    results, errors = [None] * 4, []
+
+    def work(t):
+        try:
+            mine = echoes[t::4]
+            music = [estimators.music_2d(echo, GEOM, GRID) for echo in mine]
+            results[t] = list(zip(music, zip(*estimators.mle_points(mine, GEOM, GRID))))
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for t in range(4):
+        assert results[t] == serial[t::4]
+    held = sum(B.nbytes for B in _windows()["rx"].values())
+    assert held <= estimators.WINDOW_SHARE * estimators._grid_steering(GEOM, GRID, "rx")[0].nbytes
+    assert len(window_builds) > len(_windows()["rx"])
+
+
+def test_single_point_evaluations_never_enter_the_window_cache(monkeypatch, window_builds):
+    sizes = []
+    cached_steering = estimators._window_steering
+
+    def recording(geom, grid, side, rs, phis):
+        sizes.append(rs.shape[1] * phis.shape[1])
+        return cached_steering(geom, grid, side, rs, phis)
+
+    monkeypatch.setattr(estimators, "_window_steering", recording)
+    echoes = _cache_echoes()
+    estimators.mle_points(echoes, GEOM, GRID)
+    for echo in echoes:
+        estimators.music_2d(echo, GEOM, GRID)
+        estimators.mle_point(echo, GEOM, GRID)
+    assert set(sizes) == {estimators.ZOOM_POINTS**2}
+    cached = [B for side in _windows().values() for B in side.values()]
+    assert {B.shape[1] for B in cached} == {estimators.ZOOM_POINTS**2}
+    assert all(not B.flags.writeable for B in cached)
 
 
 def test_grid_steering_shared_between_equal_apertures():
