@@ -20,7 +20,10 @@ self-dual embedding, as CVXOPT's conelp (Vandenberghe, "The CVXOPT linear
 and quadratic cone program solvers", 2010): Nesterov-Todd scaling,
 Mehrotra's predictor-corrector with one step of iterative refinement, and
 a Newton matrix of the size of x factored once per iteration, through a QR
-and the explicit inverse of its triangular factor (_Newton).  Primal
+and the explicit inverse of its triangular factor (_Newton).  The QR reads
+the rows whose support is one column pair folded into one 2 x 2 triangle
+per pair (_fold_pairs): the desk point-target subproblem's 128
+energy-efficiency chord rows, of its 207, become four.  Primal
 infeasibility is declared from the dual ray the embedding converges to;
 a solve that stalls short of tol and then drifts away (its measures
 DIVERGED times above their best) ends with its best iterate.  Reducing a
@@ -35,7 +38,7 @@ tau = kappa = 1 (Skajaa, Andersen and Ye, "Warmstarting the homogeneous
 and self-dual interior point method for linear and conic quadratic
 problems", Math. Prog. Comp. 2013).  On the desk point-target design the
 second subproblem takes 13 Newton steps from the first one's solution
-instead of 31 from conelp's start.
+instead of 23 from conelp's start.
 
 The scaling of a small PSD block (complex up to side 8, real up to side
 5) is applied as an explicit matrix on its rows, built once per Newton
@@ -46,6 +49,7 @@ point-target subproblems is small, and a Newton step there costs a few
 matrix products instead of a chain of small numpy calls per block.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +71,7 @@ DIVERGED = 1e3
 MAX_DENSE = 20_000_000
 #: distance along e, in equilibrated units, that a start's s and z are moved
 #: into the cone's interior: from 3e-3 to 3e-2 the designs take about the
-#: same Newton steps, at 1e-3 a paper-design solve ends max_iter, and 1e-1
-#: or 1 cost more steps (the README's table)
+#: same Newton steps, and 1e-3, 1e-1 or 1 cost more (the README's table)
 WARM_SHIFT = 1e-2
 #: rows of the largest diagonal block of U that _triu_inv inverts with np.linalg.inv
 LEAF = 32
@@ -445,13 +448,14 @@ class _Cone:
 
     def rescale(self, s_t, z_t):
         """Move W to the scaling of W^T s_t and W^-1 z_t (s_t, z_t in lam's coordinates)."""
+        sz_t = np.stack([s_t, z_t])
         for g in self.groups:
-            Ls = np.linalg.cholesky(g.mats(s_t[g.rows]))
-            Lz = np.linalg.cholesky(g.mats(z_t[g.rows]))
-            _, g.lam, Vh = np.linalg.svd(_herm(Lz) @ Ls)
+            Ls, Lz = np.linalg.cholesky(g.mats(sz_t[:, g.rows]))
+            Uz, g.lam, Vh = np.linalg.svd(_herm(Lz) @ Ls)
             root = np.sqrt(g.lam)
             g.R = g.R @ (Ls @ _herm(Vh) / root[:, None, :])
-            g.Rinv = (root[:, :, None] * (Vh @ np.linalg.inv(Ls))) @ g.Rinv
+            # R^-1 = lam^-1/2 V^H Ls^-1 = lam^-1/2 Uz^H Lz^H, as Lz^H Ls = Uz lam V^H
+            g.Rinv = (_herm(Lz @ Uz) / root[:, :, None]) @ g.Rinv
         for g in self.congruent:
             g.RH, g.RinvH = _herm(g.R), _herm(g.Rinv)
         self.lam_nn = np.sqrt(s_t[: self.q] * z_t[: self.q])
@@ -560,16 +564,78 @@ def _triu_inv(U):
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _fold_plan(shape, pattern):
+    """What _fold_pairs reads and writes for a matrix of this shape and
+    nonzero pattern (np.packbits of its mask), or None where folding its
+    two-entry rows would remove no row.
+
+    Returns (keep, rows, pairs, filled, tri): keep marks the other rows;
+    GA[rows, pairs] * filled, of shape (pairs, rows per pair, 2), stacks
+    each pair's rows at its two columns, zero-padded (filled 0); tri holds
+    the rows (2 per pair) of the triangles placed at columns pairs.
+    Cached and shared, so read-only.
+    """
+    m, n = shape
+    nonzero = np.unpackbits(np.frombuffer(pattern, np.uint8), count=m * n).reshape(m, n)
+    two = np.flatnonzero(np.count_nonzero(nonzero, axis=1) == 2)
+    cols = (np.flatnonzero(nonzero[two]) % n).reshape(-1, 2)
+    _, first, pair, counts = np.unique(cols[:, 0] * n + cols[:, 1], return_index=True,
+                                       return_inverse=True, return_counts=True)
+    if 2 * first.size >= two.size:
+        return None   # folding would remove no row
+    # two-entry row i is row place[i] of the stack of its pair, pair[i]
+    place = np.empty(two.size, int)
+    place[np.argsort(pair, kind="stable")] = (np.arange(two.size)
+                                              - np.repeat(np.cumsum(counts) - counts, counts))
+    # at least two rows per stack, so each QR gives a 2 x 2 triangle
+    rows = np.zeros((first.size, max(2, counts.max()), 1), int)
+    rows[pair, place] = two[:, None]
+    filled = np.zeros(rows.shape)
+    filled[pair, place] = 1.0
+    keep = np.ones(m, bool)
+    keep[two] = False
+    tri = np.arange(2 * first.size).reshape(-1, 2, 1)
+    plan = (keep, rows, cols[first][:, None, :], filled, tri)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+def _fold_pairs(GA):
+    """A matrix with GA's Gram matrix GA^T GA in fewer rows, or GA itself.
+
+    The rows whose support is one column pair (j, k), such as the chords
+    of sca's energy-efficiency rows in (t_k, r_k), add only to the 2 x 2
+    Gram block of their pair; one stacked QR of their two columns folds
+    each pair's rows into the 2 x 2 triangle of that block (Andersen, Dahl
+    and Vandenberghe, Math. Prog. Comp. 2010, exploit such structure in
+    their Newton solves).  The result is GA's other rows followed by the
+    triangles, each at its pair's columns; GA when folding removes no row.
+    The Newton matrices of one solve share their pattern, so _fold_plan
+    finds the rows and pairs once per solve.
+    """
+    plan = _fold_plan(GA.shape, np.packbits(GA != 0).tobytes())
+    if plan is None:
+        return GA
+    keep, rows, pairs, filled, tri = plan
+    T = np.linalg.qr(GA[rows, pairs] * filled, mode="r")
+    triangles = np.zeros((tri.size, GA.shape[1]))
+    triangles[tri, pairs] = T
+    return np.concatenate([GA[keep], triangles])
+
+
 class _Newton:
     """Solver of [0 A0^T G^T; A0 0 0; G 0 -W^T W] (dx, dy, dz) = (rx, ry, rz).
 
     Given t = W^-T rz, returns dx, dy and W dz = Gt dx - t, Gt = W^-T G: dx, dy
     solve [H A0^T; A0 0] = (rx + Gt^T t, ry), H = Gt^T Gt, through U^T U = H +
     A0^T A0 and its Schur complement.  U, the R of GA = [Gt; A0] (Gt its
-    first m rows, read as views), has the square root of the condition
-    number of H, which reaches 1e16 near the optimum.  Each solve with U^T U
-    applies U^-T and U^-1 (_triu_inv, built once per matrix), then takes one
-    step of iterative refinement against GA's rows (Higham, "Accuracy and
+    first m rows, read as views), comes from the QR of _fold_pairs(GA) and
+    has the square root of the condition number of H, which reaches 1e16
+    near the optimum.  Each solve with U^T U applies U^-T and U^-1
+    (_triu_inv, built once per matrix), then takes one step of iterative
+    refinement against GA's unfolded rows (Higham, "Accuracy and
     Stability of Numerical Algorithms", 2nd ed., ch. 12): without it the
     residuals of the paper design's Newton systems reach some 640 times
     those of LAPACK's Cholesky solves with the same U.  The Schur
@@ -578,7 +644,7 @@ class _Newton:
 
     def __init__(self, GA, m):
         self.GA, self.Gt, self.A0 = GA, GA[:m], GA[m:]
-        U = np.linalg.qr(GA, mode="r")
+        U = np.linalg.qr(_fold_pairs(GA), mode="r")
         d = np.abs(np.diagonal(U))
         if not d.min() > 1e-15 * d.max():
             raise np.linalg.LinAlgError("singular Newton matrix")

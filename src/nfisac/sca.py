@@ -402,8 +402,8 @@ def _add_constraint_block(prog, state, scenario, w_vars):
             prog.add_eq(u_expr)
             intercepts, slopes = state.chords[k]
             for a, m in zip(intercepts, slopes):
-                prog.add_ineq(LinExpr(a + m * noise) + scalar_term(received, m * noise)
-                              - scalar_term(t_vars[k]))
+                prog.add_ineq(LinExpr(a + m * noise, {received.name: np.array([m * noise]),
+                                                      t_vars[k].name: np.array([-1.0])}))
             ee = ee + scalar_term(t_vars[k]) - np.log2(interf[k] + noise) + c[k] * interf[k]
             for i, var in enumerate(w_vars):
                 if i != k:
@@ -441,9 +441,10 @@ def build_point_subproblem(state, scenario):
 
     Variables: W_k (Hermitian), Xi and its trace-inverse epigraph U (real
     2x2), EE auxiliaries.  The information blocks enter a 4x4 Schur LMI
-    under a diagonal congruence diag(d_r, d_phi, s, s) chosen so the
-    initial blocks are O(1); the congruence is undone by weighting the
-    epigraph trace with d^(-2), so the objective reads in original units.
+    under a diagonal congruence diag(d_r, d_phi, s, s), sized by
+    solve_point_sca so Xi and U read O(1) at the optimum; the congruence is
+    undone by weighting the epigraph trace with d^2, so the objective
+    reads in original units.
 
     Each variable W{k} is the m x m Hermitian Z_k of W_k = U Z_k U^H,
     U = state.basis (n x m, see point_subspace), and every datum enters
@@ -804,13 +805,21 @@ def solve_point_sca(scenario, options=None):
     coeffs = dict(coeffs, mu=trm.reflection)
 
     R0 = sum(W0)
-    fim0 = bounds.fim_point(trm, R0, scenario.sensing_noise, scenario.frame_length)
-    diag0 = np.diag(fim0.J_phiphi)
-    if np.any(diag0 <= 0):
+    try:
+        fim0 = bounds.fim_point(trm, R0, scenario.sensing_noise, scenario.frame_length)
+    except SingularInformationError:
+        fim0 = None
+    if fim0 is None or np.any(np.diag(fim0.J_phiphi) <= 0):
         raise ScenarioInfeasibleError("initial design carries no target information",
                                       violated="information")
-    d_scale = 1.0 / np.sqrt(diag0)
-    mu_scale = 1.0 / np.sqrt(float(fim0.J_mumu[0, 0]))
+    # the congruence is sized at the start plus isotropic full power, whose
+    # information is of the order of the optimum's wherever the start's
+    # beams point, so Xi and its epigraph U read O(1) there
+    n = scenario.geom.n_tx
+    full = bounds.fim_point(trm, R0 + (scenario.power_budget / n) * np.eye(n),
+                            scenario.sensing_noise, scenario.frame_length)
+    d_scale = 1.0 / np.sqrt(np.diag(full.J_phiphi))
+    mu_scale = 1.0 / np.sqrt(float(full.J_mumu[0, 0]))
 
     state = ScaState(W_prev=W0, channels=channels, fim_coeffs=coeffs,
                      basis=point_subspace(scenario, channels),

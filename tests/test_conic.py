@@ -305,6 +305,41 @@ def test_start_of_another_layout_rejected():
         solve(eq, start=solve(lp))
 
 
+def test_fold_keeps_the_gram_matrix_of_uneven_pairs():
+    # two-entry rows on three column pairs, 7, 2 and 1 rows each, among
+    # dense rows and a one-entry row: each pair becomes one 2 x 2 triangle
+    rng = np.random.default_rng(1)
+    n = 12
+    rows = [rng.standard_normal(n) for _ in range(20)]
+    for (j, k), count in [((1, 5), 7), ((3, 4), 2), ((0, 11), 1)]:
+        for _ in range(count):
+            row = np.zeros(n)
+            row[[j, k]] = rng.standard_normal(2)
+            rows.append(row)
+    rows.append(np.eye(n)[2])
+    GA = np.array(rows)[rng.permutation(len(rows))]
+    folded = solver._fold_pairs(GA)
+    assert folded.shape == (GA.shape[0] - 10 + 3 * 2, n)
+    np.testing.assert_allclose(folded.T @ folded, GA.T @ GA, rtol=0,
+                               atol=1e-14 * np.linalg.norm(GA.T @ GA))
+
+
+def test_newton_matrix_without_two_entry_rows_takes_the_plain_qr():
+    # no row with two entries, or one such row per pair (folding would
+    # remove none): the QR reads GA itself
+    rng = np.random.default_rng(2)
+    GA = rng.standard_normal((30, 12))
+    GA[3, 1:] = 0.0
+    GA[4, 3:] = 0.0
+    assert solver._fold_pairs(GA) is GA
+    GA[5, 2:] = 0.0
+    GA[6, :] = 0.0
+    GA[6, [4, 9]] = 1.0, -2.0
+    assert solver._fold_pairs(GA) is GA
+    newton = solver._Newton(GA, 26)
+    np.testing.assert_array_equal(newton.U_inv, solver._triu_inv(np.linalg.qr(GA, mode="r")))
+
+
 def _cone_form():
     # zero rows, nonnegative rows, and PSD blocks: two real of side 3, one
     # of side 1, two complex of side 2 and one of side 5

@@ -691,6 +691,38 @@ def test_desk_design_exits_once_the_relaxation_is_rank_one():
     assert min(trace.slacks[-1].values()) >= 0.0
 
 
+def test_full_power_congruence_keeps_xi_of_order_one(monkeypatch):
+    # the congruence is sized at the start plus isotropic full power: the
+    # first desk subproblem's solved Xi reads O(1) (5,765 and 29 when sized
+    # at the start alone), and the designs take few Newton steps
+    calls = _recording_solve(monkeypatch)
+    steps = {}
+    for scale in ("desk", "paper"):
+        scn = config.config_to_scenario(config.default_config(scale))
+        _, _, trace, _ = sca.solve_point_sca(scn, harness._sweep_options(scn))
+        assert [rec.status for rec in trace.solves] == ["optimal"] * len(trace.solves)
+        steps[scale] = sum(rec.iterations for rec in trace.solves)
+    xi = np.diag(calls[0][2].assignments["Xi"])
+    assert np.all((1e-2 <= xi) & (xi <= 1e2))
+    assert steps["desk"] <= 40
+    assert steps["paper"] < 54
+
+
+def test_point_sca_rejects_a_start_without_target_information(monkeypatch):
+    # beams orthogonal to span{b_t, d b_t / dr, d b_t / dphi}, which holds
+    # every information coefficient matrix, carry no target information
+    scn = config.config_to_scenario(config.default_config("desk"))
+    geom, target = scn.geom, scn.target
+    d_r, d_phi = geometry.steering_derivatives(geom, target.distance, target.angle)
+    bt = geometry.steering_vector(geom, target.distance, target.angle)
+    Q = np.linalg.qr(np.column_stack([bt, d_r, d_phi]), mode="complete")[0]
+    W0 = [np.outer(q, q.conj()) for q in Q[:, 3: 3 + scn.channels().n_users].T]
+    monkeypatch.setattr(sca, "init_feasible", lambda *_: W0)
+    with pytest.raises(ScenarioInfeasibleError) as err:
+        sca.solve_point_sca(scn)
+    assert err.value.violated == "information"
+
+
 class _FirstSubproblem(Exception):
     pass
 
@@ -946,6 +978,32 @@ def test_newton_solves_as_accurate_as_cholesky_solves(monkeypatch):
         ours = residual(GA, m, *rhs, *solver._Newton(GA, m).solve(*rhs))
         reference = residual(GA, m, *rhs, *cholesky_solve(GA, m, *rhs))
         assert ours <= 10 * max(reference, np.finfo(float).eps)
+
+
+def test_folded_newton_matrices_keep_the_factor(monkeypatch):
+    # every Newton matrix of the paper design's first subproblem: the fold
+    # puts one 2 x 2 triangle per user in place of its 64 chord rows, and
+    # the factor of the folded rows has the plain QR's U^T U
+    scn = config.config_to_scenario(config.default_config("paper"))
+    prog, kwargs = _first_point_subproblem(monkeypatch, scn, harness._sweep_options(scn))
+    matrices = []
+
+    class Recorded(solver._Newton):
+        def __init__(self, GA, m):
+            matrices.append(GA.copy())
+            super().__init__(GA, m)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_Newton", Recorded)
+        assert solve(prog, **kwargs).optimal
+    assert len(matrices) > 20
+    for GA in matrices:
+        folded = solver._fold_pairs(GA)
+        assert folded.shape == (GA.shape[0] - 4 * sca.EE_CHORDS + 4 * 2, GA.shape[1])
+        plain = np.linalg.qr(GA, mode="r")
+        U = np.linalg.qr(folded, mode="r")
+        gram = plain.T @ plain
+        assert np.linalg.norm(U.T @ U - gram) <= 1e-12 * np.linalg.norm(gram)
 
 
 @pytest.mark.parametrize("k", [5, 12, 20])
