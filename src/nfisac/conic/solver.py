@@ -22,7 +22,8 @@ Mehrotra's predictor-corrector with one step of iterative refinement, and
 a Newton matrix of the size of x factored once per iteration, through a QR
 and the explicit inverse of its triangular factor (_Newton).  The QR reads
 the rows whose support is one column pair folded into one 2 x 2 triangle
-per pair (_fold_pairs): the desk point-target subproblem's 128
+per pair (_fold_pairs, by a plan found once per solve from the standard
+form, _fold_plan): the desk point-target subproblem's 128
 energy-efficiency chord rows, of its 207, become four.  Primal
 infeasibility is declared from the dual ray the embedding converges to;
 a solve that stalls short of tol and then drifts away (its measures
@@ -49,7 +50,6 @@ point-target subproblems is small, and a Newton step there costs a few
 matrix products instead of a chain of small numpy calls per block.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -564,22 +564,28 @@ def _triu_inv(U):
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _fold_plan(shape, pattern):
-    """What _fold_pairs reads and writes for a matrix of this shape and
-    nonzero pattern (np.packbits of its mask), or None where folding its
-    two-entry rows would remove no row.
+def _fold_plan(A, p, q):
+    """What _fold_pairs reads and writes in the Newton matrices [W^-T G; A0]
+    of a standard form's A, with p zero and q nonnegative rows, or None where
+    folding would remove no row.
+
+    Only rows whose nonzero pattern the Nesterov-Todd scaling keeps are
+    folded: G's nonnegative rows, which W^-T scales by a diagonal, and A0's
+    rows, which it leaves alone (it mixes a PSD block's rows).  So every
+    Newton matrix of a solve, the unscaled one of its start too, takes one
+    plan.
 
     Returns (keep, rows, pairs, filled, tri): keep marks the other rows;
     GA[rows, pairs] * filled, of shape (pairs, rows per pair, 2), stacks
     each pair's rows at its two columns, zero-padded (filled 0); tri holds
     the rows (2 per pair) of the triangles placed at columns pairs.
-    Cached and shared, so read-only.
     """
-    m, n = shape
-    nonzero = np.unpackbits(np.frombuffer(pattern, np.uint8), count=m * n).reshape(m, n)
-    two = np.flatnonzero(np.count_nonzero(nonzero, axis=1) == 2)
-    cols = (np.flatnonzero(nonzero[two]) % n).reshape(-1, 2)
+    m, n = A.shape
+    fixed = np.r_[p: p + q, :p]   # A's rows, in their order in [G; A0]
+    nonzero = A[fixed] != 0
+    is_two = np.count_nonzero(nonzero, axis=1) == 2
+    two = (fixed[is_two] - p) % m   # their rows in [G; A0]
+    cols = (np.flatnonzero(nonzero[is_two]) % n).reshape(-1, 2)
     _, first, pair, counts = np.unique(cols[:, 0] * n + cols[:, 1], return_index=True,
                                        return_inverse=True, return_counts=True)
     if 2 * first.size >= two.size:
@@ -596,13 +602,10 @@ def _fold_plan(shape, pattern):
     keep = np.ones(m, bool)
     keep[two] = False
     tri = np.arange(2 * first.size).reshape(-1, 2, 1)
-    plan = (keep, rows, cols[first][:, None, :], filled, tri)
-    for a in plan:
-        a.flags.writeable = False
-    return plan
+    return keep, rows, cols[first][:, None, :], filled, tri
 
 
-def _fold_pairs(GA):
+def _fold_pairs(GA, plan):
     """A matrix with GA's Gram matrix GA^T GA in fewer rows, or GA itself.
 
     The rows whose support is one column pair (j, k), such as the chords
@@ -611,11 +614,9 @@ def _fold_pairs(GA):
     each pair's rows into the 2 x 2 triangle of that block (Andersen, Dahl
     and Vandenberghe, Math. Prog. Comp. 2010, exploit such structure in
     their Newton solves).  The result is GA's other rows followed by the
-    triangles, each at its pair's columns; GA when folding removes no row.
-    The Newton matrices of one solve share their pattern, so _fold_plan
-    finds the rows and pairs once per solve.
+    triangles, each at its pair's columns; GA when plan (see _fold_plan)
+    is None.
     """
-    plan = _fold_plan(GA.shape, np.packbits(GA != 0).tobytes())
     if plan is None:
         return GA
     keep, rows, pairs, filled, tri = plan
@@ -631,20 +632,21 @@ class _Newton:
     Given t = W^-T rz, returns dx, dy and W dz = Gt dx - t, Gt = W^-T G: dx, dy
     solve [H A0^T; A0 0] = (rx + Gt^T t, ry), H = Gt^T Gt, through U^T U = H +
     A0^T A0 and its Schur complement.  U, the R of GA = [Gt; A0] (Gt its
-    first m rows, read as views), comes from the QR of _fold_pairs(GA) and
-    has the square root of the condition number of H, which reaches 1e16
-    near the optimum.  Each solve with U^T U applies U^-T and U^-1
-    (_triu_inv, built once per matrix), then takes one step of iterative
-    refinement against GA's unfolded rows (Higham, "Accuracy and
-    Stability of Numerical Algorithms", 2nd ed., ch. 12): without it the
-    residuals of the paper design's Newton systems reach some 640 times
-    those of LAPACK's Cholesky solves with the same U.  The Schur
+    first m rows, read as views), comes from the QR of _fold_pairs(GA,
+    plan), plan the solve's one _fold_plan, and has the square root of the
+    condition number of H, which reaches 1e16 near the optimum.  Each solve
+    with U^T U applies U^-T and U^-1 (_triu_inv, built once per matrix),
+    then takes one step of iterative refinement against GA's unfolded rows
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., ch.
+    12): without it the residuals of the paper design's Newton systems
+    reach some 640 times those of LAPACK's Cholesky solves with the same
+    U.  The Schur
     complement A0 (U^T U)^-1 A0^T, p x p, is inverted explicitly.
     """
 
-    def __init__(self, GA, m):
+    def __init__(self, GA, m, plan):
         self.GA, self.Gt, self.A0 = GA, GA[:m], GA[m:]
-        U = np.linalg.qr(_fold_pairs(GA), mode="r")
+        U = np.linalg.qr(_fold_pairs(GA, plan), mode="r")
         d = np.abs(np.diagonal(U))
         if not d.min() > 1e-15 * d.max():
             raise np.linalg.LinAlgError("singular Newton matrix")
@@ -684,13 +686,14 @@ def _interior_point(form, A, b, c, tol, max_iter, start=None):
     m = G.shape[0]
     Gh = np.column_stack([G, h])
     cone = _Cone(form)
+    plan = _fold_plan(A, p, form.n_nonneg)
     norm_b, norm_c = max(1.0, np.linalg.norm(b)), max(1.0, np.linalg.norm(c))
 
     if start is None:
         # conelp's start: x minimizes ||G x - h|| on A0 x = b0, (y, z)
         # minimizes ||z|| on A^T (y, z) + c = 0; both are projected onto K
         # and moved inside
-        newton = _Newton(np.vstack([G, A0]), m)
+        newton = _Newton(np.vstack([G, A0]), m, plan)
         x = newton.solve(np.zeros(A.shape[1]), b0, h)[0]
         s = project_cone(b - A @ x, form)[p:] + cone.e
         _, y, z = newton.solve(-c, np.zeros(p), np.zeros(h.size))
@@ -733,7 +736,7 @@ def _interior_point(form, A, b, c, tol, max_iter, start=None):
         cone.inv_t(Gh, out=GhA[:m])
         h_t = GhA[:m, -1].copy()   # contiguous, so its dot products round as h's did
         try:
-            newton = _Newton(GhA[:, :-1], m)
+            newton = _Newton(GhA[:, :-1], m, plan)
         except np.linalg.LinAlgError:
             break
         x1, y1, z1 = newton.solve(c, -b0, -h_t)

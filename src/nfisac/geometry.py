@@ -3,9 +3,7 @@
 The transmit array is a uniform linear array centered at the origin with
 half-wavelength spacing.  Element l sits at offset delta_l = (2l - N - 1)/2
 in units of the spacing d, so the offsets are symmetric about the array
-center.  Steering vectors carry the exact spherical-wave phase profile by
-default; a second-order (quadratic) phase approximation is available for
-cross-validation.
+center.  Steering vectors carry the exact spherical-wave phase profile.
 This module owns the path-length formula (exact_element_distance) and the
 exact steering vectors of points or grids built on it (steering_vectors):
 channels, estimator search grids and heatmaps all take theirs from here.
@@ -148,30 +146,21 @@ def steering_vectors(geom, r, phi, side="tx"):
     return np.exp(phase, out=phase)
 
 
-def steering_vector(geom, r, phi, mode="exact", side="tx"):
-    """Near-field steering vector for the tx or rx aperture.
+def steering_vector(geom, r, phi, side="tx"):
+    """Near-field steering vector for the tx or rx aperture at one point.
 
-    mode "exact" uses the true spherical-wave path-length difference;
-    mode "quadratic" substitutes its second-order expansion
-    -delta*d*sin(phi) + delta^2*d^2*cos^2(phi)/(2r).
-    Every entry has unit modulus.
+    The phases follow the exact spherical-wave path-length difference, and
+    every entry has unit modulus.
     """
     if r <= 0:
         raise InvalidArgumentError("range must be positive")
     if not -np.pi / 2 < phi < np.pi / 2:
         raise InvalidArgumentError("angle must lie in (-pi/2, pi/2)")
-    if mode == "exact":
-        return steering_vectors(geom, r, phi, side)
-    if mode != "quadratic":
-        raise InvalidArgumentError(f"unknown steering mode {mode!r}")
-    deltas = geom.tx_offsets if side == "tx" else geom.rx_offsets
-    d = geom.spacing
-    path_diff = -deltas * d * np.sin(phi) + (deltas * d) ** 2 * np.cos(phi) ** 2 / (2.0 * r)
-    return np.exp(-2j * np.pi / geom.wavelength * path_diff)
+    return steering_vectors(geom, r, phi, side)
 
 
 def steering_derivatives(geom, r, phi, side="tx"):
-    """Analytic (d/dr, d/dphi) of the exact-mode steering vector."""
+    """Analytic (d/dr, d/dphi) of the steering vector."""
     deltas = geom.tx_offsets if side == "tx" else geom.rx_offsets
     d = geom.spacing
     rl = exact_element_distance(r, phi, deltas, d)

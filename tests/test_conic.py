@@ -307,7 +307,9 @@ def test_start_of_another_layout_rejected():
 
 def test_fold_keeps_the_gram_matrix_of_uneven_pairs():
     # two-entry rows on three column pairs, 7, 2 and 1 rows each, among
-    # dense rows and a one-entry row: each pair becomes one 2 x 2 triangle
+    # dense rows and a one-entry row: each pair becomes one 2 x 2 triangle.
+    # GA = [G; A0] is the Newton matrix of a form whose A = [A0; G] has 5
+    # zero rows and no PSD block
     rng = np.random.default_rng(1)
     n = 12
     rows = [rng.standard_normal(n) for _ in range(20)]
@@ -318,7 +320,8 @@ def test_fold_keeps_the_gram_matrix_of_uneven_pairs():
             rows.append(row)
     rows.append(np.eye(n)[2])
     GA = np.array(rows)[rng.permutation(len(rows))]
-    folded = solver._fold_pairs(GA)
+    plan = solver._fold_plan(np.roll(GA, 5, axis=0), 5, GA.shape[0] - 5)
+    folded = solver._fold_pairs(GA, plan)
     assert folded.shape == (GA.shape[0] - 10 + 3 * 2, n)
     np.testing.assert_allclose(folded.T @ folded, GA.T @ GA, rtol=0,
                                atol=1e-14 * np.linalg.norm(GA.T @ GA))
@@ -331,12 +334,14 @@ def test_newton_matrix_without_two_entry_rows_takes_the_plain_qr():
     GA = rng.standard_normal((30, 12))
     GA[3, 1:] = 0.0
     GA[4, 3:] = 0.0
-    assert solver._fold_pairs(GA) is GA
+    plan = solver._fold_plan(GA, 0, GA.shape[0])
+    assert solver._fold_pairs(GA, plan) is GA
     GA[5, 2:] = 0.0
     GA[6, :] = 0.0
     GA[6, [4, 9]] = 1.0, -2.0
-    assert solver._fold_pairs(GA) is GA
-    newton = solver._Newton(GA, 26)
+    plan = solver._fold_plan(GA, 0, GA.shape[0])
+    assert solver._fold_pairs(GA, plan) is GA
+    newton = solver._Newton(GA, 26, plan)
     np.testing.assert_array_equal(newton.U_inv, solver._triu_inv(np.linalg.qr(GA, mode="r")))
 
 

@@ -59,20 +59,6 @@ def test_exact_element_distance_law_of_cosines():
     assert geometry.exact_element_distance(r, phi, delta, d) == pytest.approx(direct, rel=1e-14)
 
 
-def test_quadratic_mode_matches_exact_in_far_field():
-    r = 50.0 * geometry.rayleigh_distance(GEOM)
-    be = geometry.steering_vector(GEOM, r, 0.3, mode="exact")
-    bq = geometry.steering_vector(GEOM, r, 0.3, mode="quadratic")
-    assert np.max(np.abs(be - bq)) < 1e-3
-
-
-def test_quadratic_mode_diverges_from_exact_in_near_field():
-    r = 0.1 * geometry.rayleigh_distance(GEOM)
-    be = geometry.steering_vector(GEOM, r, 0.3, mode="exact")
-    bq = geometry.steering_vector(GEOM, r, 0.3, mode="quadratic")
-    assert np.max(np.abs(be - bq)) > 1e-3
-
-
 @settings(max_examples=30, deadline=None)
 @given(r=st.floats(0.2, 40.0), phi=st.floats(-1.4, 1.4))
 def test_steering_derivatives_match_finite_differences(r, phi):
@@ -107,8 +93,6 @@ def test_invalid_arguments_rejected():
         geometry.steering_vector(GEOM, -1.0, 0.0)
     with pytest.raises(InvalidArgumentError):
         geometry.steering_vector(GEOM, 1.0, np.pi / 2)
-    with pytest.raises(InvalidArgumentError):
-        geometry.steering_vector(GEOM, 1.0, 0.0, mode="cubic")
     with pytest.raises(InvalidArgumentError):
         geometry.ArrayGeometry(n_tx=4, n_rx=4, n_rf=5, carrier_freq=28e9)
     with pytest.raises(InvalidArgumentError):

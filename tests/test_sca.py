@@ -727,19 +727,28 @@ class _FirstSubproblem(Exception):
     pass
 
 
-def _first_point_subproblem(monkeypatch, scn, options=None):
-    """The first SCA subproblem solve_point_sca builds for scn, and its solver options."""
+def _first_subproblem(monkeypatch, scn, options=None):
+    """The first SCA subproblem solve_point_sca or, for an extended target,
+    solve_extended_sca builds for scn, and its solver options."""
     programs = []
 
     def first_program(prog, **kwargs):
         programs.append((prog, kwargs))
         raise _FirstSubproblem
 
+    point = isinstance(scn.target, geometry.PointTarget)
     with monkeypatch.context() as m:
         m.setattr(sca, "solve", first_program)
         with pytest.raises(_FirstSubproblem):
-            sca.solve_point_sca(scn, options)
+            (sca.solve_point_sca if point else sca.solve_extended_sca)(scn, options)
     return programs[0]
+
+
+def _extended8_scenario():
+    """The desk extended-target scenario on 8 transmit and 8 receive antennas."""
+    return config.config_to_scenario(config.loads_config(
+        '{"geometry": {"n_tx": 8, "n_rx": 8}, "target": '
+        '{"kind": "extended", "prior_variance": 1.0}}', scale="desk"))
 
 
 @pytest.mark.parametrize("scale", ["desk", "paper"])
@@ -780,7 +789,7 @@ def test_point_subproblem_over_its_subspace_keeps_the_optimum(monkeypatch, case)
     results = []
     for basis in (U, np.eye(n)):
         monkeypatch.setattr(sca, "point_subspace", lambda *_, basis=basis: basis)
-        prog, kwargs = _first_point_subproblem(monkeypatch, scn, REFERENCE_OPTIONS)
+        prog, kwargs = _first_subproblem(monkeypatch, scn, REFERENCE_OPTIONS)
         assert prog.variables["W0"].side == basis.shape[1]
         sol = solve(prog, **kwargs)
         assert sol.optimal
@@ -805,7 +814,7 @@ def test_desk_subproblem_optimum_is_unit_free(monkeypatch):
                         lambda self: small if self is scaled else channels(self))
     values = []
     for s in (scn, scaled):
-        prog, kwargs = _first_point_subproblem(monkeypatch, s, REFERENCE_OPTIONS)
+        prog, kwargs = _first_subproblem(monkeypatch, s, REFERENCE_OPTIONS)
         sol = solve(prog, **kwargs)
         assert sol.optimal
         values.append(sol.objective)
@@ -818,7 +827,7 @@ def test_ee_chords_on_a_received_power_scalar_keep_the_optimum(monkeypatch):
     # sum_i Re Tr(H_k W_i), as before the received-power scalar r_k: the
     # feasible set, and so the optimum, is the same
     scn = config.config_to_scenario(config.default_config("desk"))
-    prog, kwargs = _first_point_subproblem(monkeypatch, scn)
+    prog, kwargs = _first_subproblem(monkeypatch, scn)
     wide = ConicProgram()
     wide.variables = {n: v for n, v in prog.variables.items() if not n.startswith("r")}
     wide.objective, wide.psd_blocks = prog.objective, prog.psd_blocks
@@ -847,7 +856,7 @@ def test_ee_chords_on_a_received_power_scalar_keep_the_optimum(monkeypatch):
 def test_paper_subproblem_restricts_to_seven_dimensions(monkeypatch):
     # the first paper subproblem is built over m = K + 3 = 7; nothing is solved
     scn = config.config_to_scenario(config.default_config("paper"))
-    prog, _ = _first_point_subproblem(monkeypatch, scn)
+    prog, _ = _first_subproblem(monkeypatch, scn)
     form = solver.assemble(prog)
     assert form.psd_sides == [7, 7, 7, 7, 2, 4, 4]
     assert form.psd_complex == [True] * 4 + [False] * 3
@@ -905,25 +914,23 @@ def test_extended_penalized_run_is_rank_one_and_feasible():
 
 def test_stalled_extended_solve_stops_at_its_best_iterate(monkeypatch):
     # the 8-antenna desk extended target's later subproblems stall short of
-    # sdp_tol; the fifteenth one, started from the fourteenth one's
-    # solution, reaches its best after 14 Newton steps and its measures then
+    # sdp_tol; the sixteenth one, started from the fifteenth one's
+    # solution, reaches its best after 13 Newton steps and its measures then
     # climb far above it.  The solve ends max_iter within 10 steps of its
     # best iterate and returns that iterate's residuals.
-    cfg = config.loads_config('{"geometry": {"n_tx": 8, "n_rx": 8}, "target": '
-                              '{"kind": "extended", "prior_variance": 1.0}}', scale="desk")
     programs = []
 
-    def fifteenth_program(prog, **kwargs):
+    def sixteenth_program(prog, **kwargs):
         programs.append((prog, kwargs))
-        if len(programs) == 15:
+        if len(programs) == 16:
             raise _FirstSubproblem
         return solve(prog, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(sca, "solve", fifteenth_program)
+        m.setattr(sca, "solve", sixteenth_program)
         with pytest.raises(_FirstSubproblem):
-            sca.solve_extended_sca(config.config_to_scenario(cfg))
-    prog, kwargs = programs[14]
+            sca.solve_extended_sca(_extended8_scenario())
+    prog, kwargs = programs[15]
 
     def measures(sol):
         return sol.primal_residual, sol.dual_residual, sol.duality_gap
@@ -945,13 +952,13 @@ def test_newton_solves_as_accurate_as_cholesky_solves(monkeypatch):
     # Gt dx - W dz = t to within 10 times the residual of LAPACK's
     # Cholesky solves with the same U and Schur complement
     scn = config.config_to_scenario(config.default_config("paper"))
-    prog, kwargs = _first_point_subproblem(monkeypatch, scn, harness._sweep_options(scn))
+    prog, kwargs = _first_subproblem(monkeypatch, scn, harness._sweep_options(scn))
     matrices = []
 
     class Recorded(solver._Newton):
-        def __init__(self, GA, m):
-            matrices.append((GA.copy(), m))
-            super().__init__(GA, m)
+        def __init__(self, GA, m, plan):
+            matrices.append((GA.copy(), m, plan))
+            super().__init__(GA, m, plan)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_Newton", Recorded)
@@ -973,37 +980,62 @@ def test_newton_solves_as_accurate_as_cholesky_solves(monkeypatch):
         return np.linalg.norm(r) / np.linalg.norm(np.concatenate([rx, ry, t]))
 
     rng = np.random.default_rng(0)
-    for GA, m in matrices:
+    for GA, m, plan in matrices:
         rhs = [rng.standard_normal(k) for k in (GA.shape[1], GA.shape[0] - m, m)]
-        ours = residual(GA, m, *rhs, *solver._Newton(GA, m).solve(*rhs))
+        ours = residual(GA, m, *rhs, *solver._Newton(GA, m, plan).solve(*rhs))
         reference = residual(GA, m, *rhs, *cholesky_solve(GA, m, *rhs))
         assert ours <= 10 * max(reference, np.finfo(float).eps)
 
 
 def test_folded_newton_matrices_keep_the_factor(monkeypatch):
-    # every Newton matrix of the paper design's first subproblem: the fold
-    # puts one 2 x 2 triangle per user in place of its 64 chord rows, and
-    # the factor of the folded rows has the plain QR's U^T U
-    scn = config.config_to_scenario(config.default_config("paper"))
-    prog, kwargs = _first_point_subproblem(monkeypatch, scn, harness._sweep_options(scn))
-    matrices = []
+    # every Newton matrix of the paper design's first subproblem and of the
+    # 8-antenna desk extended design's, the unscaled one of the cold start
+    # included: the fold puts one 2 x 2 triangle per user in place of its 64
+    # chord rows, and the factor of the folded rows has the plain QR's U^T U
+    for scn in [config.config_to_scenario(config.default_config("paper")),
+                _extended8_scenario()]:
+        prog, kwargs = _first_subproblem(monkeypatch, scn, harness._sweep_options(scn))
+        matrices = []
 
-    class Recorded(solver._Newton):
-        def __init__(self, GA, m):
-            matrices.append(GA.copy())
-            super().__init__(GA, m)
+        class Recorded(solver._Newton):
+            def __init__(self, GA, m, plan):
+                matrices.append((GA.copy(), plan))
+                super().__init__(GA, m, plan)
 
-    with monkeypatch.context() as m:
-        m.setattr(solver, "_Newton", Recorded)
-        assert solve(prog, **kwargs).optimal
-    assert len(matrices) > 20
-    for GA in matrices:
-        folded = solver._fold_pairs(GA)
-        assert folded.shape == (GA.shape[0] - 4 * sca.EE_CHORDS + 4 * 2, GA.shape[1])
-        plain = np.linalg.qr(GA, mode="r")
-        U = np.linalg.qr(folded, mode="r")
-        gram = plain.T @ plain
-        assert np.linalg.norm(U.T @ U - gram) <= 1e-12 * np.linalg.norm(gram)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_Newton", Recorded)
+            assert solve(prog, **kwargs).optimal
+        assert len(matrices) > 20
+        K = len(scn.users)
+        for GA, plan in matrices:
+            folded = solver._fold_pairs(GA, plan)
+            assert folded.shape == (GA.shape[0] - K * sca.EE_CHORDS + K * 2, GA.shape[1])
+            plain = np.linalg.qr(GA, mode="r")
+            U = np.linalg.qr(folded, mode="r")
+            gram = plain.T @ plain
+            assert np.linalg.norm(U.T @ U - gram) <= 1e-12 * np.linalg.norm(gram)
+
+
+def test_fold_plan_is_built_once_per_solve(monkeypatch):
+    # the desk point-target design: every Newton matrix of a solve, the
+    # cold start's included, takes the one plan built from its form
+    scn = config.config_to_scenario(config.default_config("desk"))
+    solves, plans = [], []
+    fold_plan = solver._fold_plan
+
+    def counted_solve(prog, **kwargs):
+        solves.append(prog)
+        return solve(prog, **kwargs)
+
+    def counted_plan(*args):
+        plans.append(args)
+        return fold_plan(*args)
+
+    monkeypatch.setattr(sca, "solve", counted_solve)
+    monkeypatch.setattr(solver, "_fold_plan", counted_plan)
+    _, _, trace, _ = sca.solve_point_sca(scn, harness._sweep_options(scn))
+    assert len(solves) == len(trace.solves) == 2
+    assert len(plans) == len(solves)
 
 
 @pytest.mark.parametrize("k", [5, 12, 20])
@@ -1012,16 +1044,16 @@ def test_interior_point_stops_at_a_newton_matrix_it_cannot_factor(monkeypatch, k
     # (the cold start factors one before step 0): the solve ends at step k
     # on the iterate a solve capped at k steps returns
     scn = config.config_to_scenario(config.default_config("desk"))
-    prog, kwargs = _first_point_subproblem(monkeypatch, scn, harness._sweep_options(scn))
+    prog, kwargs = _first_subproblem(monkeypatch, scn, harness._sweep_options(scn))
     capped = solve(prog, **dict(kwargs, max_iter=k))
     built = []
 
     class Singular(solver._Newton):
-        def __init__(self, GA, m):
+        def __init__(self, GA, m, plan):
             built.append(m)
             if len(built) == k + 2:
                 raise np.linalg.LinAlgError("singular Newton matrix")
-            super().__init__(GA, m)
+            super().__init__(GA, m, plan)
 
     monkeypatch.setattr(solver, "_Newton", Singular)
     sol = solve(prog, **kwargs)
@@ -1035,19 +1067,7 @@ def test_interior_point_working_set_of_an_extended_subproblem(monkeypatch):
     # the first 8-antenna desk extended subproblem (A 518 x 196): a 3-step
     # solve holds A, [G h], one scaled [G h; A0 0] and QR workspace, not a
     # fresh scaled copy and a stacked copy per Newton step
-    cfg = config.loads_config('{"geometry": {"n_tx": 8, "n_rx": 8}, "target": '
-                              '{"kind": "extended", "prior_variance": 1.0}}', scale="desk")
-    programs = []
-
-    def first_program(prog, **kwargs):
-        programs.append((prog, kwargs))
-        raise _FirstSubproblem
-
-    with monkeypatch.context() as m:
-        m.setattr(sca, "solve", first_program)
-        with pytest.raises(_FirstSubproblem):
-            sca.solve_extended_sca(config.config_to_scenario(cfg))
-    prog, kwargs = programs[0]
+    prog, kwargs = _first_subproblem(monkeypatch, _extended8_scenario())
     A = solver.assemble(prog).A
     assert A.shape == (518, 196)
     tracemalloc.start()
